@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: `sweep` (full pipeline to CSV), `overhead` (report bit-width
-calculator), `codebook dump` (Type I entries to CSV), `channel probe`
-(statistics self-test). Settings resolve with precedence flags > config file
-> built-in defaults; `sweep` snapshots the resolved configuration into
-manifest.json (written atomically before any results) and a manifest can be
-fed back via --config to reproduce a run bit for bit.
+Subcommands: `sweep` (one or more codebook modes on paired channels, to
+CSV), `overhead` (report bit-width calculator), `codebook dump` (Type I
+entries to CSV), `channel probe` (statistics self-test). Settings resolve
+with precedence flags > config file > built-in defaults; `sweep` snapshots
+the resolved configuration into manifest.json (written atomically before any
+results) and a manifest can be fed back via --config to reproduce a run bit
+for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .sim import (
     CodebookMode,
     Scenario,
     SweepConfig,
-    run_sweep,
+    compare_modes,
     write_cqi_hist_csv,
     write_ri_hist_csv,
     write_sweep_csv,
@@ -57,7 +58,6 @@ _DEFAULTS: dict[str, object] = {
     "type2.beams": 4,
     "type2.n_psk": 8,
     "csi.cqi_table": "",
-    "csi.target_bler": 0.1,
 }
 
 # First zero of J0, used by `channel probe` to pick a Doppler that makes
@@ -124,14 +124,16 @@ def _positive_int(cfg: dict, key: str) -> int:
 def _parse_snr(spec: str) -> tuple[float, ...]:
     parts = str(spec).split(":")
     try:
-        if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) == 3:
-            lo, step, hi = (float(p) for p in parts)
-        else:
+        if len(parts) not in (1, 3):
             raise ValueError
+        values = [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"sweep.snr must be 'min:step:max' or a single value, got {spec!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"sweep.snr must be finite, got {spec!r}")
+    if len(values) == 1:
+        return (values[0],)
+    lo, step, hi = values
     if step <= 0:
         raise ValueError(f"sweep.snr step must be positive, got {step}")
     if hi < lo:
@@ -144,12 +146,16 @@ def _parse_snr(spec: str) -> tuple[float, ...]:
     return tuple(points)
 
 
-def _parse_mode(cfg: dict) -> CodebookMode:
-    label = str(cfg["sweep.codebook"])
-    for mode in CodebookMode:
-        if mode.value == label:
-            return mode
-    raise ValueError(f"sweep.codebook must be one of type1/type2/svd, got {label!r}")
+def _parse_modes(cfg: dict) -> list[CodebookMode]:
+    """Comma-separated mode labels, each at most once, in the given order."""
+    labels = [label.strip() for label in str(cfg["sweep.codebook"]).split(",")]
+    known = {mode.value: mode for mode in CodebookMode}
+    for label in labels:
+        if label not in known:
+            raise ValueError(f"sweep.codebook entries must be type1/type2/svd, got {label!r}")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"sweep.codebook lists a mode twice: {cfg['sweep.codebook']!r}")
+    return [known[label] for label in labels]
 
 
 def _build_scenario(cfg: dict) -> Scenario:
@@ -169,8 +175,7 @@ def _build_scenario(cfg: dict) -> Scenario:
         **kwargs,
     )
     table_path = str(cfg["csi.cqi_table"])
-    target_bler = _as_float(cfg, "csi.target_bler")
-    table = CqiTable.from_csv(table_path, target_bler) if table_path else CqiTable.default(target_bler)
+    table = CqiTable.from_csv(table_path) if table_path else CqiTable.default()
     t2 = Type2Config(num_beams=_positive_int(cfg, "type2.beams"), n_psk=_as_int(cfg, "type2.n_psk"))
     return Scenario(antenna=antenna, channel=channel, type2=t2, cqi_table=table)
 
@@ -208,27 +213,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     slots = _positive_int(cfg, "sweep.slots")
     delay = _as_int(cfg, "sweep.feedback_delay")
     seed = _as_int(cfg, "sweep.seed")
-    mode = _parse_mode(cfg)
-    sweep_cfg = SweepConfig(
-        scenario=_build_scenario(cfg),
-        snr_points_db=snr_points,
-        num_slots=slots,
-        feedback_delay_slots=delay,
-        codebook_mode=mode,
-        seed=seed,
-    )
+    modes = _parse_modes(cfg)
+    scenario = _build_scenario(cfg)
+    sweep_cfgs = [
+        SweepConfig(scenario=scenario, snr_points_db=snr_points, num_slots=slots,
+                    feedback_delay_slots=delay, codebook_mode=mode, seed=seed)
+        for mode in modes
+    ]
     out = _out_dir(args)
     paths = [out / "sweep.csv", out / "ri_hist.csv", out / "cqi_hist.csv"]
     _write_manifest(out, "sweep", cfg, seed, paths)
-    result = run_sweep(sweep_cfg)
-    write_sweep_csv([result], paths[0])
-    write_ri_hist_csv([result], paths[1])
-    write_cqi_hist_csv([result], paths[2])
-    print(f"{'snr_db':>8}  {'mean_se':>10}  {'mean_mbps':>10}  {'overhead':>9}  {'fail':>6}")
-    for pt in result.points:
-        print(f"{pt.snr_db:>8.2f}  {pt.mean_throughput:>10.4f}  "
-              f"{pt.mean_throughput_mbps:>10.3f}  {pt.mean_overhead_bits:>9.2f}  "
-              f"{pt.slots_failed:>6.4f}")
+    comparison = compare_modes(sweep_cfgs)
+    write_sweep_csv(comparison.results, paths[0])
+    write_ri_hist_csv(comparison.results, paths[1])
+    write_cqi_hist_csv(comparison.results, paths[2])
+    print(f"{'snr_db':>8}  {'mode':>5}  {'mean_se':>10}  {'mean_mbps':>10}  "
+          f"{'overhead':>9}  {'fail':>6}")
+    for i, row in enumerate(comparison.rows):
+        for res in comparison.results:
+            pt = res.points[i]
+            print(f"{pt.snr_db:>8.2f}  {res.mode.value:>5}  {pt.mean_throughput:>10.4f}  "
+                  f"{pt.mean_throughput_mbps:>10.3f}  {pt.mean_overhead_bits:>9.2f}  "
+                  f"{pt.slots_failed:>6.4f}")
+        if len(modes) > 1:
+            print(f"{'':>8}  winner {row.winner}")
     print(f"wrote {', '.join(str(p) for p in paths)}")
     return 0
 
@@ -291,9 +299,9 @@ def _cmd_codebook_dump(args: argparse.Namespace) -> int:
             header += [f"w{port}_{layer}_re", f"w{port}_{layer}_im"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for idx, entry in enumerate(cb):
-            w = entry.w_per_subband[0]
-            pmi = entry.pmi
+        for idx in range(len(cb)):
+            w = cb.w_stack[idx]
+            pmi = cb.pmi_of(idx)
             row = [str(idx), str(pmi.i11), str(pmi.i12), str(pmi.i13), str(pmi.i2_per_subband[0])]
             for port in range(ports):
                 for layer in range(rank):
@@ -360,9 +368,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run an SNR sweep and write CSV results")
     sweep.add_argument("--config", help="INI config file or a manifest.json from a previous run")
-    sweep.add_argument("--snr", help="SNR grid in dB as min:step:max (or one value)")
+    sweep.add_argument("--snr", help="SNR grid in dB as min:step:max (or one value); "
+                                     "write a negative min as --snr=-10:5:40")
     sweep.add_argument("--slots", type=int, help="slots per SNR point")
-    sweep.add_argument("--codebook", choices=["type1", "type2", "svd"], help="feedback mode")
+    sweep.add_argument("--codebook",
+                       help="feedback modes, comma-separated from type1, type2, svd; "
+                            "several run on paired channels")
     sweep.add_argument("--rx", type=int, help="receive antenna count")
     sweep.add_argument("--seed", type=int, help="sweep seed")
     sweep.add_argument("--out", help="output directory (default nrsim_out)")

@@ -19,7 +19,6 @@ __all__ = [
     "Oversampling",
     "TypeIPmi",
     "TypeIIPmi",
-    "PrecoderEntry",
     "Codebook",
     "Type2Config",
     "Type2CodebookSpace",
@@ -68,20 +67,14 @@ class AntennaConfig:
 
     n1: int
     n2: int
-    ng: int = 1
-    cross_polarized: bool = True
 
     def __post_init__(self) -> None:
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"n1/n2 must be positive, got ({self.n1}, {self.n2})")
-        if self.ng != 1:
-            raise ValueError("only single-panel (ng=1) configurations are supported")
-        if not self.cross_polarized:
-            raise ValueError("only cross-polarized panels are supported")
 
     @property
     def num_ports(self) -> int:
-        return 2 * self.n1 * self.n2 * self.ng
+        return 2 * self.n1 * self.n2
 
 
 @dataclass(frozen=True)
@@ -148,50 +141,26 @@ class TypeIIPmi:
         return len(self.subband_cophase[0])
 
 
-@dataclass(frozen=True)
-class PrecoderEntry:
-    pmi: "TypeIPmi | TypeIIPmi"
-    w_per_subband: tuple[np.ndarray, ...]
-
-
 class Codebook:
     """Materialized Type I codebook for one rank.
 
-    Entries are enumerated lexicographically in (i11, i12, i13, i2); the
-    stacked matrix view is used by vectorized CSI selection.
+    Entry e is the precoder w_stack[e]. Entries are enumerated
+    lexicographically in (i11, i12, i13, i2), so an entry index and its PMI
+    convert by mixed-radix arithmetic (index_of_pmi and its inverse pmi_of).
     """
 
-    def __init__(self, cfg: AntennaConfig, ov: Oversampling, rank: int,
-                 pmis: list[TypeIPmi], matrices: np.ndarray):
+    def __init__(self, cfg: AntennaConfig, ov: Oversampling, rank: int, matrices: np.ndarray):
         self.cfg = cfg
         self.ov = ov
         self.rank = rank
         self.w_stack = np.ascontiguousarray(matrices)  # (entries, ports, rank)
-        self.entries = tuple(
-            PrecoderEntry(pmi, (self.w_stack[i],)) for i, pmi in enumerate(pmis)
-        )
-        self._by_bytes = {self.w_stack[i].tobytes(): i for i in range(len(pmis))}
-        # Lexicographic enumeration strides for index_of_pmi.
+        # Lexicographic enumeration strides for index_of_pmi and pmi_of.
         self._n_i12 = cfg.n2 * ov.o2
         self._n_i13 = 1 if rank == 1 else 4
         self._n_i2 = 4 if rank == 1 else 2
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> PrecoderEntry:
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def index_of(self, w: np.ndarray) -> int:
-        """Exact-match lookup of a precoding matrix; inverse of entry -> W."""
-        key = np.ascontiguousarray(w, dtype=self.w_stack.dtype).tobytes()
-        try:
-            return self._by_bytes[key]
-        except KeyError:
-            raise KeyError("matrix is not a codebook entry") from None
+        return len(self.w_stack)
 
     def index_of_pmi(self, pmi: TypeIPmi) -> int:
         """Entry index for a reported PMI (the co-phase index is wideband, so
@@ -201,6 +170,15 @@ class Codebook:
                 and 0 <= pmi.i13 < self._n_i13 and 0 <= i2 < self._n_i2):
             raise ValueError(f"PMI {pmi} is outside this codebook's index ranges")
         return ((pmi.i11 * self._n_i12 + pmi.i12) * self._n_i13 + pmi.i13) * self._n_i2 + i2
+
+    def pmi_of(self, e: int) -> TypeIPmi:
+        """Wideband PMI of entry e; the inverse of index_of_pmi."""
+        if not 0 <= e < len(self):
+            raise ValueError(f"entry {e} out of range [0, {len(self)})")
+        rest, i2 = divmod(e, self._n_i2)
+        rest, i13 = divmod(rest, self._n_i13)
+        i11, i12 = divmod(rest, self._n_i12)
+        return TypeIPmi(i11, i12, i13, (i2,))
 
     def matrix_for(self, pmi: TypeIPmi) -> np.ndarray:
         return self.w_stack[self.index_of_pmi(pmi)]
@@ -281,7 +259,6 @@ def build_type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Cod
         raise ValueError(f"rank {rank} exceeds {cfg.num_ports} ports")
 
     n_l, n_m = cfg.n1 * ov.o1, cfg.n2 * ov.o2
-    pmis: list[TypeIPmi] = []
     mats: list[np.ndarray] = []
 
     if rank == 1:
@@ -291,7 +268,6 @@ def build_type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Cod
                 for n in range(4):
                     w = np.concatenate([v, _PHI4[n] * v])[:, None]
                     mats.append(w / np.linalg.norm(w))
-                    pmis.append(TypeIPmi(i11, i12, 0, (n,)))
     else:
         variants = _i13_variants(rank, cfg, ov)
         for i11 in range(n_l):
@@ -309,9 +285,8 @@ def build_type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Cod
                         ]
                         w = np.stack(cols, axis=1)
                         mats.append(w / np.linalg.norm(w))
-                        pmis.append(TypeIPmi(i11, i12, i13, (n,)))
 
-    return Codebook(cfg, ov, rank, pmis, np.stack(mats))
+    return Codebook(cfg, ov, rank, np.stack(mats))
 
 
 @dataclass(frozen=True)

@@ -60,12 +60,10 @@ class SvdResult:
 @dataclass(frozen=True)
 class CqiTable:
     """CQI index -> (spectral efficiency, SINR threshold). Index 0 means
-    out of range and is not a row. Thresholds are calibrated once for the
-    recorded target_bler via an SNR-gap rule."""
+    out of range and is not a row."""
 
     spectral_efficiency: tuple[float, ...]
     sinr_threshold_db: tuple[float, ...]
-    target_bler: float = 0.1
 
     def __post_init__(self) -> None:
         se = np.asarray(self.spectral_efficiency, dtype=float)
@@ -90,14 +88,14 @@ class CqiTable:
         return self.sinr_threshold_db[cqi - 1]
 
     @classmethod
-    def default(cls, target_bler: float = 0.1, gap_db: float = _DEFAULT_GAP_DB) -> "CqiTable":
+    def default(cls, gap_db: float = _DEFAULT_GAP_DB) -> "CqiTable":
         """Embedded 15-entry table; threshold = gap * (2^SE - 1) in linear."""
         gap = 10.0 ** (gap_db / 10.0)
         thr = tuple(10.0 * math.log10(gap * (2.0 ** se - 1.0)) for se in _CQI_EFFICIENCY)
-        return cls(_CQI_EFFICIENCY, thr, target_bler)
+        return cls(_CQI_EFFICIENCY, thr)
 
     @classmethod
-    def from_csv(cls, path, target_bler: float = 0.1) -> "CqiTable":
+    def from_csv(cls, path) -> "CqiTable":
         """Load rows (cqi_index, efficiency, threshold_db); indices must be
         contiguous from 1."""
         rows = []
@@ -112,7 +110,7 @@ class CqiTable:
         rows.sort()
         if not rows or [r[0] for r in rows] != list(range(1, len(rows) + 1)):
             raise ValueError(f"{path}: cqi_index must run contiguously from 1")
-        return cls(tuple(r[1] for r in rows), tuple(r[2] for r in rows), target_bler)
+        return cls(tuple(r[1] for r in rows), tuple(r[2] for r in rows))
 
 
 @dataclass(frozen=True)
@@ -200,10 +198,9 @@ def _map_cqi_array(eff, thresholds_db: np.ndarray) -> np.ndarray:
     return out
 
 
-def map_cqi(eff_sinr: float, table: CqiTable, target_bler: float = 0.1) -> int:
+def map_cqi(eff_sinr: float, table: CqiTable) -> int:
     """Largest CQI whose threshold is <= eff_sinr (boundary inclusive); 0 if
-    below the lowest. target_bler is recorded context: the table's thresholds
-    already encode the calibration."""
+    below the lowest."""
     thr = np.asarray(table.sinr_threshold_db, dtype=float)
     return int(_map_cqi_array(np.asarray([eff_sinr]), thr)[0])
 
@@ -270,7 +267,7 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
     if best is None:
         raise ValueError("no codebook rank is usable for this channel size")
     tp, rank, e, cqi_sel, cb = best
-    pmi = cb[e].pmi
+    pmi = cb.pmi_of(e)
     report_pmi = TypeIPmi(pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband * num_sb)
     bits = type1_overhead_bits(cb.cfg, cb.ov, rank, num_sb).total_bits
     return CsiReport(ri=rank, pmi=report_pmi, cqi=cqi_sel,

@@ -23,7 +23,6 @@ import numpy as np
 from .channel import ChannelConfig, generate_channel
 from .codebook import (
     AntennaConfig,
-    Codebook,
     Type2CodebookSpace,
     Type2Config,
     build_type1_codebook,

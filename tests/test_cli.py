@@ -1,10 +1,27 @@
 """Command-line front end: subcommands, config precedence, manifests."""
 
+import configparser
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from nrsim.cli import main
+from nrsim import (
+    AntennaConfig,
+    ChannelConfig,
+    CodebookMode,
+    Scenario,
+    SweepConfig,
+    Type2Config,
+    compare_modes,
+    write_cqi_hist_csv,
+    write_ri_hist_csv,
+    write_sweep_csv,
+)
+from nrsim.cli import _DEFAULTS, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _read(path):
@@ -117,12 +134,43 @@ class TestSweepCommand:
             assert main(argv) == 0
         assert _read(outs[0] / "sweep.csv") == _read(outs[1] / "sweep.csv")
 
+    def test_multi_mode_matches_api(self, small_ini, tmp_path, capsys):
+        out = tmp_path / "multi"
+        argv = ["sweep", "--config", str(small_ini), "--codebook", "type1,type2,svd",
+                "--slots", "20", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("winner") == 2
+        antenna = AntennaConfig(4, 1)
+        scenario = Scenario(
+            antenna=antenna,
+            channel=ChannelConfig(num_tx_ports=antenna.num_ports, num_rx_ports=2,
+                                  num_subbands=3),
+            type2=Type2Config(num_beams=4, n_psk=8),
+        )
+        cfgs = [SweepConfig(scenario=scenario, snr_points_db=(0.0, 10.0), num_slots=20,
+                            feedback_delay_slots=1, codebook_mode=mode, seed=5)
+                for mode in (CodebookMode.TYPE1, CodebookMode.TYPE2, CodebookMode.SVD_IDEAL)]
+        results = compare_modes(cfgs).results
+        api = tmp_path / "api"
+        api.mkdir()
+        write_sweep_csv(results, api / "sweep.csv")
+        write_ri_hist_csv(results, api / "ri_hist.csv")
+        write_cqi_hist_csv(results, api / "cqi_hist.csv")
+        for name in ("sweep.csv", "ri_hist.csv", "cqi_hist.csv"):
+            assert _read(out / name) == _read(api / name)
+
+    @pytest.mark.parametrize("modes", ["type1,bogus", "type1,type1"])
+    def test_bad_mode_list(self, modes, capsys):
+        assert main(["sweep", "--codebook", modes]) == 2
+        assert "sweep.codebook" in capsys.readouterr().err
+
     def test_zero_slots(self, capsys):
         assert main(["sweep", "--slots", "0"]) == 2
         assert "slots" in capsys.readouterr().err
 
-    def test_bad_snr_spec(self, capsys):
-        assert main(["sweep", "--snr", "abc"]) == 2
+    @pytest.mark.parametrize("spec", ["abc", "0:1:inf", "-inf:1:0", "nan", "0:nan:10"])
+    def test_bad_snr_spec(self, spec, capsys):
+        assert main(["sweep", f"--snr={spec}"]) == 2
         assert "sweep.snr" in capsys.readouterr().err
 
     def test_descending_snr_rejected(self, capsys):
@@ -161,3 +209,11 @@ class TestChannelProbe:
 
     def test_probe_needs_two_slots(self, capsys):
         assert main(["channel", "probe", "--slots", "1"]) == 2
+
+
+def test_readme_ini_lists_every_config_key():
+    block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    keys = {f"{section}.{key}" for section in parser.sections() for key in parser[section]}
+    assert keys == set(_DEFAULTS)

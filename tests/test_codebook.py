@@ -18,7 +18,13 @@ from nrsim import (
     oversampling_factors,
     realize_type2_precoder,
 )
-from nrsim.codebook import TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES
+from nrsim.codebook import (
+    _PHI2,
+    _PHI4,
+    TYPE2_SB_AMPLITUDES,
+    TYPE2_WB_AMPLITUDES,
+    _i13_variants,
+)
 
 LAYOUTS = [(2, 1), (2, 2), (4, 1), (3, 2), (6, 1), (4, 2), (8, 1),
            (4, 3), (6, 2), (12, 1), (4, 4), (8, 2), (16, 1)]
@@ -34,14 +40,6 @@ class TestAntennaConfig:
         assert AntennaConfig(4, 1).num_ports == 8
         assert AntennaConfig(2, 2).num_ports == 8
         assert AntennaConfig(16, 1).num_ports == 32
-
-    def test_rejects_multi_panel(self):
-        with pytest.raises(ValueError):
-            AntennaConfig(4, 1, ng=2)
-
-    def test_rejects_co_polarized(self):
-        with pytest.raises(ValueError):
-            AntennaConfig(4, 1, cross_polarized=False)
 
     def test_rejects_empty_dimension(self):
         with pytest.raises(ValueError):
@@ -136,16 +134,40 @@ class TestType1Codebook:
     def test_index_round_trips(self, rank):
         cfg, ov = _panel(4, 1)
         cb = build_type1_codebook(cfg, rank, ov)
-        for i, entry in enumerate(cb):
-            assert cb.index_of(cb.w_stack[i]) == i
-            assert cb.index_of_pmi(entry.pmi) == i
-            assert np.array_equal(cb.matrix_for(entry.pmi), cb.w_stack[i])
+        for e in range(len(cb)):
+            pmi = cb.pmi_of(e)
+            assert cb.index_of_pmi(pmi) == e
+            assert np.array_equal(cb.matrix_for(pmi), cb.w_stack[e])
 
     def test_lexicographic_enumeration(self):
         cfg, ov = _panel(4, 2)
         cb = build_type1_codebook(cfg, 2, ov)
-        keys = [(e.pmi.i11, e.pmi.i12, e.pmi.i13, e.pmi.i2_per_subband[0]) for e in cb]
+        pmis = [cb.pmi_of(e) for e in range(len(cb))]
+        keys = [(p.i11, p.i12, p.i13, p.i2_per_subband[0]) for p in pmis]
         assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_pmi_rebuilds_first_column(self, layout):
+        """Entry e's first column is [v; phi*v] / sqrt(ports * rank) with
+        v = dft_beam(i11, i12) and phi the co-phase that pmi_of(e) names."""
+        cfg, ov = _panel(*layout)
+        ports = cfg.num_ports
+        for rank in (1, 2, 3, 4):
+            cb = build_type1_codebook(cfg, rank, ov)
+            variants = _i13_variants(rank, cfg, ov) if rank > 1 else None
+            for e in range(len(cb)):
+                pmi = cb.pmi_of(e)
+                assert cb.index_of_pmi(pmi) == e
+                i2 = pmi.i2_per_subband[0]
+                if rank == 1:
+                    phi = _PHI4[i2]
+                else:
+                    negate = variants[pmi.i13][2]
+                    phi = -_PHI2[i2] if negate else _PHI2[i2]
+                v = dft_beam(pmi.i11, pmi.i12, cfg, ov) / math.sqrt(ports * rank)
+                expect = np.concatenate([v, phi * v])
+                assert np.allclose(cb.w_stack[e][:, 0], expect, rtol=0, atol=1e-12)
 
     def test_rank1_uses_four_cophases(self):
         cfg, ov = _panel(2, 1)
@@ -159,12 +181,6 @@ class TestType1Codebook:
             assert np.allclose(w[:half], np.ones(half), atol=1e-12)
             assert np.allclose(w[half:], phi * np.ones(half), atol=1e-12)
 
-    def test_unknown_matrix_lookup(self):
-        cfg, ov = _panel(2, 1)
-        cb = build_type1_codebook(cfg, 1, ov)
-        with pytest.raises(KeyError):
-            cb.index_of(np.zeros((4, 1), dtype=complex))
-
     def test_pmi_out_of_range(self):
         cfg, ov = _panel(2, 1)
         cb = build_type1_codebook(cfg, 1, ov)
@@ -172,6 +188,10 @@ class TestType1Codebook:
             cb.index_of_pmi(TypeIPmi(8, 0, 0, (0,)))
         with pytest.raises(ValueError):
             cb.index_of_pmi(TypeIPmi(0, 0, 1, (0,)))
+        with pytest.raises(ValueError):
+            cb.pmi_of(len(cb))
+        with pytest.raises(ValueError):
+            cb.pmi_of(-1)
 
     @pytest.mark.parametrize("rank", [0, 5])
     def test_invalid_rank(self, rank):
