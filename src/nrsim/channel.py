@@ -7,6 +7,7 @@ is the DFT of the tap matrices at the tap delays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +62,13 @@ def load_pdp_file(path) -> list[tuple[float, float]]:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'delay_ns power_db', got {raw!r}")
             try:
-                delays.append(float(parts[0]))
-                powers_db.append(float(parts[1]))
+                delay, power_db = float(parts[0]), float(parts[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry in {raw!r}") from None
+            if not (math.isfinite(delay) and math.isfinite(power_db)):
+                raise ValueError(f"{path}:{lineno}: delay_ns and power_db must be finite, got {raw!r}")
+            delays.append(delay)
+            powers_db.append(power_db)
     if not delays:
         raise ValueError(f"{path}: no profile entries found")
     d = np.asarray(delays) - min(delays)
@@ -99,6 +103,9 @@ class ChannelConfig:
     def __post_init__(self) -> None:
         if self.num_tx_ports < 1 or self.num_rx_ports < 1:
             raise ValueError("port counts must be positive")
+        for name in ("doppler_hz", "delay_spread_ns", "subband_spacing_hz", "slot_duration_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.doppler_hz < 0:
             raise ValueError(f"doppler_hz must be >= 0, got {self.doppler_hz}")
         if self.delay_spread_ns <= 0:
@@ -110,6 +117,8 @@ class ChannelConfig:
         if len(self.pdp) == 0:
             raise ValueError("pdp must contain at least one tap")
         object.__setattr__(self, "pdp", tuple((float(d), float(p)) for d, p in self.pdp))
+        if not np.all(np.isfinite(self.pdp)):
+            raise ValueError(f"pdp delays and powers must be finite, got {self.pdp}")
         powers = np.asarray([p for _, p in self.pdp])
         if np.any(powers < 0) or np.any(np.asarray([d for d, _ in self.pdp]) < 0):
             raise ValueError("pdp delays and powers must be nonnegative")

@@ -242,23 +242,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "codebook": "sweep.codebook", "beams": "type2.beams", "npsk": "type2.n_psk",
-    })
+    cfg = _resolve(args, {"beams": "type2.beams", "npsk": "type2.n_psk"})
     antenna = AntennaConfig(n1=_positive_int(cfg, "antenna.n1"), n2=_positive_int(cfg, "antenna.n2"))
     ov = oversampling_factors(antenna)
     rank = args.rank if args.rank is not None else 1
     subbands = args.subbands if args.subbands is not None else 1
     if subbands < 1:
         raise ValueError(f"subbands must be a positive integer, got {subbands}")
-    label = str(cfg["sweep.codebook"])
-    if label == "type1":
-        breakdown = type1_overhead_bits(antenna, ov, rank, subbands)
-    elif label == "type2":
+    if args.codebook == "type2":
         t2 = Type2Config(num_beams=_positive_int(cfg, "type2.beams"), n_psk=_as_int(cfg, "type2.n_psk"))
         breakdown = type2_overhead_bits(antenna, ov, t2, rank, subbands)
     else:
-        raise ValueError(f"codebook must be type1 or type2 for overhead, got {label!r}")
+        breakdown = type1_overhead_bits(antenna, ov, rank, subbands)
     width = max(len(k) for k in [*breakdown.per_index_bits, "total"])
     for key, bits in breakdown.per_index_bits.items():
         print(f"{key:<{width}}  {bits:>5} bits")
@@ -276,16 +271,13 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
             for key, bits in breakdown.per_index_bits.items():
                 fh.write(f"{key},{bits}\n")
             fh.write(f"total,{breakdown.total_bits}\n")
-        _write_manifest(out, "overhead", cfg, 0, [path])
+        _write_manifest(out, f"overhead --codebook {args.codebook}", cfg, 0, [path])
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_codebook_dump(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {"codebook": "sweep.codebook"})
-    label = str(cfg["sweep.codebook"])
-    if label != "type1":
-        raise ValueError(f"codebook dump materializes type1 only, got {label!r}")
+    cfg = _resolve(args, {})
     antenna = AntennaConfig(n1=_positive_int(cfg, "antenna.n1"), n2=_positive_int(cfg, "antenna.n2"))
     ov = oversampling_factors(antenna)
     rank = args.rank if args.rank is not None else 1
@@ -380,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     overhead = sub.add_parser("overhead", help="print PMI report bit-widths")
     overhead.add_argument("--config", help="INI config file")
-    overhead.add_argument("--codebook", choices=["type1", "type2"], help="report family")
+    overhead.add_argument("--codebook", choices=["type1", "type2"], default="type1",
+                          help="report family (default type1)")
     overhead.add_argument("--rank", type=int, help="rank (type1: 1-4, type2: 1-2)")
     overhead.add_argument("--subbands", type=int, help="subband count (default 1 = wideband)")
     overhead.add_argument("--beams", type=int, help="type2 combined beams")
@@ -391,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     codebook_sub = codebook.add_subparsers(dest="action", required=True)
     dump = codebook_sub.add_parser("dump", help="write Type I entries to CSV")
     dump.add_argument("--config", help="INI config file")
-    dump.add_argument("--codebook", choices=["type1", "type2"], help="family (type1 only)")
     dump.add_argument("--rank", type=int, help="rank (1-4)")
     dump.add_argument("--out", help="output directory (default nrsim_out)")
 

@@ -29,6 +29,7 @@ __all__ = [
     "realize_type2_precoder",
     "TYPE2_WB_AMPLITUDES",
     "TYPE2_SB_AMPLITUDES",
+    "TYPE2_MAX_RANK",
 ]
 
 # Supported (n1, n2) port layouts -> (o1, o2) grid oversampling.
@@ -289,29 +290,32 @@ def build_type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Cod
     return Codebook(cfg, ov, rank, np.stack(mats))
 
 
+# Type II reports carry at most two layers (TS 38.214 Sec. 5.2.2.2.3).
+TYPE2_MAX_RANK = 2
+
+
 @dataclass(frozen=True)
 class Type2Config:
     """Type II structure parameters: B combined beams, N_PSK co-phase grid."""
 
     num_beams: int = 4
     n_psk: int = 8
-    max_rank: int = 2
 
     def __post_init__(self) -> None:
         if self.num_beams not in (2, 3, 4):
             raise ValueError(f"num_beams must be in {{2,3,4}}, got {self.num_beams}")
         if self.n_psk not in (4, 8):
             raise ValueError(f"n_psk must be 4 or 8, got {self.n_psk}")
-        if not 1 <= self.max_rank <= 2:
-            raise ValueError(f"Type II rank limit is 2, got max_rank={self.max_rank}")
 
 
 class Type2CodebookSpace:
-    """Enumerable Type II structure (not materialized).
+    """Type II structure, built once; precoders are realized on demand from a
+    TypeIIPmi by realize_type2_precoder.
 
-    Holds the rotation grid (q1 < o1, q2 < o2), the C(n1*n2, B) orthogonal
-    beam combinations, and the coefficient alphabets. Precoders are realized
-    on demand from a TypeIIPmi by realize_type2_precoder.
+    beams[q1, q2, b] is orthogonal beam b = x1*n2 + x2 at rotation (q1, q2),
+    the DFT beam at grid point (q1 + o1*x1, q2 + o2*x2); shape (o1, o2,
+    n1*n2, n1*n2). combos[i12] is the i12-th B-subset of the n1*n2 beams in
+    lexicographic order; shape (C(n1*n2, B), B).
     """
 
     def __init__(self, cfg: AntennaConfig, t2: Type2Config, ov: Oversampling):
@@ -322,77 +326,53 @@ class Type2CodebookSpace:
         self.cfg = cfg
         self.t2 = t2
         self.ov = ov
-        self._combos = tuple(itertools.combinations(range(cfg.n1 * cfg.n2), t2.num_beams))
-        self._combo_index = {c: i for i, c in enumerate(self._combos)}
-
-    @property
-    def num_rotations(self) -> tuple[int, int]:
-        return (self.ov.o1, self.ov.o2)
-
-    @property
-    def num_beam_combinations(self) -> int:
-        return len(self._combos)
-
-    def beam_combination(self, i12: int) -> tuple[int, ...]:
-        if not 0 <= i12 < len(self._combos):
-            raise ValueError(f"i12={i12} out of range [0, {len(self._combos)})")
-        return self._combos[i12]
-
-    def combination_index(self, beams: tuple[int, ...]) -> int:
-        try:
-            return self._combo_index[tuple(sorted(beams))]
-        except KeyError:
-            raise ValueError(f"{beams} is not a valid beam combination") from None
-
-    def orthogonal_beams(self, q1: int, q2: int) -> np.ndarray:
-        """All n1*n2 orthogonal beams at rotation (q1, q2), one per row.
-
-        Row index b = x1*n2 + x2 maps to grid point (q1 + o1*x1, q2 + o2*x2).
-        """
-        if not 0 <= q1 < self.ov.o1:
-            raise ValueError(f"rotation q1={q1} out of range [0, {self.ov.o1})")
-        if not 0 <= q2 < self.ov.o2:
-            raise ValueError(f"rotation q2={q2} out of range [0, {self.ov.o2})")
-        cfg, ov = self.cfg, self.ov
-        rows = [
-            dft_beam(q1 + ov.o1 * x1, q2 + ov.o2 * x2, cfg, ov)
-            for x1 in range(cfg.n1)
-            for x2 in range(cfg.n2)
-        ]
-        return np.stack(rows)
-
-    def psk_phases(self, indices) -> np.ndarray:
-        return np.exp(2j * np.pi * np.asarray(indices) / self.t2.n_psk)
+        self.beams = np.array([
+            [
+                [dft_beam(q1 + ov.o1 * x1, q2 + ov.o2 * x2, cfg, ov)
+                 for x1 in range(cfg.n1) for x2 in range(cfg.n2)]
+                for q2 in range(ov.o2)
+            ]
+            for q1 in range(ov.o1)
+        ])
+        self.combos = np.array(list(itertools.combinations(range(cfg.n1 * cfg.n2), t2.num_beams)))
 
 
 def build_type2_structure(cfg: AntennaConfig, t2: Type2Config, ov: Oversampling) -> Type2CodebookSpace:
     return Type2CodebookSpace(cfg, t2, ov)
 
 
-def realize_type2_precoder(space: Type2CodebookSpace, pmi: TypeIIPmi, subband: int) -> np.ndarray:
-    """Build the ports x rank matrix for one subband from a Type II PMI.
+def realize_type2_precoder(space: Type2CodebookSpace, pmi: TypeIIPmi) -> np.ndarray:
+    """Build the (subbands, ports, rank) precoders from a Type II PMI.
 
-    Per layer and polarization: w = sum_b a_wb * a_sb * exp(j*2*pi*c/N_PSK) * v_b,
-    columns normalized to unit norm and the matrix scaled to unit Frobenius norm.
+    Per layer, subband and polarization: w = sum_b a_wb * a_sb *
+    exp(j*2*pi*c/N_PSK) * v_b, columns normalized to unit norm and each
+    subband's matrix scaled to unit Frobenius norm.
     """
-    num_sb = pmi.num_subbands
-    if not 0 <= subband < num_sb:
-        raise ValueError(f"subband {subband} out of range [0, {num_sb})")
     rank = pmi.rank
-    if rank > space.t2.max_rank:
-        raise ValueError(f"rank {rank} exceeds the Type II limit {space.t2.max_rank}")
-    b_count = space.t2.num_beams
-    beams = space.orthogonal_beams(*pmi.i11)[list(space.beam_combination(pmi.i12))]
-
-    cols = []
-    for layer in range(rank):
-        wb = TYPE2_WB_AMPLITUDES[list(pmi.wideband_amplitudes[layer])]
-        sb = TYPE2_SB_AMPLITUDES[list(pmi.subband_amplitude[layer][subband])]
-        ph = space.psk_phases(pmi.subband_cophase[layer][subband])
-        coeff = wb * sb * ph  # (2B,), position j = p*B + b
-        col = np.concatenate([coeff[:b_count] @ beams, coeff[b_count:] @ beams])
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            raise ValueError(f"layer {layer} has all-zero coefficients on subband {subband}")
-        cols.append(col / norm)
-    return np.stack(cols, axis=1) / math.sqrt(rank)
+    if rank > TYPE2_MAX_RANK:
+        raise ValueError(f"rank {rank} exceeds the Type II limit {TYPE2_MAX_RANK}")
+    o1, o2 = space.beams.shape[:2]
+    q1, q2 = pmi.i11
+    if not (0 <= q1 < o1 and 0 <= q2 < o2):
+        raise ValueError(f"rotation i11={pmi.i11} out of range [0, {o1}) x [0, {o2})")
+    if not 0 <= pmi.i12 < len(space.combos):
+        raise ValueError(f"i12={pmi.i12} out of range [0, {len(space.combos)})")
+    wb_idx, sb_idx, ph_idx = (np.asarray(x) for x in (
+        pmi.wideband_amplitudes, pmi.subband_amplitude, pmi.subband_cophase))
+    for name, idx, size in (("wideband amplitude", wb_idx, len(TYPE2_WB_AMPLITUDES)),
+                            ("subband amplitude", sb_idx, len(TYPE2_SB_AMPLITUDES)),
+                            ("co-phase", ph_idx, space.t2.n_psk)):
+        if np.any((idx < 0) | (idx >= size)):
+            raise ValueError(f"{name} indices must be in [0, {size}), got {idx.tolist()}")
+    beams = space.beams[q1, q2, space.combos[pmi.i12]]  # (B, n1*n2)
+    wb = TYPE2_WB_AMPLITUDES[wb_idx][:, None, :]
+    sb = TYPE2_SB_AMPLITUDES[sb_idx]
+    ph = np.exp(2j * np.pi * ph_idx / space.t2.n_psk)
+    coeff = wb * sb * ph  # (rank, subbands, 2B), position j = p*B + b
+    num_sb = coeff.shape[1]
+    cols = (coeff.reshape(rank, num_sb, 2, -1) @ beams).reshape(rank, num_sb, -1)
+    norm = np.linalg.norm(cols, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
+        layer, subband, _ = np.argwhere(norm == 0.0)[0]
+        raise ValueError(f"layer {layer} has all-zero coefficients on subband {subband}")
+    return np.transpose(cols / norm, (1, 2, 0)) / math.sqrt(rank)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import (
+    TYPE2_MAX_RANK,
     TYPE2_SB_AMPLITUDES,
     TYPE2_WB_AMPLITUDES,
     Codebook,
@@ -178,14 +179,21 @@ def layer_sinr_mmse(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarra
     return _layer_sinr_batch(h @ w, noise_var)
 
 
+def _effective_sinr(sinr: np.ndarray) -> np.ndarray:
+    """Capacity-domain average over the last two axes (subbands, layers):
+    eff = 2^(mean of log2(1+SINR)) - 1."""
+    return np.exp2(np.mean(np.log2(1.0 + sinr), axis=(-2, -1))) - 1.0
+
+
 def effective_sinr(per_layer_per_subband) -> float:
-    """Capacity-domain average: eff = 2^(mean of log2(1+SINR)) - 1."""
+    """Capacity-domain average of every SINR value: eff = 2^(mean of
+    log2(1+SINR)) - 1."""
     arr = np.asarray(per_layer_per_subband, dtype=float)
     if arr.size == 0:
         raise ValueError("effective_sinr needs at least one SINR value")
     if np.any(arr < 0):
         raise ValueError("SINR values must be nonnegative")
-    return float(np.exp2(np.mean(np.log2(1.0 + arr))) - 1.0)
+    return float(_effective_sinr(arr.reshape(1, -1)))
 
 
 def _map_cqi_array(eff, thresholds_db: np.ndarray) -> np.ndarray:
@@ -207,38 +215,38 @@ def map_cqi(eff_sinr: float, table: CqiTable) -> int:
 
 def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
     """PSK indices maximizing |sum_j a_j * exp(j*2*pi*idx_j/n_psk) * conj(c_j)|,
-    the correlation between the realized coefficient vector and the target.
+    the correlation between the realized coefficient vector and the target,
+    for each row along the last axis (leading axes are a batch).
 
     Exact maximizer over the full index grid: the optimum aligns every term
     near one common direction, so it is a per-coefficient nearest-point
-    assignment for some rotation psi; sweeping psi across one grid period
-    visits every distinct assignment (at most 2 per coefficient).
+    assignment for some rotation psi; sweeping psi over the breakpoints and
+    the midpoints between them visits every distinct assignment (at most 2
+    per coefficient). Ties keep the first candidate rotation.
     """
-    z = np.asarray(target_coeffs, dtype=complex).ravel()
-    a = np.asarray(amplitudes, dtype=float).ravel()
+    z = np.atleast_1d(np.asarray(target_coeffs, dtype=complex))
+    a = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     if z.shape != a.shape:
-        raise ValueError(f"coefficient/amplitude length mismatch: {z.shape} vs {a.shape}")
+        raise ValueError(f"coefficient/amplitude shape mismatch: {z.shape} vs {a.shape}")
     if n_psk < 1:
         raise ValueError(f"n_psk must be >= 1, got {n_psk}")
     if np.any(a < 0):
         raise ValueError("amplitudes must be nonnegative")
+    if z.shape[-1] == 0:
+        return np.zeros(z.shape, dtype=int)
     weight = a * np.abs(z)
     active = weight > 0
-    if not np.any(active):
-        return np.zeros(z.size, dtype=int)
     delta = 2.0 * np.pi / n_psk
     phi = -np.angle(z)  # term angle is idx*delta + phi
-    breaks = np.sort(np.unique(np.mod(phi[active] + delta / 2.0, delta)))
-    mids = (breaks + np.roll(breaks, -1)) / 2.0
-    mids[-1] = np.mod((breaks[-1] + breaks[0] + delta) / 2.0, delta)
-    best_idx, best_val = None, -1.0
-    for psi in np.concatenate([breaks, mids]):
-        idx = np.round((psi - phi) / delta).astype(int) % n_psk
-        idx[~active] = 0
-        val = abs(np.sum(weight[active] * np.exp(1j * (idx[active] * delta + phi[active]))))
-        if val > best_val:
-            best_val, best_idx = val, idx
-    return best_idx
+    breaks = np.sort(np.mod(phi + delta / 2.0, delta), axis=-1)
+    mids = (breaks + np.roll(breaks, -1, axis=-1)) / 2.0
+    mids[..., -1] = np.mod((breaks[..., -1] + breaks[..., 0] + delta) / 2.0, delta)
+    psi = np.concatenate([breaks, mids], axis=-1)[..., :, None]  # (..., candidates, 1)
+    phi, weight, active = phi[..., None, :], weight[..., None, :], active[..., None, :]
+    idx = np.where(active, np.round((psi - phi) / delta).astype(int) % n_psk, 0)
+    val = np.abs(np.sum(weight * np.exp(1j * (idx * delta + phi)), axis=-1))
+    best = np.argmax(val, axis=-1)[..., None, None]
+    return np.take_along_axis(idx, best, axis=-2)[..., 0, :]
 
 
 def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook],
@@ -255,7 +263,7 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
             continue
         g = np.einsum("kij,ejr->ekir", h, cb.w_stack)
         sinr = _layer_sinr_batch(g, noise_var)  # (entries, subbands, rank)
-        eff = np.exp2(np.mean(np.log2(1.0 + sinr), axis=(1, 2))) - 1.0
+        eff = _effective_sinr(sinr)
         cqi = _map_cqi_array(eff, thr_db)
         throughput = rank * se[cqi]
         # np.argmax returns the first maximizer; entries are enumerated in
@@ -287,7 +295,7 @@ def _quantize_type2_layer(c: np.ndarray, n_psk: int):
     indices per subband, after rotating each subband so the strongest
     coefficient is real-positive.
     """
-    num_sb, width = c.shape
+    width = c.shape[1]
     wb_mag = np.abs(c).mean(axis=0)
     peak = float(wb_mag.max())
     if peak > 0.0:
@@ -299,8 +307,7 @@ def _quantize_type2_layer(c: np.ndarray, n_psk: int):
         wb_idx[0] = len(TYPE2_WB_AMPLITUDES) - 1
     sb_bits = (np.abs(c) >= wb_mag[None, :]).astype(int)
     amp = TYPE2_WB_AMPLITUDES[wb_idx][None, :] * TYPE2_SB_AMPLITUDES[sb_bits]
-    ph_idx = np.stack([quantize_phases(c[k], amp[k], n_psk) for k in range(num_sb)])
-    return wb_idx, sb_bits, ph_idx
+    return wb_idx, sb_bits, quantize_phases(c, amp, n_psk)
 
 
 def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
@@ -310,60 +317,43 @@ def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
     if num_tx != cfg.num_ports:
         raise ValueError(f"channel has {num_tx} tx ports but the panel has {cfg.num_ports}")
     p_pol = num_tx // 2
-    b_count = t2.num_beams
     h_pol = h.reshape(num_sb, num_rx, 2, p_pol)
 
-    # Stage 1: rotation and beam subset maximizing the projection power of H
-    # onto the beam span, summed over subbands and polarizations.
-    best = None  # (score, rotation, subset)
-    for q1 in range(ov.o1):
-        for q2 in range(ov.o2):
-            beams = space.orthogonal_beams(q1, q2)
-            proj = np.einsum("krpe,be->krpb", h_pol, beams.conj()) / math.sqrt(p_pol)
-            gains = np.sum(np.abs(proj) ** 2, axis=(0, 1, 2))
-            order = np.argsort(gains, kind="stable")
-            subset = tuple(sorted(int(b) for b in order[-b_count:]))
-            score = float(np.sum(gains[list(subset)]))
-            if best is None or score > best[0]:
-                best = (score, (q1, q2), subset)
-    _, rotation, subset = best
-    i12 = space.combination_index(subset)
-    beams = space.orthogonal_beams(*rotation)[list(subset)]
+    # Stage 1: the (rotation, beam subset) pair maximizing the projection
+    # power of H onto the beam span, summed over subbands and polarizations;
+    # np.argmax keeps the first of tied pairs in (q1, q2, i12) order.
+    proj = np.einsum("krpe,qsbe->qskrpb", h_pol, space.beams.conj()) / math.sqrt(p_pol)
+    gains = np.sum(np.abs(proj) ** 2, axis=(2, 3, 4))  # (o1, o2, n1*n2)
+    scores = np.sum(gains[:, :, space.combos], axis=-1)  # (o1, o2, combinations)
+    q1, q2, i12 = (int(i) for i in np.unravel_index(np.argmax(scores), scores.shape))
+    beams = space.beams[q1, q2, space.combos[i12]]
 
     # Stage 2: per layer, quantize the dominant right-singular vectors in the
     # selected beam basis, then keep the better of rank 1 and rank 2.
     vh = np.linalg.svd(h)[2]  # (subbands, num_tx, num_tx)
     se = np.concatenate([[0.0], np.asarray(table.spectral_efficiency, dtype=float)])
     thr_db = np.asarray(table.sinr_threshold_db, dtype=float)
-    max_layers = min(t2.max_rank, num_rx, num_tx)
+    max_layers = min(TYPE2_MAX_RANK, num_rx, num_tx)
 
     layer_quant = []
     for layer in range(max_layers):
         target = vh[:, layer, :].conj().reshape(num_sb, 2, p_pol)
-        c = np.einsum("kpe,be->kpb", target, beams.conj()).reshape(num_sb, 2 * b_count) / p_pol
+        c = np.einsum("kpe,be->kpb", target, beams.conj()).reshape(num_sb, -1) / p_pol
         layer_quant.append(_quantize_type2_layer(c, t2.n_psk))
 
     chosen = None  # (throughput, layers, pmi, cqi)
     for layers in range(1, max_layers + 1):
+        quant = layer_quant[:layers]
         pmi = TypeIIPmi(
-            i11=rotation,
+            i11=(q1, q2),
             i12=i12,
-            wideband_amplitudes=tuple(
-                tuple(int(x) for x in layer_quant[l][0]) for l in range(layers)
-            ),
-            subband_cophase=tuple(
-                tuple(tuple(int(x) for x in layer_quant[l][2][k]) for k in range(num_sb))
-                for l in range(layers)
-            ),
-            subband_amplitude=tuple(
-                tuple(tuple(int(x) for x in layer_quant[l][1][k]) for k in range(num_sb))
-                for l in range(layers)
-            ),
+            wideband_amplitudes=tuple(tuple(wb.tolist()) for wb, _, _ in quant),
+            subband_cophase=tuple(tuple(map(tuple, ph.tolist())) for _, _, ph in quant),
+            subband_amplitude=tuple(tuple(map(tuple, sb.tolist())) for _, sb, _ in quant),
         )
-        w = np.stack([realize_type2_precoder(space, pmi, k) for k in range(num_sb)])
+        w = realize_type2_precoder(space, pmi)
         g = np.einsum("kij,kjr->kir", h, w)
-        sinr = _layer_sinr_batch(g, noise_var)
-        eff = float(np.exp2(np.mean(np.log2(1.0 + sinr))) - 1.0)
+        eff = float(_effective_sinr(_layer_sinr_batch(g, noise_var)))
         cqi = int(_map_cqi_array(np.asarray([eff]), thr_db)[0])
         throughput = layers * se[cqi]
         if chosen is None or throughput > chosen[0]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import AntennaConfig, Oversampling, Type2Config
+from .codebook import TYPE2_MAX_RANK, AntennaConfig, Oversampling, Type2Config
 
 __all__ = [
     "OverheadBreakdown",
@@ -65,8 +65,8 @@ def type2_overhead_bits(cfg: AntennaConfig, ov: Oversampling, t2: Type2Config,
     wideband and layer-common; per layer, the strongest-coefficient index
     (i13l) and wideband amplitudes (i14l) are wideband, while co-phases
     (i21l) and amplitude refinements (i22l) repeat per subband."""
-    if layers not in (1, 2):
-        raise ValueError(f"layers must be 1 or 2, got {layers}")
+    if not 1 <= layers <= TYPE2_MAX_RANK:
+        raise ValueError(f"layers must be in 1..{TYPE2_MAX_RANK}, got {layers}")
     if num_subbands < 1:
         raise ValueError(f"num_subbands must be >= 1, got {num_subbands}")
     if t2.num_beams > cfg.n1 * cfg.n2:

@@ -30,7 +30,7 @@ from .codebook import (
     oversampling_factors,
     realize_type2_precoder,
 )
-from .csi import CqiTable, _layer_sinr_batch, select_csi
+from .csi import CqiTable, _effective_sinr, _layer_sinr_batch, select_csi
 from .overhead import expected_overhead, type1_overhead_bits, type2_overhead_bits
 
 __all__ = [
@@ -90,6 +90,8 @@ class SweepConfig:
         points = tuple(float(s) for s in self.snr_points_db)
         if len(points) == 0:
             raise ValueError("snr_points_db must be nonempty")
+        if not all(math.isfinite(s) for s in points):
+            raise ValueError(f"snr_points_db must be finite, got {points}")
         if any(b < a for a, b in zip(points, points[1:])):
             raise ValueError("snr_points_db must be sorted ascending")
         object.__setattr__(self, "snr_points_db", points)
@@ -134,9 +136,7 @@ def _materialize_precoders(selector, report, num_subbands: int) -> np.ndarray:
     """Reconstruct the per-subband precoders (subbands, tx, rank) from the
     reported PMI, as the transmitter would."""
     if isinstance(selector, Type2CodebookSpace):
-        return np.stack(
-            [realize_type2_precoder(selector, report.pmi, k) for k in range(num_subbands)]
-        )
+        return realize_type2_precoder(selector, report.pmi)
     w = selector[report.ri].matrix_for(report.pmi)
     return np.broadcast_to(w, (num_subbands,) + w.shape)
 
@@ -203,8 +203,7 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
             continue  # nothing scheduled; throughput 0 without counting a failure
         w = _materialize_precoders(selector, report, num_sb)
         g = np.einsum("kij,kjr->kir", realization.h[s + delay], w)
-        sinr = _layer_sinr_batch(g, noise_var)
-        eff = float(np.exp2(np.mean(np.log2(1.0 + sinr))) - 1.0)
+        eff = float(_effective_sinr(_layer_sinr_batch(g, noise_var)))
         eff_db = 10.0 * math.log10(eff) if eff > 0 else -math.inf
         if eff_db >= thr_db[report.cqi - 1] - _THRESHOLD_SLACK_DB:
             per_slot_tp[s] = report.ri * table.efficiency(report.cqi)

@@ -182,9 +182,34 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(ini)]) == 2
         assert "sweep.slotz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "doppler_hz = nan", "delay_spread_ns = inf", "subband_spacing_hz = nan",
+        "slot_duration_s = -inf", "pdp_file = {profile}",
+    ])
+    def test_non_finite_channel_setting(self, setting, tmp_path, capsys):
+        profile = tmp_path / "profile.txt"
+        profile.write_text("0 0\n100 nan\n")
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[channel]\n" + setting.format(profile=profile) + "\n")
+        assert main(["sweep", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "none.ini"
         assert main(["sweep", "--config", str(missing)]) == 1
+
+
+def test_multi_mode_manifest_feeds_overhead_and_dump(tmp_path, capsys):
+    """overhead and codebook dump ignore the sweep's mode list."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": {"sweep.codebook": "type1,type2,svd"}}))
+    assert main(["overhead", "--config", str(manifest), "--rank", "1"]) == 0
+    assert "total,6" in capsys.readouterr().out
+    assert main(["overhead", "--config", str(manifest), "--codebook", "type2"]) == 0
+    assert "total,60" in capsys.readouterr().out
+    out = tmp_path / "dump"
+    assert main(["codebook", "dump", "--config", str(manifest), "--out", str(out)]) == 0
+    assert (out / "codebook_type1_rank1.csv").exists()
 
 
 class TestCodebookDump:

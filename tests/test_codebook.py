@@ -1,6 +1,8 @@
 """Beam grid, Type I enumeration, and Type II structure invariants."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,18 +214,20 @@ class TestType2Structure:
 
     def test_combination_counts(self):
         cfg, ov = _panel(4, 1)
-        assert build_type2_structure(cfg, Type2Config(num_beams=4), ov).num_beam_combinations == 1
-        assert build_type2_structure(cfg, Type2Config(num_beams=2), ov).num_beam_combinations == 6
-        assert build_type2_structure(cfg, Type2Config(num_beams=3), ov).num_beam_combinations == 4
+        assert build_type2_structure(cfg, Type2Config(num_beams=4), ov).combos.shape == (1, 4)
+        assert build_type2_structure(cfg, Type2Config(num_beams=2), ov).combos.shape == (6, 2)
+        assert build_type2_structure(cfg, Type2Config(num_beams=3), ov).combos.shape == (4, 3)
 
     def test_combination_round_trip(self):
+        """combos lists every B-subset once, each ascending, in lexicographic order."""
         cfg, ov = _panel(4, 2)
         space = build_type2_structure(cfg, Type2Config(num_beams=3), ov)
-        for i12 in range(space.num_beam_combinations):
-            combo = space.beam_combination(i12)
-            assert space.combination_index(combo) == i12
-        # Order-insensitive lookup.
-        assert space.combination_index((2, 0, 1)) == space.combination_index((0, 1, 2))
+        rows = [tuple(row) for row in space.combos.tolist()]
+        assert len(rows) == math.comb(8, 3)
+        assert len(set(rows)) == len(rows)
+        assert all(list(row) == sorted(set(row)) for row in rows)
+        assert all(0 <= b < 8 for row in rows for b in row)
+        assert rows == sorted(rows)
 
     def test_too_many_beams_for_grid(self):
         cfg, ov = _panel(2, 1)
@@ -233,32 +237,48 @@ class TestType2Structure:
     def test_rotated_basis_is_orthogonal(self):
         cfg, ov = _panel(4, 2)
         space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
+        assert space.beams.shape == (ov.o1, ov.o2, 8, 8)
         for q1, q2 in ((0, 0), (1, 3), (3, 1)):
-            basis = space.orthogonal_beams(q1, q2)
+            basis = space.beams[q1, q2]
             gram = basis.conj() @ basis.T
             assert np.allclose(gram, cfg.n1 * cfg.n2 * np.eye(cfg.n1 * cfg.n2), atol=1e-9)
+            # Row b = x1*n2 + x2 is the grid beam at (q1 + o1*x1, q2 + o2*x2).
+            assert np.array_equal(basis[1 * cfg.n2 + 1], dft_beam(q1 + ov.o1, q2 + ov.o2, cfg, ov))
 
     def test_rotation_range(self):
         cfg, ov = _panel(4, 1)
         space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
-        with pytest.raises(ValueError):
-            space.orthogonal_beams(4, 0)
-        with pytest.raises(ValueError):
-            space.orthogonal_beams(0, 1)
+        for i11, i12 in (((4, 0), 0), ((0, 1), 0), ((-1, 0), 0), ((0, -1), 0),
+                         ((0, 0), 1), ((0, 0), -1)):
+            pmi = replace(_single_beam_pmi(0), i11=i11, i12=i12)
+            with pytest.raises(ValueError):
+                realize_type2_precoder(space, pmi)
 
     def test_psk_grid_nesting(self):
-        """Every QPSK co-phase is reachable on the 8PSK grid at doubled index."""
+        """A QPSK PMI with co-phase i realizes the 8PSK PMI with co-phase 2i."""
         cfg, ov = _panel(4, 1)
         coarse = build_type2_structure(cfg, Type2Config(n_psk=4), ov)
         fine = build_type2_structure(cfg, Type2Config(n_psk=8), ov)
-        for idx in range(4):
-            assert coarse.psk_phases(idx) == pytest.approx(fine.psk_phases(2 * idx))
+        rng = np.random.default_rng(5)
+        cophase = rng.integers(0, 4, (2, 3, 8))
+        sb_amp = rng.integers(0, 2, (2, 3, 8))
+        pmi = TypeIIPmi((1, 0), 0, _nested(rng.integers(1, 8, (2, 8))),
+                        _nested(cophase), _nested(sb_amp))
+        doubled = replace(pmi, subband_cophase=_nested(2 * cophase))
+        w4 = realize_type2_precoder(coarse, pmi)
+        w8 = realize_type2_precoder(fine, doubled)
+        assert w4.shape == (3, 8, 2)
+        assert np.allclose(w4, w8, atol=1e-12)
 
-    @pytest.mark.parametrize("bad", [{"num_beams": 5}, {"num_beams": 1},
-                                     {"n_psk": 16}, {"max_rank": 3}])
+    @pytest.mark.parametrize("bad", [{"num_beams": 5}, {"num_beams": 1}, {"n_psk": 16}])
     def test_config_validation(self, bad):
         with pytest.raises(ValueError):
             Type2Config(**bad)
+
+
+def _nested(a):
+    """Nested tuples of Python ints, the PMI report format."""
+    return tuple(_nested(x) for x in a) if np.ndim(a) else int(a)
 
 
 def _single_beam_pmi(beam_pos, wb_idx=7, num_beams=4, num_subbands=1, rank=1):
@@ -279,13 +299,13 @@ class TestType2Realization:
     def test_single_coefficient_selects_one_beam(self):
         cfg, ov = _panel(4, 1)
         space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
-        beams = space.orthogonal_beams(0, 0)
+        beams = space.beams[0, 0]
         for b in range(4):
-            w = realize_type2_precoder(space, _single_beam_pmi(b), 0)
-            assert w.shape == (8, 1)
+            w = realize_type2_precoder(space, _single_beam_pmi(b))
+            assert w.shape == (1, 8, 1)
             # First polarization carries beam b scaled to unit norm, second is silent.
-            assert np.allclose(w[:4, 0], beams[b] / 2.0, atol=1e-12)
-            assert np.allclose(w[4:, 0], 0.0, atol=1e-15)
+            assert np.allclose(w[0, :4, 0], beams[b] / 2.0, atol=1e-12)
+            assert np.allclose(w[0, 4:, 0], 0.0, atol=1e-15)
 
     def test_equal_split_across_polarizations(self):
         cfg, ov = _panel(4, 1)
@@ -293,28 +313,54 @@ class TestType2Realization:
         wb = (7, 0, 0, 0, 7, 0, 0, 0)
         zeros = ((0,) * 8,)
         pmi = TypeIIPmi((0, 0), 0, (wb,), (zeros,), (zeros,))
-        w = realize_type2_precoder(space, pmi, 0)
+        w = realize_type2_precoder(space, pmi)[0]
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(w[:4, 0], w[4:, 0], atol=1e-12)
         assert np.allclose(np.abs(w[:, 0]), 1.0 / math.sqrt(8.0), atol=1e-12)
 
-    def test_subband_out_of_range(self):
+    def test_subbands_are_independent(self):
+        """Changing subband k's co-phase changes w[k] and no other subband."""
         cfg, ov = _panel(4, 1)
         space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
-        with pytest.raises(ValueError):
-            realize_type2_precoder(space, _single_beam_pmi(0), 1)
+        rng = np.random.default_rng(6)
+        cophase = rng.integers(0, 8, (2, 4, 8))
+        pmi = TypeIIPmi((2, 0), 0, _nested(rng.integers(1, 8, (2, 8))), _nested(cophase),
+                        _nested(rng.integers(0, 2, (2, 4, 8))))
+        base = realize_type2_precoder(space, pmi)
+        for k in range(4):
+            changed = cophase.copy()
+            changed[0, k, 3] = (changed[0, k, 3] + 1) % 8
+            w = realize_type2_precoder(space, replace(pmi, subband_cophase=_nested(changed)))
+            others = [j for j in range(4) if j != k]
+            assert np.array_equal(w[others], base[others])
+            assert not np.allclose(w[k], base[k], atol=1e-6)
+
+    @pytest.mark.parametrize("field,value", [
+        ("wideband_amplitudes", -1), ("wideband_amplitudes", 8),
+        ("subband_amplitude", -1), ("subband_amplitude", 2),
+        ("subband_cophase", -1), ("subband_cophase", 8),
+    ])
+    def test_coefficient_index_range(self, field, value):
+        """An out-of-range coefficient index is rejected, never wrapped."""
+        cfg, ov = _panel(4, 1)
+        space = build_type2_structure(cfg, Type2Config(num_beams=4, n_psk=8), ov)
+        pmi = _single_beam_pmi(0, num_subbands=2)
+        indices = np.asarray(getattr(pmi, field))
+        indices[(0,) * indices.ndim] = value
+        with pytest.raises(ValueError, match="indices must be in"):
+            realize_type2_precoder(space, replace(pmi, **{field: _nested(indices)}))
 
     def test_rank_above_limit(self):
         cfg, ov = _panel(4, 1)
-        space = build_type2_structure(cfg, Type2Config(num_beams=4, max_rank=1), ov)
-        with pytest.raises(ValueError):
-            realize_type2_precoder(space, _single_beam_pmi(0, rank=2), 0)
+        space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
+        with pytest.raises(ValueError, match="rank 3"):
+            realize_type2_precoder(space, _single_beam_pmi(0, rank=3))
 
     def test_all_zero_layer_rejected(self):
         cfg, ov = _panel(4, 1)
         space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
         with pytest.raises(ValueError):
-            realize_type2_precoder(space, _single_beam_pmi(0, wb_idx=0), 0)
+            realize_type2_precoder(space, _single_beam_pmi(0, wb_idx=0))
 
 
 @settings(deadline=None)
@@ -326,7 +372,9 @@ class TestType2Realization:
     data=st.data(),
 )
 def test_realized_precoder_normalization(num_beams, n_psk, rank, num_subbands, data):
-    """Any valid PMI realizes to unit Frobenius norm with equal column power."""
+    """Any valid PMI realizes to unit Frobenius norm with equal column power,
+    and every subband matches the per-subband loop formula built from
+    dft_beam."""
     cfg, ov = _panel(4, 1)
     space = build_type2_structure(cfg, Type2Config(num_beams, n_psk), ov)
     two_b = 2 * num_beams
@@ -340,7 +388,7 @@ def test_realized_precoder_normalization(num_beams, n_psk, rank, num_subbands, d
     per_sb = lambda values: st.tuples(*[coeff_rows(values)] * num_subbands)
     pmi = TypeIIPmi(
         i11=(data.draw(st.integers(0, ov.o1 - 1)), data.draw(st.integers(0, ov.o2 - 1))),
-        i12=data.draw(st.integers(0, space.num_beam_combinations - 1)),
+        i12=data.draw(st.integers(0, len(space.combos) - 1)),
         wideband_amplitudes=tuple(data.draw(wb_layer) for _ in range(rank)),
         subband_cophase=tuple(
             data.draw(per_sb(st.integers(0, n_psk - 1))) for _ in range(rank)
@@ -351,9 +399,19 @@ def test_realized_precoder_normalization(num_beams, n_psk, rank, num_subbands, d
     )
     assert pmi.rank == rank
     assert pmi.num_subbands == num_subbands
-    for sb in range(num_subbands):
-        w = realize_type2_precoder(space, pmi, sb)
-        assert w.shape == (cfg.num_ports, rank)
-        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-9)
-        col_power = np.sum(np.abs(w) ** 2, axis=0)
-        assert np.allclose(col_power, 1.0 / rank, atol=1e-9)
+    w = realize_type2_precoder(space, pmi)
+    assert w.shape == (num_subbands, cfg.num_ports, rank)
+    assert np.allclose(np.linalg.norm(w, axis=(1, 2)), 1.0, atol=1e-9)
+    col_power = np.sum(np.abs(w) ** 2, axis=1)
+    assert np.allclose(col_power, 1.0 / rank, atol=1e-9)
+    q1, q2 = pmi.i11
+    subset = list(itertools.combinations(range(4), num_beams))[pmi.i12]
+    beams = np.stack([dft_beam(q1 + ov.o1 * b, q2, cfg, ov) for b in subset])
+    for k in range(num_subbands):
+        for layer in range(rank):
+            coeff = (TYPE2_WB_AMPLITUDES[list(pmi.wideband_amplitudes[layer])]
+                     * TYPE2_SB_AMPLITUDES[list(pmi.subband_amplitude[layer][k])]
+                     * np.exp(2j * np.pi * np.asarray(pmi.subband_cophase[layer][k]) / n_psk))
+            col = np.concatenate([coeff[:num_beams] @ beams, coeff[num_beams:] @ beams])
+            want = col / np.linalg.norm(col) / math.sqrt(rank)
+            assert np.allclose(w[k, :, layer], want, atol=1e-12)

@@ -26,6 +26,7 @@ from nrsim import (
     type1_overhead_bits,
     type2_overhead_bits,
 )
+from nrsim.codebook import TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES
 
 
 def _rand_h(rng, num_rx, num_tx):
@@ -225,20 +226,32 @@ def _phase_objective(indices, target, amplitudes, n_psk):
 
 class TestQuantizePhases:
     def test_matches_exhaustive_search(self):
+        """Every row of a (subbands, 2B) batch reaches the exhaustive maximum,
+        including rows with zero amplitudes (inactive breaks) and repeated
+        phases (duplicate breaks)."""
         rng = np.random.default_rng(4)
-        for _ in range(60):
+        for trial in range(60):
             m = int(rng.integers(1, 5))
+            rows = int(rng.integers(1, 5))
             n_psk = int(rng.choice([4, 8]))
-            target = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            amps = rng.uniform(0.0, 1.0, m)
+            target = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+            amps = rng.uniform(0.0, 1.0, (rows, m))
+            amps[0, rng.integers(0, m)] = 0.0
+            target[-1] = target[-1, 0] * rng.uniform(0.5, 2.0, m)  # one shared phase
+            if trial % 10 == 0:
+                amps[0] = 0.0
             got = quantize_phases(target, amps, n_psk)
-            best = max(
-                _phase_objective(cand, target, amps, n_psk)
-                for cand in itertools.product(range(n_psk), repeat=m)
-            )
-            assert _phase_objective(got, target, amps, n_psk) == pytest.approx(best, abs=1e-12)
+            assert got.shape == (rows, m)
             assert got.dtype.kind == "i"
             assert np.all((got >= 0) & (got < n_psk))
+            for k in range(rows):
+                best = max(
+                    _phase_objective(cand, target[k], amps[k], n_psk)
+                    for cand in itertools.product(range(n_psk), repeat=m)
+                )
+                got_val = _phase_objective(got[k], target[k], amps[k], n_psk)
+                assert got_val == pytest.approx(best, abs=1e-12)
+                assert np.array_equal(got[k], quantize_phases(target[k], amps[k], n_psk))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -396,10 +409,8 @@ class TestSelectCsiType2:
             report = select_csi(h, nv, space, table)
             assert 1 <= report.ri <= 2
             assert report.pmi.num_subbands == num_sb
-            sinrs = np.stack([
-                layer_sinr_mmse(h[k], realize_type2_precoder(space, report.pmi, k), nv)
-                for k in range(num_sb)
-            ])
+            w = realize_type2_precoder(space, report.pmi)
+            sinrs = np.stack([layer_sinr_mmse(h[k], w[k], nv) for k in range(num_sb)])
             eff = effective_sinr(sinrs)
             cqi = map_cqi(eff, table)
             assert cqi == report.cqi
@@ -424,11 +435,38 @@ class TestSelectCsiType2:
     def test_beam_selection_prefers_aligned_channel(self):
         """A channel built from rotation-0 beams keeps that rotation."""
         cfg, space = self._space(num_beams=2)
-        beams = space.orthogonal_beams(0, 0)
+        beams = space.beams[0, 0]
         rng = np.random.default_rng(14)
         mix = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
         h = mix @ np.stack([beams[0], beams[2]]).conj()
         h = np.concatenate([h, h], axis=1)  # same beams on both polarizations
         report = select_csi(h, 0.1, space, CqiTable.default())
         assert report.pmi.i11 == (0, 0)
-        assert space.beam_combination(report.pmi.i12) == (0, 2)
+        assert space.combos[report.pmi.i12].tolist() == [0, 2]
+
+    @pytest.mark.parametrize("num_sb", [1, 2, 3])
+    def test_cophase_oracle_2x1_panel(self, num_sb):
+        """On a 2x1 panel with B = 2 and QPSK, each subband's realized layer-1
+        column has the largest |w^H v1| over all 4^4 co-phase vectors with the
+        reported amplitudes, v1 being that subband's dominant right-singular
+        vector."""
+        cfg = AntennaConfig(2, 1)
+        space = build_type2_structure(cfg, Type2Config(num_beams=2, n_psk=4),
+                                      oversampling_factors(cfg))
+        rng = np.random.default_rng(20 + num_sb)
+        for _ in range(10):
+            h = np.stack([_rand_h(rng, 2, 4) for _ in range(num_sb)])
+            pmi = select_csi(h, float(rng.uniform(0.1, 2.0)), space, CqiTable.default()).pmi
+            w = realize_type2_precoder(space, pmi)
+            v1 = np.linalg.svd(h)[2][:, 0, :].conj()  # (subbands, ports)
+            candidates = np.asarray(list(itertools.product(range(4), repeat=4)))
+            for k in range(num_sb):
+                amp = (TYPE2_WB_AMPLITUDES[list(pmi.wideband_amplitudes[0])]
+                       * TYPE2_SB_AMPLITUDES[list(pmi.subband_amplitude[0][k])])
+                beams = space.beams[pmi.i11[0], pmi.i11[1], space.combos[pmi.i12]]
+                coeff = (amp * np.exp(2j * np.pi * candidates / 4)).reshape(-1, 2, 2)
+                cols = (coeff @ beams).reshape(-1, 4)
+                cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+                best = np.max(np.abs(cols.conj() @ v1[k]))
+                got = abs(np.vdot(w[k, :, 0], v1[k])) * math.sqrt(pmi.rank)
+                assert got == pytest.approx(best, abs=1e-12)

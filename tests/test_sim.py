@@ -1,6 +1,7 @@
 """Sweep engine: scoring, aggregation, pairing, determinism, CSV output."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from nrsim import (
     Type2Config,
     compare_modes,
     expected_overhead,
+    load_pdp_file,
     oversampling_factors,
     run_sweep,
     type1_overhead_bits,
@@ -72,6 +74,28 @@ class TestConfigValidation:
     def test_negative_delay(self):
         with pytest.raises(ValueError):
             _mini_config(delay=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "doppler_hz", "delay_spread_ns", "subband_spacing_hz", "slot_duration_s",
+        "pdp", "snr_points_db", "power_db",
+    ])
+    def test_non_finite_rejected(self, field, value, tmp_path):
+        """Each non-finite setting raises a ValueError naming its field."""
+        def build():
+            if field == "pdp":
+                ChannelConfig(num_tx_ports=4, num_rx_ports=2, pdp=((0.0, 0.5), (1.0, value)))
+            elif field == "snr_points_db":
+                _mini_config(snr=(0.0, value))
+            elif field == "power_db":
+                path = tmp_path / "profile.txt"
+                path.write_text(f"0 0\n100 {value}\n")
+                load_pdp_file(path)
+            else:
+                ChannelConfig(num_tx_ports=4, num_rx_ports=2, **{field: value})
+
+        with pytest.raises(ValueError, match=field):
+            build()
 
     def test_type2_mode_needs_config(self):
         scenario = Scenario(
