@@ -111,6 +111,15 @@ def dft_beam(l: int, m: int, cfg: AntennaConfig, ov: Oversampling) -> np.ndarray
     return np.kron(u1, u2)
 
 
+def _dft_grid(cfg: AntennaConfig, ov: Oversampling) -> np.ndarray:
+    """Every oversampled DFT beam at once, shape (n1*o1, n2*o2, n1*n2):
+    grid[l, m] equals dft_beam(l, m) bit for bit (same operations, same order)."""
+    n_l, n_m = cfg.n1 * ov.o1, cfg.n2 * ov.o2
+    u1 = np.exp(2j * np.pi * np.arange(cfg.n1) * np.arange(n_l)[:, None] / n_l)
+    u2 = np.exp(2j * np.pi * np.arange(cfg.n2) * np.arange(n_m)[:, None] / n_m)
+    return (u1[:, None, :, None] * u2[None, :, None, :]).reshape(n_l, n_m, -1)
+
+
 @dataclass(frozen=True)
 class TypeIPmi:
     """Type I PMI tuple. i2_per_subband holds the co-phase index per subband
@@ -145,20 +154,19 @@ class TypeIIPmi:
 class Codebook:
     """Materialized Type I codebook for one rank.
 
-    Entry e is the precoder w_stack[e]. Entries are enumerated
-    lexicographically in (i11, i12, i13, i2), so an entry index and its PMI
-    convert by mixed-radix arithmetic (index_of_pmi and its inverse pmi_of).
+    matrices[i11, i12, i13, i2] is the precoder of that PMI; shape (n1*o1,
+    n2*o2, i13 values, i2 values, ports, rank). w_stack is its (entries,
+    ports, rank) reshape, so entry e enumerates the PMIs lexicographically in
+    (i11, i12, i13, i2) and converts to and from them through that shape
+    (index_of_pmi and its inverse pmi_of).
     """
 
     def __init__(self, cfg: AntennaConfig, ov: Oversampling, rank: int, matrices: np.ndarray):
         self.cfg = cfg
         self.ov = ov
         self.rank = rank
-        self.w_stack = np.ascontiguousarray(matrices)  # (entries, ports, rank)
-        # Lexicographic enumeration strides for index_of_pmi and pmi_of.
-        self._n_i12 = cfg.n2 * ov.o2
-        self._n_i13 = 1 if rank == 1 else 4
-        self._n_i2 = 4 if rank == 1 else 2
+        self.matrices = np.ascontiguousarray(matrices)
+        self.w_stack = self.matrices.reshape(-1, *self.matrices.shape[4:])
 
     def __len__(self) -> int:
         return len(self.w_stack)
@@ -166,19 +174,17 @@ class Codebook:
     def index_of_pmi(self, pmi: TypeIPmi) -> int:
         """Entry index for a reported PMI (the co-phase index is wideband, so
         the first i2 value identifies the entry)."""
-        i2 = pmi.i2_per_subband[0]
-        if not (0 <= pmi.i11 < self.cfg.n1 * self.ov.o1 and 0 <= pmi.i12 < self._n_i12
-                and 0 <= pmi.i13 < self._n_i13 and 0 <= i2 < self._n_i2):
-            raise ValueError(f"PMI {pmi} is outside this codebook's index ranges")
-        return ((pmi.i11 * self._n_i12 + pmi.i12) * self._n_i13 + pmi.i13) * self._n_i2 + i2
+        coords = (pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband[0])
+        try:
+            return int(np.ravel_multi_index(coords, self.matrices.shape[:4]))
+        except ValueError:
+            raise ValueError(f"PMI {pmi} is outside this codebook's index ranges") from None
 
     def pmi_of(self, e: int) -> TypeIPmi:
         """Wideband PMI of entry e; the inverse of index_of_pmi."""
         if not 0 <= e < len(self):
             raise ValueError(f"entry {e} out of range [0, {len(self)})")
-        rest, i2 = divmod(e, self._n_i2)
-        rest, i13 = divmod(rest, self._n_i13)
-        i11, i12 = divmod(rest, self._n_i12)
+        i11, i12, i13, i2 = (int(i) for i in np.unravel_index(e, self.matrices.shape[:4]))
         return TypeIPmi(i11, i12, i13, (i2,))
 
     def matrix_for(self, pmi: TypeIPmi) -> np.ndarray:
@@ -259,35 +265,31 @@ def build_type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Cod
     if rank > cfg.num_ports:
         raise ValueError(f"rank {rank} exceeds {cfg.num_ports} ports")
 
-    n_l, n_m = cfg.n1 * ov.o1, cfg.n2 * ov.o2
-    mats: list[np.ndarray] = []
-
+    # Per (i13, column): the grid offset of the column's beam from (i11, i12);
+    # per (i13, i2, column): the coefficient of the second polarization block.
     if rank == 1:
-        for i11 in range(n_l):
-            for i12 in range(n_m):
-                v = dft_beam(i11, i12, cfg, ov)
-                for n in range(4):
-                    w = np.concatenate([v, _PHI4[n] * v])[:, None]
-                    mats.append(w / np.linalg.norm(w))
+        col_offsets = np.zeros((1, 1, 2), dtype=int)
+        cophase = np.array(_PHI4).reshape(1, 4, 1)
     else:
-        variants = _i13_variants(rank, cfg, ov)
-        for i11 in range(n_l):
-            for i12 in range(n_m):
-                for i13, (offset, pattern, negate) in enumerate(variants):
-                    l2 = (i11 + offset[0]) % n_l
-                    m2 = (i12 + offset[1]) % n_m
-                    beams = (dft_beam(i11, i12, cfg, ov), dft_beam(l2, m2, cfg, ov))
-                    beam_sel, signs = _BEAM_PATTERNS[(rank, pattern)]
-                    for n in range(2):
-                        phi = -_PHI2[n] if negate else _PHI2[n]
-                        cols = [
-                            np.concatenate([beams[b], s * phi * beams[b]])
-                            for b, s in zip(beam_sel, signs)
-                        ]
-                        w = np.stack(cols, axis=1)
-                        mats.append(w / np.linalg.norm(w))
+        variants = [(offset, *_BEAM_PATTERNS[(rank, pattern)], negate)
+                    for offset, pattern, negate in _i13_variants(rank, cfg, ov)]
+        col_offsets = np.array([[offset if b else (0, 0) for b in beam_sel]
+                                for offset, beam_sel, _, _ in variants])
+        cophase = np.array([[[s * (-phi if negate else phi) for s in signs] for phi in _PHI2]
+                            for _, _, signs, negate in variants])
 
-    return Codebook(cfg, ov, rank, np.stack(mats))
+    grid = _dft_grid(cfg, ov)
+    n_l, n_m = grid.shape[:2]
+    l = (np.arange(n_l)[:, None, None, None] + col_offsets[..., 0]) % n_l
+    m = (np.arange(n_m)[:, None, None] + col_offsets[..., 1]) % n_m
+    beams = grid[l, m][:, :, :, None]  # (i11, i12, i13, 1, column, n1*n2)
+    second = cophase[..., None] * beams  # (i11, i12, i13, i2, column, n1*n2)
+    cols = np.concatenate([np.broadcast_to(beams, second.shape), second], axis=-1)
+    # Each entry is divided by its own np.linalg.norm: a batched norm rounds
+    # some entries differently in the last bit.
+    stack = np.ascontiguousarray(np.swapaxes(cols, -1, -2)).reshape(-1, cfg.num_ports, rank)
+    stack = stack / np.array([np.linalg.norm(w) for w in stack])[:, None, None]
+    return Codebook(cfg, ov, rank, stack.reshape(cols.shape[:4] + stack.shape[1:]))
 
 
 # Type II reports carry at most two layers (TS 38.214 Sec. 5.2.2.2.3).
@@ -326,14 +328,10 @@ class Type2CodebookSpace:
         self.cfg = cfg
         self.t2 = t2
         self.ov = ov
-        self.beams = np.array([
-            [
-                [dft_beam(q1 + ov.o1 * x1, q2 + ov.o2 * x2, cfg, ov)
-                 for x1 in range(cfg.n1) for x2 in range(cfg.n2)]
-                for q2 in range(ov.o2)
-            ]
-            for q1 in range(ov.o1)
-        ])
+        n1, n2, o1, o2 = cfg.n1, cfg.n2, ov.o1, ov.o2
+        grid = _dft_grid(cfg, ov).reshape(n1, o1, n2, o2, n1 * n2)
+        self.beams = np.ascontiguousarray(
+            grid.transpose(1, 3, 0, 2, 4).reshape(o1, o2, n1 * n2, n1 * n2))
         self.combos = np.array(list(itertools.combinations(range(cfg.n1 * cfg.n2), t2.num_beams)))
 
 

@@ -24,7 +24,6 @@ from .codebook import (
     TypeIPmi,
     realize_type2_precoder,
 )
-from .overhead import type1_overhead_bits, type2_overhead_bits
 
 __all__ = [
     "SvdResult",
@@ -71,22 +70,20 @@ class CqiTable:
         thr = np.asarray(self.sinr_threshold_db, dtype=float)
         if se.size == 0 or se.size != thr.size:
             raise ValueError("table must have matching, nonempty efficiency and threshold columns")
+        if not np.all(np.isfinite(se) & (se > 0)):
+            raise ValueError(
+                f"spectral_efficiency must be finite and positive, got {self.spectral_efficiency}")
+        if not np.all(np.isfinite(thr)):
+            raise ValueError(f"sinr_threshold_db must be finite, got {self.sinr_threshold_db}")
         if np.any(np.diff(se) <= 0):
             raise ValueError("spectral efficiencies must be strictly increasing")
         if np.any(np.diff(thr) <= 0):
             raise ValueError("SINR thresholds must be strictly increasing")
 
-    @property
-    def num_entries(self) -> int:
-        return len(self.spectral_efficiency)
-
     def efficiency(self, cqi: int) -> float:
         if cqi == 0:
             return 0.0
         return self.spectral_efficiency[cqi - 1]
-
-    def threshold_db(self, cqi: int) -> float:
-        return self.sinr_threshold_db[cqi - 1]
 
     @classmethod
     def default(cls, gap_db: float = _DEFAULT_GAP_DB) -> "CqiTable":
@@ -120,7 +117,6 @@ class CsiReport:
     pmi: "TypeIPmi | TypeIIPmi"
     cqi: int
     predicted_throughput: float
-    overhead_bits: int
 
     def __post_init__(self) -> None:
         if self.ri < 1:
@@ -277,9 +273,7 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
     tp, rank, e, cqi_sel, cb = best
     pmi = cb.pmi_of(e)
     report_pmi = TypeIPmi(pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband * num_sb)
-    bits = type1_overhead_bits(cb.cfg, cb.ov, rank, num_sb).total_bits
-    return CsiReport(ri=rank, pmi=report_pmi, cqi=cqi_sel,
-                     predicted_throughput=tp, overhead_bits=bits)
+    return CsiReport(ri=rank, pmi=report_pmi, cqi=cqi_sel, predicted_throughput=tp)
 
 
 def _nearest_amplitude_index(rel: np.ndarray) -> np.ndarray:
@@ -313,7 +307,7 @@ def _quantize_type2_layer(c: np.ndarray, n_psk: int):
 def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
                   table: CqiTable) -> CsiReport:
     num_sb, num_rx, num_tx = h.shape
-    cfg, t2, ov = space.cfg, space.t2, space.ov
+    cfg, t2 = space.cfg, space.t2
     if num_tx != cfg.num_ports:
         raise ValueError(f"channel has {num_tx} tx ports but the panel has {cfg.num_ports}")
     p_pol = num_tx // 2
@@ -359,9 +353,7 @@ def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
         if chosen is None or throughput > chosen[0]:
             chosen = (float(throughput), layers, pmi, cqi)
     tp, layers, pmi, cqi_sel = chosen
-    bits = type2_overhead_bits(cfg, ov, t2, layers, num_sb).total_bits
-    return CsiReport(ri=layers, pmi=pmi, cqi=cqi_sel,
-                     predicted_throughput=tp, overhead_bits=bits)
+    return CsiReport(ri=layers, pmi=pmi, cqi=cqi_sel, predicted_throughput=tp)
 
 
 def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
@@ -382,8 +374,6 @@ def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
         raise ValueError(f"noise_var must be positive, got {noise_var}")
     if isinstance(codebooks, Type2CodebookSpace):
         return _select_type2(h, noise_var, codebooks, table)
-    if isinstance(codebooks, Codebook):
-        codebooks = {codebooks.rank: codebooks}
     if not codebooks:
         raise ValueError("no codebooks supplied")
     return _select_type1(h, noise_var, dict(codebooks), table)

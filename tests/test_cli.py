@@ -194,6 +194,15 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_non_finite_cqi_table(self, tmp_path, capsys):
+        table = tmp_path / "cqi.csv"
+        table.write_text("cqi_index,efficiency,threshold_db\n1,0.15,-7.5\n2,0.23,nan\n")
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[csi]\ncqi_table = {table}\n")
+        args = ["--config", str(ini), "--slots", "2", "--snr", "0", "--out", str(tmp_path / "out")]
+        assert main(["sweep", *args]) == 2
+        assert "threshold_db" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "none.ini"
         assert main(["sweep", "--config", str(missing)]) == 1

@@ -21,6 +21,7 @@ from nrsim import (
     realize_type2_precoder,
 )
 from nrsim.codebook import (
+    _BEAM_PATTERNS,
     _PHI2,
     _PHI4,
     TYPE2_SB_AMPLITUDES,
@@ -35,6 +36,26 @@ LAYOUTS = [(2, 1), (2, 2), (4, 1), (3, 2), (6, 1), (4, 2), (8, 1),
 def _panel(n1, n2):
     cfg = AntennaConfig(n1, n2)
     return cfg, oversampling_factors(cfg)
+
+
+def _per_entry_precoder(cfg, ov, rank, pmi):
+    """Reference Type I precoder of one PMI, built entry by entry from
+    dft_beam: columns [v_b; s*phi*v_b] over the beam pair (v, v') that i13
+    selects, divided by the matrix's Frobenius norm."""
+    i2 = pmi.i2_per_subband[0]
+    v = dft_beam(pmi.i11, pmi.i12, cfg, ov)
+    if rank == 1:
+        w = np.concatenate([v, _PHI4[i2] * v])[:, None]
+    else:
+        (dl, dm), pattern, negate = _i13_variants(rank, cfg, ov)[pmi.i13]
+        l2 = (pmi.i11 + dl) % (cfg.n1 * ov.o1)
+        m2 = (pmi.i12 + dm) % (cfg.n2 * ov.o2)
+        beams = (v, dft_beam(l2, m2, cfg, ov))
+        phi = -_PHI2[i2] if negate else _PHI2[i2]
+        beam_sel, signs = _BEAM_PATTERNS[(rank, pattern)]
+        w = np.stack([np.concatenate([beams[b], s * phi * beams[b]])
+                      for b, s in zip(beam_sel, signs)], axis=1)
+    return w / np.linalg.norm(w)
 
 
 class TestAntennaConfig:
@@ -136,10 +157,15 @@ class TestType1Codebook:
     def test_index_round_trips(self, rank):
         cfg, ov = _panel(4, 1)
         cb = build_type1_codebook(cfg, rank, ov)
+        assert cb.matrices.shape == (16, 1, 1 if rank == 1 else 4, 4 if rank == 1 else 2, 8, rank)
         for e in range(len(cb)):
             pmi = cb.pmi_of(e)
+            assert all(type(i) is int for i in (pmi.i11, pmi.i12, pmi.i13, *pmi.i2_per_subband))
+            assert type(cb.index_of_pmi(pmi)) is int
             assert cb.index_of_pmi(pmi) == e
             assert np.array_equal(cb.matrix_for(pmi), cb.w_stack[e])
+            assert np.array_equal(cb.matrices[pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband[0]],
+                                  cb.w_stack[e])
 
     def test_lexicographic_enumeration(self):
         cfg, ov = _panel(4, 2)
@@ -151,25 +177,15 @@ class TestType1Codebook:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_pmi_rebuilds_first_column(self, layout):
-        """Entry e's first column is [v; phi*v] / sqrt(ports * rank) with
-        v = dft_beam(i11, i12) and phi the co-phase that pmi_of(e) names."""
+        """Every column of entry e is bit-identical to the per-entry formula
+        (_per_entry_precoder) applied to the PMI that pmi_of(e) names."""
         cfg, ov = _panel(*layout)
-        ports = cfg.num_ports
         for rank in (1, 2, 3, 4):
             cb = build_type1_codebook(cfg, rank, ov)
-            variants = _i13_variants(rank, cfg, ov) if rank > 1 else None
             for e in range(len(cb)):
                 pmi = cb.pmi_of(e)
                 assert cb.index_of_pmi(pmi) == e
-                i2 = pmi.i2_per_subband[0]
-                if rank == 1:
-                    phi = _PHI4[i2]
-                else:
-                    negate = variants[pmi.i13][2]
-                    phi = -_PHI2[i2] if negate else _PHI2[i2]
-                v = dft_beam(pmi.i11, pmi.i12, cfg, ov) / math.sqrt(ports * rank)
-                expect = np.concatenate([v, phi * v])
-                assert np.allclose(cb.w_stack[e][:, 0], expect, rtol=0, atol=1e-12)
+                assert np.array_equal(cb.w_stack[e], _per_entry_precoder(cfg, ov, rank, pmi))
 
     def test_rank1_uses_four_cophases(self):
         cfg, ov = _panel(2, 1)
@@ -190,6 +206,10 @@ class TestType1Codebook:
             cb.index_of_pmi(TypeIPmi(8, 0, 0, (0,)))
         with pytest.raises(ValueError):
             cb.index_of_pmi(TypeIPmi(0, 0, 1, (0,)))
+        with pytest.raises(ValueError):
+            cb.index_of_pmi(TypeIPmi(0, 0, 0, (4,)))
+        with pytest.raises(ValueError):
+            cb.index_of_pmi(TypeIPmi(-1, 0, 0, (0,)))
         with pytest.raises(ValueError):
             cb.pmi_of(len(cb))
         with pytest.raises(ValueError):
@@ -238,12 +258,14 @@ class TestType2Structure:
         cfg, ov = _panel(4, 2)
         space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
         assert space.beams.shape == (ov.o1, ov.o2, 8, 8)
-        for q1, q2 in ((0, 0), (1, 3), (3, 1)):
+        for q1, q2 in itertools.product(range(ov.o1), range(ov.o2)):
             basis = space.beams[q1, q2]
             gram = basis.conj() @ basis.T
             assert np.allclose(gram, cfg.n1 * cfg.n2 * np.eye(cfg.n1 * cfg.n2), atol=1e-9)
             # Row b = x1*n2 + x2 is the grid beam at (q1 + o1*x1, q2 + o2*x2).
-            assert np.array_equal(basis[1 * cfg.n2 + 1], dft_beam(q1 + ov.o1, q2 + ov.o2, cfg, ov))
+            for x1, x2 in itertools.product(range(cfg.n1), range(cfg.n2)):
+                beam = dft_beam(q1 + ov.o1 * x1, q2 + ov.o2 * x2, cfg, ov)
+                assert np.array_equal(basis[x1 * cfg.n2 + x2], beam)
 
     def test_rotation_range(self):
         cfg, ov = _panel(4, 1)

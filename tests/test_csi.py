@@ -23,8 +23,6 @@ from nrsim import (
     realize_type2_precoder,
     select_csi,
     svd_precode,
-    type1_overhead_bits,
-    type2_overhead_bits,
 )
 from nrsim.codebook import TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES
 
@@ -192,6 +190,19 @@ class TestCqiTable:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError):
             CqiTable((0.2, 0.1), (-5.0, -3.0))
+
+    @pytest.mark.parametrize("se, thr, column", [
+        ((0.2, math.nan), (-5.0, -3.0), "efficiency"),
+        ((0.2, math.inf), (-5.0, -3.0), "efficiency"),
+        ((-0.5, 0.2), (-3.0, 1.0), "efficiency"),
+        ((0.0, 0.2), (-3.0, 1.0), "efficiency"),
+        ((0.1, 0.2), (-5.0, math.nan), "threshold_db"),
+        ((0.1, 0.2), (-math.inf, 1.0), "threshold_db"),
+        ((0.1, 0.2), (-5.0, math.inf), "threshold_db"),
+    ])
+    def test_non_finite_or_non_positive_rejected(self, se, thr, column):
+        with pytest.raises(ValueError, match=column):
+            CqiTable(se, thr)
 
 
 class TestMapCqi:
@@ -368,15 +379,13 @@ class TestSelectCsi:
                 rates = np.log2(1.0 + sinrs).reshape(len(cb), rank).sum(axis=1)
                 assert np.all(rates <= cap + 1e-9)
 
-    def test_overhead_bits_match_formula(self):
+    def test_pmi_reports_i2_per_subband(self):
         cfg = AntennaConfig(4, 1)
         ov = oversampling_factors(cfg)
         cbs = {r: build_type1_codebook(cfg, r, ov) for r in (1, 2, 3, 4)}
         rng = np.random.default_rng(10)
         h = np.stack([_rand_h(rng, 4, 8) for _ in range(3)])
         report = select_csi(h, 0.2, cbs, CqiTable.default())
-        want = type1_overhead_bits(cfg, ov, report.ri, 3).total_bits
-        assert report.overhead_bits == want
         assert len(report.pmi.i2_per_subband) == 3
 
     def test_empty_codebooks_rejected(self):
@@ -416,15 +425,6 @@ class TestSelectCsiType2:
             assert cqi == report.cqi
             want = report.ri * table.efficiency(cqi)
             assert report.predicted_throughput == pytest.approx(want, abs=1e-12)
-
-    def test_overhead_matches_formula(self):
-        cfg, space = self._space(num_beams=2, n_psk=4)
-        rng = np.random.default_rng(12)
-        h = np.stack([_rand_h(rng, 4, 8) for _ in range(2)])
-        report = select_csi(h, 0.5, space, CqiTable.default())
-        ov = oversampling_factors(cfg)
-        want = type2_overhead_bits(cfg, ov, space.t2, report.ri, 2).total_bits
-        assert report.overhead_bits == want
 
     def test_rank1_rx_limits_rank(self):
         cfg, space = self._space()

@@ -220,6 +220,43 @@ class TestCompareModes:
         with pytest.raises(ValueError, match="channel"):
             compare_modes([_mini_config(), _mini_config(doppler=50.0)])
 
+    def test_planar_panel_pinned(self):
+        """A 2x2 panel (n2 > 1, so both grid axes are oversampled) gives the
+        recorded RI/CQI histograms, overheads and mean SE for every mode."""
+        antenna = AntennaConfig(2, 2)
+        channel = ChannelConfig(num_tx_ports=antenna.num_ports, num_rx_ports=2,
+                                doppler_hz=100.0, num_subbands=3)
+        scenario = Scenario(antenna=antenna, channel=channel, type2=Type2Config(num_beams=3))
+        cmp = compare_modes([
+            SweepConfig(scenario=scenario, snr_points_db=(-5.0, 5.0, 15.0), num_slots=6,
+                        codebook_mode=mode, seed=2)
+            for mode in (CodebookMode.TYPE1, CodebookMode.TYPE2, CodebookMode.SVD_IDEAL)
+        ])
+        # (mean_se, ri_histogram, cqi_histogram, mean_overhead_bits) per SNR point.
+        expected = {
+            "type1": [
+                (0.58596, {1: 1.0}, {5: 0.4, 6: 0.6}, 12.0),
+                (0.6644599999999999, {1: 0.6, 2: 0.4}, {8: 0.4, 11: 0.4, 12: 0.2}, 11.6),
+                (3.6187199999999997, {2: 1.0}, {13: 1.0}, 11.0),
+            ],
+            "type2": [
+                (1.0609600000000001, {1: 0.8, 2: 0.2}, {4: 0.2, 6: 0.4, 7: 0.4}, 116.4),
+                (2.58982, {1: 0.6, 2: 0.4}, {10: 0.4, 12: 0.2, 13: 0.4}, 134.8),
+                (5.90152, {2: 1.0}, {13: 0.2, 14: 0.6, 15: 0.2}, 190.0),
+            ],
+            "svd": [
+                (3.8104006385414615, {2: 1.0}, {0: 1.0}, 0.0),
+                (9.207841133250678, {2: 1.0}, {0: 1.0}, 0.0),
+                (15.445631206334744, {2: 1.0}, {0: 1.0}, 0.0),
+            ],
+        }
+        for res in cmp.results:
+            for pt, (se, ri, cqi, bits) in zip(res.points, expected[res.mode.value], strict=True):
+                assert pt.mean_throughput == pytest.approx(se, rel=0, abs=1e-12)
+                assert pt.ri_histogram == ri
+                assert pt.cqi_histogram == cqi
+                assert pt.mean_overhead_bits == bits
+
 
 class TestCsvOutput:
     @pytest.fixture()
