@@ -3,103 +3,12 @@ CSI (RI/PMI/CQI) selection, feedback-overhead accounting, and SNR sweeps."""
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelConfig,
-    ChannelRealization,
-    cdl_a_pdp,
-    generate_channel,
-    load_pdp_file,
-)
-from .codebook import (
-    AntennaConfig,
-    Codebook,
-    Oversampling,
-    Type2CodebookSpace,
-    Type2Config,
-    TypeIIPmi,
-    TypeIPmi,
-    build_type1_codebook,
-    build_type2_structure,
-    dft_beam,
-    oversampling_factors,
-    realize_type2_precoder,
-)
-from .csi import (
-    CqiTable,
-    CsiReport,
-    SvdResult,
-    effective_sinr,
-    layer_sinr_mmse,
-    map_cqi,
-    mimo_capacity,
-    quantize_phases,
-    select_csi,
-    svd_precode,
-)
-from .overhead import (
-    OverheadBreakdown,
-    expected_overhead,
-    type1_overhead_bits,
-    type2_overhead_bits,
-)
-from .sim import (
-    CodebookMode,
-    ComparisonRow,
-    ModeComparison,
-    Scenario,
-    SnrPointResult,
-    SweepConfig,
-    SweepResult,
-    compare_modes,
-    run_sweep,
-    write_cqi_hist_csv,
-    write_ri_hist_csv,
-    write_sweep_csv,
-)
+from . import channel, codebook, csi, overhead, sim
+from .channel import *  # noqa: F403
+from .codebook import *  # noqa: F403
+from .csi import *  # noqa: F403
+from .overhead import *  # noqa: F403
+from .sim import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "AntennaConfig",
-    "ChannelConfig",
-    "ChannelRealization",
-    "Codebook",
-    "CodebookMode",
-    "ComparisonRow",
-    "CqiTable",
-    "CsiReport",
-    "ModeComparison",
-    "OverheadBreakdown",
-    "Oversampling",
-    "Scenario",
-    "SnrPointResult",
-    "SvdResult",
-    "SweepConfig",
-    "SweepResult",
-    "Type2CodebookSpace",
-    "Type2Config",
-    "TypeIIPmi",
-    "TypeIPmi",
-    "build_type1_codebook",
-    "build_type2_structure",
-    "cdl_a_pdp",
-    "compare_modes",
-    "dft_beam",
-    "effective_sinr",
-    "expected_overhead",
-    "generate_channel",
-    "layer_sinr_mmse",
-    "load_pdp_file",
-    "map_cqi",
-    "mimo_capacity",
-    "oversampling_factors",
-    "quantize_phases",
-    "realize_type2_precoder",
-    "run_sweep",
-    "select_csi",
-    "svd_precode",
-    "type1_overhead_bits",
-    "type2_overhead_bits",
-    "write_cqi_hist_csv",
-    "write_ri_hist_csv",
-    "write_sweep_csv",
-]
+__all__ = ["__version__", *channel.__all__, *codebook.__all__, *csi.__all__,
+           *overhead.__all__, *sim.__all__]

@@ -131,13 +131,10 @@ class ChannelRealization:
     """h has shape (num_slots, num_subbands, num_rx, num_tx)."""
 
     h: np.ndarray
-    noise_var: float
 
     def __post_init__(self) -> None:
         if self.h.ndim != 4:
             raise ValueError(f"h must be 4-D (slot, subband, rx, tx), got shape {self.h.shape}")
-        if self.noise_var <= 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
 
     @property
     def num_slots(self) -> int:
@@ -146,10 +143,6 @@ class ChannelRealization:
     @property
     def num_subbands(self) -> int:
         return self.h.shape[1]
-
-    def slot(self, s: int) -> np.ndarray:
-        """(num_subbands, num_rx, num_tx) view of one slot."""
-        return self.h[s]
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -172,7 +165,7 @@ def _tap_sequences(rng: np.random.Generator, powers: np.ndarray, rho: float,
     return out
 
 
-def generate_channel(cfg: ChannelConfig, num_slots: int, noise_var: float = 1.0) -> ChannelRealization:
+def generate_channel(cfg: ChannelConfig, num_slots: int) -> ChannelRealization:
     """Draw a correlated channel trajectory from cfg.seed.
 
     H(k) = sum_t A_t * exp(-j*2*pi*f_k*tau_t) with subband centers f_k placed
@@ -190,4 +183,4 @@ def generate_channel(cfg: ChannelConfig, num_slots: int, noise_var: float = 1.0)
     phase = np.exp(-2j * np.pi * np.outer(freqs, delays_s))  # (subbands, taps)
     taps = _tap_sequences(rng, powers, rho, num_slots, cfg.num_rx_ports, cfg.num_tx_ports)
     h = np.einsum("kt,stre->skre", phase, taps)
-    return ChannelRealization(h=np.ascontiguousarray(h), noise_var=float(noise_var))
+    return ChannelRealization(h=np.ascontiguousarray(h))

@@ -161,10 +161,8 @@ class Codebook:
     (index_of_pmi and its inverse pmi_of).
     """
 
-    def __init__(self, cfg: AntennaConfig, ov: Oversampling, rank: int, matrices: np.ndarray):
+    def __init__(self, cfg: AntennaConfig, matrices: np.ndarray):
         self.cfg = cfg
-        self.ov = ov
-        self.rank = rank
         self.matrices = np.ascontiguousarray(matrices)
         self.w_stack = self.matrices.reshape(-1, *self.matrices.shape[4:])
 
@@ -289,7 +287,7 @@ def build_type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Cod
     # some entries differently in the last bit.
     stack = np.ascontiguousarray(np.swapaxes(cols, -1, -2)).reshape(-1, cfg.num_ports, rank)
     stack = stack / np.array([np.linalg.norm(w) for w in stack])[:, None, None]
-    return Codebook(cfg, ov, rank, stack.reshape(cols.shape[:4] + stack.shape[1:]))
+    return Codebook(cfg, stack.reshape(cols.shape[:4] + stack.shape[1:]))
 
 
 # Type II reports carry at most two layers (TS 38.214 Sec. 5.2.2.2.3).
@@ -327,7 +325,6 @@ class Type2CodebookSpace:
             )
         self.cfg = cfg
         self.t2 = t2
-        self.ov = ov
         n1, n2, o1, o2 = cfg.n1, cfg.n2, ov.o1, ov.o2
         grid = _dft_grid(cfg, ov).reshape(n1, o1, n2, o2, n1 * n2)
         self.beams = np.ascontiguousarray(

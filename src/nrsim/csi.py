@@ -103,8 +103,13 @@ class CqiTable:
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ValueError(f"{path}: expected columns {sorted(required)}")
             for row in reader:
-                rows.append((int(row["cqi_index"]), float(row["efficiency"]),
-                             float(row["threshold_db"])))
+                try:  # a short row leaves None in its missing fields
+                    rows.append((int(row["cqi_index"]), float(row["efficiency"]),
+                                 float(row["threshold_db"])))
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: expected an integer cqi_index and numeric "
+                        f"efficiency and threshold_db, got {list(row.values())}") from None
         rows.sort()
         if not rows or [r[0] for r in rows] != list(range(1, len(rows) + 1)):
             raise ValueError(f"{path}: cqi_index must run contiguously from 1")
@@ -192,21 +197,29 @@ def effective_sinr(per_layer_per_subband) -> float:
     return float(_effective_sinr(arr.reshape(1, -1)))
 
 
-def _map_cqi_array(eff, thresholds_db: np.ndarray) -> np.ndarray:
-    eff = np.asarray(eff, dtype=float)
-    out = np.zeros(eff.shape, dtype=int)
-    positive = eff > 0
-    if np.any(positive):
-        eff_db = 10.0 * np.log10(eff[positive])
-        out[positive] = np.searchsorted(thresholds_db, eff_db, side="right")
-    return out
+def _choose(candidates, table: CqiTable) -> tuple[float, int, int, int]:
+    """(throughput, rank, index, cqi) of the best candidate; candidates yields
+    (rank, effective SINRs of that rank's candidates) in ascending rank."""
+    rates = np.concatenate([[0.0], table.spectral_efficiency])
+    best = None
+    for rank, eff in candidates:
+        eff = np.atleast_1d(eff)
+        cqi = np.zeros(eff.shape, dtype=int)
+        positive = eff > 0
+        if np.any(positive):
+            eff_db = 10.0 * np.log10(eff[positive])
+            cqi[positive] = np.searchsorted(table.sinr_threshold_db, eff_db, side="right")
+        throughput = rank * rates[cqi]
+        i = int(np.argmax(throughput))
+        if best is None or throughput[i] > best[0]:
+            best = (float(throughput[i]), rank, i, int(cqi[i]))
+    return best
 
 
 def map_cqi(eff_sinr: float, table: CqiTable) -> int:
     """Largest CQI whose threshold is <= eff_sinr (boundary inclusive); 0 if
     below the lowest."""
-    thr = np.asarray(table.sinr_threshold_db, dtype=float)
-    return int(_map_cqi_array(np.asarray([eff_sinr]), thr)[0])
+    return _choose([(1, np.asarray([eff_sinr], dtype=float))], table)[3]
 
 
 def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
@@ -247,33 +260,21 @@ def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
 
 def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook],
                   table: CqiTable) -> CsiReport:
-    num_sb, num_rx, _ = h.shape
-    se = np.concatenate([[0.0], np.asarray(table.spectral_efficiency, dtype=float)])
-    thr_db = np.asarray(table.sinr_threshold_db, dtype=float)
-    best = None  # (throughput, rank, entry index, cqi, codebook)
-    for rank in sorted(codebooks):
-        cb = codebooks[rank]
+    num_sb, num_rx, num_tx = h.shape
+    for rank, cb in codebooks.items():
         if len(cb) == 0:
             raise ValueError(f"rank-{rank} codebook is empty")
-        if rank > min(num_rx, h.shape[2]):
-            continue
-        g = np.einsum("kij,ejr->ekir", h, cb.w_stack)
-        sinr = _layer_sinr_batch(g, noise_var)  # (entries, subbands, rank)
-        eff = _effective_sinr(sinr)
-        cqi = _map_cqi_array(eff, thr_db)
-        throughput = rank * se[cqi]
-        # np.argmax returns the first maximizer; entries are enumerated in
-        # lexicographic (i11, i12, i13, i2) order, so ties pick the lowest PMI,
-        # and the strict > across ranks keeps the lowest rank on equal scores.
-        e = int(np.argmax(throughput))
-        if best is None or throughput[e] > best[0]:
-            best = (float(throughput[e]), rank, e, int(cqi[e]), cb)
-    if best is None:
+    ranks = [rank for rank in sorted(codebooks) if rank <= min(num_rx, num_tx)]
+    if not ranks:
         raise ValueError("no codebook rank is usable for this channel size")
-    tp, rank, e, cqi_sel, cb = best
-    pmi = cb.pmi_of(e)
+    candidates = (
+        (rank, _effective_sinr(_layer_sinr_batch(
+            np.einsum("kij,ejr->ekir", h, codebooks[rank].w_stack), noise_var)))
+        for rank in ranks)
+    tp, rank, e, cqi = _choose(candidates, table)
+    pmi = codebooks[rank].pmi_of(e)
     report_pmi = TypeIPmi(pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband * num_sb)
-    return CsiReport(ri=rank, pmi=report_pmi, cqi=cqi_sel, predicted_throughput=tp)
+    return CsiReport(ri=rank, pmi=report_pmi, cqi=cqi, predicted_throughput=tp)
 
 
 def _nearest_amplitude_index(rel: np.ndarray) -> np.ndarray:
@@ -323,37 +324,26 @@ def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
     beams = space.beams[q1, q2, space.combos[i12]]
 
     # Stage 2: per layer, quantize the dominant right-singular vectors in the
-    # selected beam basis, then keep the better of rank 1 and rank 2.
+    # selected beam basis, then rate every layer count up to the Type II limit.
     vh = np.linalg.svd(h)[2]  # (subbands, num_tx, num_tx)
-    se = np.concatenate([[0.0], np.asarray(table.spectral_efficiency, dtype=float)])
-    thr_db = np.asarray(table.sinr_threshold_db, dtype=float)
     max_layers = min(TYPE2_MAX_RANK, num_rx, num_tx)
-
-    layer_quant = []
+    quant = []
     for layer in range(max_layers):
         target = vh[:, layer, :].conj().reshape(num_sb, 2, p_pol)
         c = np.einsum("kpe,be->kpb", target, beams.conj()).reshape(num_sb, -1) / p_pol
-        layer_quant.append(_quantize_type2_layer(c, t2.n_psk))
-
-    chosen = None  # (throughput, layers, pmi, cqi)
-    for layers in range(1, max_layers + 1):
-        quant = layer_quant[:layers]
-        pmi = TypeIIPmi(
-            i11=(q1, q2),
-            i12=i12,
-            wideband_amplitudes=tuple(tuple(wb.tolist()) for wb, _, _ in quant),
-            subband_cophase=tuple(tuple(map(tuple, ph.tolist())) for _, _, ph in quant),
-            subband_amplitude=tuple(tuple(map(tuple, sb.tolist())) for _, sb, _ in quant),
-        )
-        w = realize_type2_precoder(space, pmi)
-        g = np.einsum("kij,kjr->kir", h, w)
-        eff = float(_effective_sinr(_layer_sinr_batch(g, noise_var)))
-        cqi = int(_map_cqi_array(np.asarray([eff]), thr_db)[0])
-        throughput = layers * se[cqi]
-        if chosen is None or throughput > chosen[0]:
-            chosen = (float(throughput), layers, pmi, cqi)
-    tp, layers, pmi, cqi_sel = chosen
-    return CsiReport(ri=layers, pmi=pmi, cqi=cqi_sel, predicted_throughput=tp)
+        quant.append(_quantize_type2_layer(c, t2.n_psk))
+    wb = tuple(tuple(amps.tolist()) for amps, _, _ in quant)
+    sb = tuple(tuple(map(tuple, bits.tolist())) for _, bits, _ in quant)
+    ph = tuple(tuple(map(tuple, phases.tolist())) for _, _, phases in quant)
+    pmis = [TypeIIPmi(i11=(q1, q2), i12=i12, wideband_amplitudes=wb[:n],
+                      subband_cophase=ph[:n], subband_amplitude=sb[:n])
+            for n in range(1, max_layers + 1)]
+    candidates = (
+        (pmi.rank, _effective_sinr(_layer_sinr_batch(
+            np.einsum("kij,kjr->kir", h, realize_type2_precoder(space, pmi)), noise_var)))
+        for pmi in pmis)
+    tp, layers, _, cqi = _choose(candidates, table)
+    return CsiReport(ri=layers, pmi=pmis[layers - 1], cqi=cqi, predicted_throughput=tp)
 
 
 def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
@@ -362,8 +352,13 @@ def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
     h is the slot view (num_subbands, num_rx, num_tx); a bare 2-D matrix is
     treated as a single subband. codebooks is either a mapping rank ->
     Codebook (Type I, exhaustive search; ranks above min(num_rx, num_tx) are
-    skipped) or a Type2CodebookSpace (two-stage construction). Ties prefer
-    the lower rank, then the lower lexicographic PMI.
+    skipped) or a Type2CodebookSpace (two-stage construction).
+
+    Every candidate precoder is rated the same way: its effective SINR maps
+    to the largest CQI whose threshold is at or below it (0 where the SINR is
+    <= 0), and the rating is rank times that CQI's spectral efficiency. The
+    first best candidate is reported, so ties prefer the lower rank, then the
+    lower entry index (Type I entries run in lexicographic PMI order).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim == 2:

@@ -167,7 +167,7 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     snr_db = cfg.snr_points_db[point_idx]
     noise_var = 10.0 ** (-snr_db / 10.0)
     ch_cfg = replace(scenario.channel, seed=_derive_point_seed(cfg.seed, point_idx))
-    realization = generate_channel(ch_cfg, cfg.num_slots, noise_var)
+    realization = generate_channel(ch_cfg, cfg.num_slots)
     num_sb = realization.num_subbands
     bandwidth_hz = num_sb * ch_cfg.subband_spacing_hz
     delay = cfg.feedback_delay_slots
@@ -190,7 +190,6 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     else:
         selector = build_type2_structure(antenna, scenario.type2, ov)
 
-    thr_db = np.asarray(table.sinr_threshold_db)
     per_slot_tp = np.zeros(scored)
     ri_counts: Counter = Counter()
     cqi_counts: Counter = Counter()
@@ -205,7 +204,7 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
         g = np.einsum("kij,kjr->kir", realization.h[s + delay], w)
         eff = float(_effective_sinr(_layer_sinr_batch(g, noise_var)))
         eff_db = 10.0 * math.log10(eff) if eff > 0 else -math.inf
-        if eff_db >= thr_db[report.cqi - 1] - _THRESHOLD_SLACK_DB:
+        if eff_db >= table.sinr_threshold_db[report.cqi - 1] - _THRESHOLD_SLACK_DB:
             per_slot_tp[s] = report.ri * table.efficiency(report.cqi)
         else:
             failed += 1

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import nrsim
 from nrsim import (
     AntennaConfig,
     ChannelConfig,
@@ -203,6 +204,16 @@ class TestSweepCommand:
         assert main(["sweep", *args]) == 2
         assert "threshold_db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["2,0.2", "2,abc,1.0", "2.5,0.2,1.0"])
+    def test_malformed_cqi_table_row(self, row, tmp_path, capsys):
+        table = tmp_path / "cqi.csv"
+        table.write_text(f"cqi_index,efficiency,threshold_db\n1,0.15,-7.5\n{row}\n")
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[csi]\ncqi_table = {table}\n")
+        args = ["--config", str(ini), "--slots", "2", "--snr", "0", "--out", str(tmp_path / "out")]
+        assert main(["sweep", *args]) == 2
+        assert f"{table}:3" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "none.ini"
         assert main(["sweep", "--config", str(missing)]) == 1
@@ -243,6 +254,15 @@ class TestChannelProbe:
 
     def test_probe_needs_two_slots(self, capsys):
         assert main(["channel", "probe", "--slots", "1"]) == 2
+
+
+def test_package_exports_every_module_name():
+    names = {"__version__"}
+    for module in (nrsim.channel, nrsim.codebook, nrsim.csi, nrsim.overhead, nrsim.sim):
+        names.update(module.__all__)
+    assert sorted(nrsim.__all__) == sorted(names)
+    for name in nrsim.__all__:
+        getattr(nrsim, name)
 
 
 def test_readme_ini_lists_every_config_key():

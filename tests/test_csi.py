@@ -12,6 +12,7 @@ from nrsim import (
     AntennaConfig,
     CqiTable,
     Type2Config,
+    TypeIIPmi,
     build_type1_codebook,
     build_type2_structure,
     effective_sinr,
@@ -400,6 +401,21 @@ class TestSelectCsi:
             select_csi(np.eye(4, dtype=complex), 0.0, cbs, CqiTable.default())
 
 
+def test_all_cqi_zero_reports_rank1_first_entry():
+    """When every candidate maps to CQI 0 all rates tie at 0, and both families
+    report rank 1; Type I reports entry 0."""
+    cfg = AntennaConfig(4, 1)
+    ov = oversampling_factors(cfg)
+    type1 = {r: build_type1_codebook(cfg, r, ov) for r in (1, 2, 3, 4)}
+    type2 = build_type2_structure(cfg, Type2Config(4, 8), ov)
+    rng = np.random.default_rng(16)
+    h = np.stack([_rand_h(rng, 4, 8) for _ in range(3)])
+    reports = [select_csi(h, 1e6, selector, CqiTable.default()) for selector in (type1, type2)]
+    for report in reports:
+        assert (report.ri, report.cqi, report.predicted_throughput) == (1, 0, 0.0)
+    assert type1[1].index_of_pmi(reports[0].pmi) == 0
+
+
 class TestSelectCsiType2:
     def _space(self, num_beams=4, n_psk=8):
         cfg = AntennaConfig(4, 1)
@@ -425,6 +441,29 @@ class TestSelectCsiType2:
             assert cqi == report.cqi
             want = report.ri * table.efficiency(cqi)
             assert report.predicted_throughput == pytest.approx(want, abs=1e-12)
+
+    def test_rank2_only_when_strictly_better(self):
+        """A rank-2 report beats the rank-1 PMI made of its own first layer by
+        a strictly higher rate, so equal rates (CQI 0 at low SNR) stay rank 1."""
+        cfg, space = self._space()
+        table = CqiTable.default()
+        rng = np.random.default_rng(15)
+        rank2 = 0
+        for snr_db in np.linspace(-30.0, 30.0, 31):
+            nv = 10.0 ** (-snr_db / 10.0)
+            h = np.stack([_rand_h(rng, 4, 8) for _ in range(int(rng.integers(1, 4)))])
+            report = select_csi(h, nv, space, table)
+            if report.ri == 1:
+                continue
+            rank2 += 1
+            pmi = report.pmi
+            first = TypeIIPmi(pmi.i11, pmi.i12, pmi.wideband_amplitudes[:1],
+                              pmi.subband_cophase[:1], pmi.subband_amplitude[:1])
+            w = realize_type2_precoder(space, first)
+            sinrs = np.stack([layer_sinr_mmse(h[k], w[k], nv) for k in range(len(h))])
+            rank1_rate = table.efficiency(map_cqi(effective_sinr(sinrs), table))
+            assert report.predicted_throughput > rank1_rate
+        assert rank2 > 0
 
     def test_rank1_rx_limits_rank(self):
         cfg, space = self._space()
