@@ -52,32 +52,44 @@ def load_pdp_file(path) -> list[tuple[float, float]]:
     to unit RMS delay spread so delay_spread_ns in ChannelConfig sets the
     physical spread.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     delays, powers_db = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'delay_ns power_db', got {raw!r}")
-            try:
-                delay, power_db = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric entry in {raw!r}") from None
-            if not (math.isfinite(delay) and math.isfinite(power_db)):
-                raise ValueError(f"{path}:{lineno}: delay_ns and power_db must be finite, got {raw!r}")
-            delays.append(delay)
-            powers_db.append(power_db)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'delay_ns power_db', got {raw!r}")
+        try:
+            delay, power_db = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric entry in {raw!r}") from None
+        if not (math.isfinite(delay) and math.isfinite(power_db)):
+            raise ValueError(f"{path}:{lineno}: delay_ns and power_db must be finite, got {raw!r}")
+        delays.append(delay)
+        powers_db.append(power_db)
     if not delays:
         raise ValueError(f"{path}: no profile entries found")
-    d = np.asarray(delays) - min(delays)
-    p = np.asarray([10.0 ** (x / 10.0) for x in powers_db])
-    p = p / p.sum()
-    mean = float(p @ d)
-    rms = float(np.sqrt(p @ (d - mean) ** 2))
-    if rms > 0.0:
-        d = d / rms
+    try:
+        p = np.asarray([10.0 ** (x / 10.0) for x in powers_db])
+    except OverflowError:
+        p = np.full(len(powers_db), math.inf)
+    with np.errstate(all="ignore"):  # a profile that overflows or underflows is rejected below
+        total = float(p.sum())
+        p = p / total
+        d = np.asarray(delays) - min(delays)
+        mean = float(p @ d)
+        rms = float(np.sqrt(p @ (d - mean) ** 2))
+        if rms > 0.0:
+            d = d / rms
+    if not (0.0 < total < math.inf and math.isfinite(rms)):
+        raise ValueError(f"{path}: linear powers must have a positive, finite sum and delays "
+                         f"a finite spread")
     return [(float(di), float(pi)) for di, pi in zip(d, p)]
 
 
@@ -98,7 +110,6 @@ class ChannelConfig:
     subband_spacing_hz: float = 720e3
     slot_duration_s: float = 1e-3
     pdp: tuple[tuple[float, float], ...] = field(default_factory=lambda: tuple(cdl_a_pdp()))
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_tx_ports < 1 or self.num_rx_ports < 1:
@@ -165,15 +176,15 @@ def _tap_sequences(rng: np.random.Generator, powers: np.ndarray, rho: float,
     return out
 
 
-def generate_channel(cfg: ChannelConfig, num_slots: int) -> ChannelRealization:
-    """Draw a correlated channel trajectory from cfg.seed.
+def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRealization:
+    """Draw a correlated channel trajectory from seed.
 
     H(k) = sum_t A_t * exp(-j*2*pi*f_k*tau_t) with subband centers f_k placed
     symmetrically around the carrier and tau_t = normalized_delay * spread.
     """
     if num_slots < 1:
         raise ValueError(f"num_slots must be >= 1, got {num_slots}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     delays_s = np.asarray([d for d, _ in cfg.pdp]) * cfg.delay_spread_ns * 1e-9
     powers = np.asarray([p for _, p in cfg.pdp])
     powers = powers / powers.sum()

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -66,37 +67,34 @@ _J0_FIRST_ZERO = 2.404825557695773
 
 
 def _load_config_file(path: str) -> dict[str, object]:
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        data = json.loads(text)
-        flat = data.get("config", data)
-        if not isinstance(flat, dict):
-            raise ValueError(f"{path}: manifest 'config' must be an object")
-    else:
-        parser = configparser.ConfigParser()
-        try:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        if text.lstrip().startswith("{"):
+            data = json.loads(text)
+            flat = data.get("config", data)
+        else:
+            parser = configparser.ConfigParser()
             parser.read_string(text)
-        except configparser.Error as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        flat = {
-            f"{section}.{key}": value
-            for section in parser.sections()
-            for key, value in parser.items(section)
-        }
+            flat = {f"{section}.{key}": value for section in parser.sections()
+                    for key, value in parser.items(section)}
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, configparser.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(flat, dict):
+        raise ValueError(f"{path}: manifest 'config' must be an object")
     unknown = sorted(set(flat) - set(_DEFAULTS))
     if unknown:
         raise ValueError(f"{path}: unknown config key {unknown[0]!r}")
     return dict(flat)
 
 
-def _resolve(args: argparse.Namespace, flag_map: dict[str, str]) -> dict[str, object]:
+def _resolve(args: argparse.Namespace) -> dict[str, object]:
+    """Defaults, overridden by the --config file, overridden by the flags
+    whose dest is a config key."""
     resolved = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         resolved.update(_load_config_file(args.config))
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            resolved[key] = value
+    resolved.update((key, value) for key, value in vars(args).items()
+                    if key in _DEFAULTS and value is not None)
     return resolved
 
 
@@ -158,13 +156,18 @@ def _parse_modes(cfg: dict) -> list[CodebookMode]:
     return [known[label] for label in labels]
 
 
-def _build_scenario(cfg: dict) -> Scenario:
-    antenna = AntennaConfig(n1=_positive_int(cfg, "antenna.n1"), n2=_positive_int(cfg, "antenna.n2"))
+def _antenna(cfg: dict) -> AntennaConfig:
+    return AntennaConfig(n1=_positive_int(cfg, "antenna.n1"), n2=_positive_int(cfg, "antenna.n2"))
+
+
+def _type2(cfg: dict) -> Type2Config:
+    return Type2Config(num_beams=_positive_int(cfg, "type2.beams"), n_psk=_as_int(cfg, "type2.n_psk"))
+
+
+def _channel(cfg: dict, antenna: AntennaConfig) -> ChannelConfig:
     pdp_file = str(cfg["channel.pdp_file"])
-    kwargs = {}
-    if pdp_file:
-        kwargs["pdp"] = tuple(load_pdp_file(pdp_file))
-    channel = ChannelConfig(
+    pdp = {"pdp": tuple(load_pdp_file(pdp_file))} if pdp_file else {}
+    return ChannelConfig(
         num_tx_ports=antenna.num_ports,
         num_rx_ports=_positive_int(cfg, "channel.rx"),
         doppler_hz=_as_float(cfg, "channel.doppler_hz"),
@@ -172,12 +175,8 @@ def _build_scenario(cfg: dict) -> Scenario:
         num_subbands=_positive_int(cfg, "channel.subbands"),
         subband_spacing_hz=_as_float(cfg, "channel.subband_spacing_hz"),
         slot_duration_s=_as_float(cfg, "channel.slot_duration_s"),
-        **kwargs,
+        **pdp,
     )
-    table_path = str(cfg["csi.cqi_table"])
-    table = CqiTable.from_csv(table_path) if table_path else CqiTable.default()
-    t2 = Type2Config(num_beams=_positive_int(cfg, "type2.beams"), n_psk=_as_int(cfg, "type2.n_psk"))
-    return Scenario(antenna=antenna, channel=channel, type2=t2, cqi_table=table)
 
 
 def _write_json_atomic(path: Path, payload: dict) -> None:
@@ -199,22 +198,23 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int, outputs: 
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out) if getattr(args, "out", None) else Path("nrsim_out")
+    out = Path(args.out or "nrsim_out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "snr": "sweep.snr", "slots": "sweep.slots", "codebook": "sweep.codebook",
-        "rx": "channel.rx", "seed": "sweep.seed",
-    })
+    cfg = _resolve(args)
     snr_points = _parse_snr(cfg["sweep.snr"])
     slots = _positive_int(cfg, "sweep.slots")
     delay = _as_int(cfg, "sweep.feedback_delay")
     seed = _as_int(cfg, "sweep.seed")
     modes = _parse_modes(cfg)
-    scenario = _build_scenario(cfg)
+    antenna = _antenna(cfg)
+    channel = _channel(cfg, antenna)
+    table_path = str(cfg["csi.cqi_table"])
+    table = CqiTable.from_csv(table_path) if table_path else CqiTable.default()
+    scenario = Scenario(antenna=antenna, channel=channel, type2=_type2(cfg), cqi_table=table)
     sweep_cfgs = [
         SweepConfig(scenario=scenario, snr_points_db=snr_points, num_slots=slots,
                     feedback_delay_slots=delay, codebook_mode=mode, seed=seed)
@@ -242,46 +242,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {"beams": "type2.beams", "npsk": "type2.n_psk"})
-    antenna = AntennaConfig(n1=_positive_int(cfg, "antenna.n1"), n2=_positive_int(cfg, "antenna.n2"))
+    cfg = _resolve(args)
+    antenna = _antenna(cfg)
     ov = oversampling_factors(antenna)
-    rank = args.rank if args.rank is not None else 1
-    subbands = args.subbands if args.subbands is not None else 1
-    if subbands < 1:
-        raise ValueError(f"subbands must be a positive integer, got {subbands}")
+    if args.subbands < 1:
+        raise ValueError(f"subbands must be a positive integer, got {args.subbands}")
     if args.codebook == "type2":
-        t2 = Type2Config(num_beams=_positive_int(cfg, "type2.beams"), n_psk=_as_int(cfg, "type2.n_psk"))
-        breakdown = type2_overhead_bits(antenna, ov, t2, rank, subbands)
+        breakdown = type2_overhead_bits(antenna, ov, _type2(cfg), args.rank, args.subbands)
     else:
-        breakdown = type1_overhead_bits(antenna, ov, rank, subbands)
-    width = max(len(k) for k in [*breakdown.per_index_bits, "total"])
-    for key, bits in breakdown.per_index_bits.items():
+        breakdown = type1_overhead_bits(antenna, ov, args.rank, args.subbands)
+    rows = [*breakdown.per_index_bits.items(), ("total", breakdown.total_bits)]
+    width = max(len(key) for key, _ in rows)
+    for key, bits in rows:
         print(f"{key:<{width}}  {bits:>5} bits")
-    print(f"{'total':<{width}}  {breakdown.total_bits:>5} bits")
+    table = "index,bits\n" + "".join(f"{key},{bits}\n" for key, bits in rows)
     print()
-    print("index,bits")
-    for key, bits in breakdown.per_index_bits.items():
-        print(f"{key},{bits}")
-    print(f"total,{breakdown.total_bits}")
-    if getattr(args, "out", None):
+    print(table, end="")
+    if args.out:
         out = _out_dir(args)
         path = out / "overhead.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("index,bits\n")
-            for key, bits in breakdown.per_index_bits.items():
-                fh.write(f"{key},{bits}\n")
-            fh.write(f"total,{breakdown.total_bits}\n")
+        path.write_text(table, encoding="utf-8", newline="")
         _write_manifest(out, f"overhead --codebook {args.codebook}", cfg, 0, [path])
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_codebook_dump(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {})
-    antenna = AntennaConfig(n1=_positive_int(cfg, "antenna.n1"), n2=_positive_int(cfg, "antenna.n2"))
-    ov = oversampling_factors(antenna)
-    rank = args.rank if args.rank is not None else 1
-    cb = build_type1_codebook(antenna, rank, ov)
+    cfg = _resolve(args)
+    antenna, rank = _antenna(cfg), args.rank
+    cb = build_type1_codebook(antenna, rank, oversampling_factors(antenna))
     out = _out_dir(args)
     path = out / f"codebook_type1_rank{rank}.csv"
     ports = antenna.num_ports
@@ -305,27 +294,18 @@ def _cmd_codebook_dump(args: argparse.Namespace) -> int:
 
 
 def _cmd_channel_probe(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {"rx": "channel.rx", "seed": "sweep.seed"})
-    antenna = AntennaConfig(n1=_positive_int(cfg, "antenna.n1"), n2=_positive_int(cfg, "antenna.n2"))
-    slots = args.slots if args.slots is not None else 2000
+    cfg, slots = _resolve(args), args.slots
     if slots < 2:
         raise ValueError(f"slots must be >= 2 for the probe, got {slots}")
     seed = _as_int(cfg, "sweep.seed")
-    rx = _positive_int(cfg, "channel.rx")
-    slot_s = _as_float(cfg, "channel.slot_duration_s")
-    base = dict(
-        num_tx_ports=antenna.num_ports, num_rx_ports=rx,
-        delay_spread_ns=_as_float(cfg, "channel.delay_spread_ns"),
-        num_subbands=_positive_int(cfg, "channel.subbands"),
-        subband_spacing_hz=_as_float(cfg, "channel.subband_spacing_hz"),
-        slot_duration_s=slot_s, seed=seed,
-    )
+    channel = _channel(cfg, _antenna(cfg))
+    slot_s = channel.slot_duration_s
     ok = True
 
     # Power conservation, averaged over slots decorrelated by a Doppler at
     # the first J0 zero.
     doppler_zero = _J0_FIRST_ZERO / (2.0 * math.pi * slot_s)
-    h = generate_channel(ChannelConfig(doppler_hz=doppler_zero, **base), slots).h
+    h = generate_channel(replace(channel, doppler_hz=doppler_zero), slots, seed).h
     mean_power = float(np.mean(np.abs(h) ** 2))
     power_ok = abs(mean_power - 1.0) <= 0.02
     ok &= power_ok
@@ -336,7 +316,7 @@ def _cmd_channel_probe(args: argparse.Namespace) -> int:
     # separates cleanly from 1.
     doppler_corr = 100.0
     rho_target = float(j0(2.0 * math.pi * doppler_corr * slot_s))
-    h = generate_channel(ChannelConfig(doppler_hz=doppler_corr, **base), slots).h
+    h = generate_channel(replace(channel, doppler_hz=doppler_corr), slots, seed).h
     a = h[:-1].ravel()
     b = h[1:].ravel()
     rho_hat = float(np.real(np.vdot(a, b)) / math.sqrt((np.abs(a) ** 2).sum() * (np.abs(b) ** 2).sum()))
@@ -360,40 +340,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run an SNR sweep and write CSV results")
     sweep.add_argument("--config", help="INI config file or a manifest.json from a previous run")
-    sweep.add_argument("--snr", help="SNR grid in dB as min:step:max (or one value); "
-                                     "write a negative min as --snr=-10:5:40")
-    sweep.add_argument("--slots", type=int, help="slots per SNR point")
-    sweep.add_argument("--codebook",
+    sweep.add_argument("--snr", dest="sweep.snr",
+                       help="SNR grid in dB as min:step:max (or one value); "
+                            "write a negative min as --snr=-10:5:40")
+    sweep.add_argument("--slots", dest="sweep.slots", type=int, help="slots per SNR point")
+    sweep.add_argument("--codebook", dest="sweep.codebook",
                        help="feedback modes, comma-separated from type1, type2, svd; "
                             "several run on paired channels")
-    sweep.add_argument("--rx", type=int, help="receive antenna count")
-    sweep.add_argument("--seed", type=int, help="sweep seed")
+    sweep.add_argument("--rx", dest="channel.rx", type=int, help="receive antenna count")
+    sweep.add_argument("--seed", dest="sweep.seed", type=int, help="sweep seed")
     sweep.add_argument("--out", help="output directory (default nrsim_out)")
 
     overhead = sub.add_parser("overhead", help="print PMI report bit-widths")
     overhead.add_argument("--config", help="INI config file")
     overhead.add_argument("--codebook", choices=["type1", "type2"], default="type1",
                           help="report family (default type1)")
-    overhead.add_argument("--rank", type=int, help="rank (type1: 1-4, type2: 1-2)")
-    overhead.add_argument("--subbands", type=int, help="subband count (default 1 = wideband)")
-    overhead.add_argument("--beams", type=int, help="type2 combined beams")
-    overhead.add_argument("--npsk", type=int, help="type2 co-phase alphabet size")
+    overhead.add_argument("--rank", type=int, default=1, help="rank (type1: 1-4, type2: 1-2)")
+    overhead.add_argument("--subbands", type=int, default=1,
+                          help="subband count (default 1 = wideband)")
+    overhead.add_argument("--beams", dest="type2.beams", type=int, help="type2 combined beams")
+    overhead.add_argument("--npsk", dest="type2.n_psk", type=int,
+                          help="type2 co-phase alphabet size")
     overhead.add_argument("--out", help="also write overhead.csv under this directory")
 
     codebook = sub.add_parser("codebook", help="codebook tools")
     codebook_sub = codebook.add_subparsers(dest="action", required=True)
     dump = codebook_sub.add_parser("dump", help="write Type I entries to CSV")
     dump.add_argument("--config", help="INI config file")
-    dump.add_argument("--rank", type=int, help="rank (1-4)")
+    dump.add_argument("--rank", type=int, default=1, help="rank (1-4)")
     dump.add_argument("--out", help="output directory (default nrsim_out)")
 
     channel = sub.add_parser("channel", help="channel tools")
     channel_sub = channel.add_subparsers(dest="action", required=True)
     probe = channel_sub.add_parser("probe", help="statistics self-test")
     probe.add_argument("--config", help="INI config file")
-    probe.add_argument("--slots", type=int, help="slots per check (default 2000)")
-    probe.add_argument("--rx", type=int, help="receive antenna count")
-    probe.add_argument("--seed", type=int, help="probe seed")
+    probe.add_argument("--slots", type=int, default=2000, help="slots per check (default 2000)")
+    probe.add_argument("--rx", dest="channel.rx", type=int, help="receive antenna count")
+    probe.add_argument("--seed", dest="sweep.seed", type=int, help="probe seed")
     return parser
 
 
@@ -403,14 +386,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    commands = {"sweep": _cmd_sweep, "overhead": _cmd_overhead,
+                "codebook": _cmd_codebook_dump, "channel": _cmd_channel_probe}
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "overhead":
-            return _cmd_overhead(args)
-        if args.command == "codebook":
-            return _cmd_codebook_dump(args)
-        return _cmd_channel_probe(args)
+        return commands[args.command](args)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -170,8 +170,10 @@ class Codebook:
         return len(self.w_stack)
 
     def index_of_pmi(self, pmi: TypeIPmi) -> int:
-        """Entry index for a reported PMI (the co-phase index is wideband, so
-        the first i2 value identifies the entry)."""
+        """Entry index for a reported PMI; entries are wideband, so every
+        subband must carry the same co-phase index i2."""
+        if len(set(pmi.i2_per_subband)) != 1:
+            raise ValueError(f"PMI {pmi} must carry one wideband i2 value")
         coords = (pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband[0])
         try:
             return int(np.ravel_multi_index(coords, self.matrices.shape[:4]))

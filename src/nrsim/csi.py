@@ -86,9 +86,10 @@ class CqiTable:
         return self.spectral_efficiency[cqi - 1]
 
     @classmethod
-    def default(cls, gap_db: float = _DEFAULT_GAP_DB) -> "CqiTable":
-        """Embedded 15-entry table; threshold = gap * (2^SE - 1) in linear."""
-        gap = 10.0 ** (gap_db / 10.0)
+    def default(cls) -> "CqiTable":
+        """Embedded 15-entry table; threshold = gap * (2^SE - 1) in linear,
+        with a 2 dB gap."""
+        gap = 10.0 ** (_DEFAULT_GAP_DB / 10.0)
         thr = tuple(10.0 * math.log10(gap * (2.0 ** se - 1.0)) for se in _CQI_EFFICIENCY)
         return cls(_CQI_EFFICIENCY, thr)
 
@@ -97,23 +98,32 @@ class CqiTable:
         """Load rows (cqi_index, efficiency, threshold_db); indices must be
         contiguous from 1."""
         rows = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            required = {"cqi_index", "efficiency", "threshold_db"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ValueError(f"{path}: expected columns {sorted(required)}")
-            for row in reader:
-                try:  # a short row leaves None in its missing fields
-                    rows.append((int(row["cqi_index"]), float(row["efficiency"]),
-                                 float(row["threshold_db"])))
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: expected an integer cqi_index and numeric "
-                        f"efficiency and threshold_db, got {list(row.values())}") from None
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                required = {"cqi_index", "efficiency", "threshold_db"}
+                if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                    raise ValueError(f"{path}: expected columns {sorted(required)}")
+                for row in reader:
+                    try:  # short rows fill in None, long rows file surplus under None
+                        if None in row:
+                            raise ValueError
+                        rows.append((int(row["cqi_index"]), float(row["efficiency"]),
+                                     float(row["threshold_db"])))
+                    except (TypeError, ValueError):
+                        raise ValueError(
+                            f"{path}:{reader.line_num}: expected an integer cqi_index and "
+                            f"numeric efficiency and threshold_db, got {list(row.values())}"
+                        ) from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
         rows.sort()
         if not rows or [r[0] for r in rows] != list(range(1, len(rows) + 1)):
             raise ValueError(f"{path}: cqi_index must run contiguously from 1")
-        return cls(tuple(r[1] for r in rows), tuple(r[2] for r in rows))
+        try:
+            return cls(tuple(r[1] for r in rows), tuple(r[2] for r in rows))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -144,15 +154,18 @@ def svd_precode(h: np.ndarray) -> SvdResult:
     return SvdResult(u=u, sigma=sigma, v=vh.conj().T)
 
 
-def mimo_capacity(sigma, noise_var: float) -> float:
+def mimo_capacity(sigma, noise_var: float) -> float | np.ndarray:
     """Shannon capacity of the diagonalized channel with unit-power symbols:
-    sum_i log2(1 + sigma_i^2 / noise_var)."""
+    sum_i log2(1 + sigma_i^2 / noise_var) over the last axis of sigma. One
+    sigma vector gives a float; a batch (..., n) gives an array of its
+    leading shape."""
     if noise_var <= 0:
         raise ValueError(f"noise_var must be positive, got {noise_var}")
-    s = np.asarray(sigma, dtype=float)
+    s = np.atleast_1d(np.asarray(sigma, dtype=float))
     if np.any(s < 0):
         raise ValueError("singular values must be nonnegative")
-    return float(np.sum(np.log2(1.0 + s * s / noise_var)))
+    capacity = np.sum(np.log2(1.0 + s * s / noise_var), axis=-1)
+    return float(capacity) if s.ndim == 1 else capacity
 
 
 def _layer_sinr_batch(g: np.ndarray, noise_var: float) -> np.ndarray:

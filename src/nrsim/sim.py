@@ -16,7 +16,8 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .codebook import (
     oversampling_factors,
     realize_type2_precoder,
 )
-from .csi import CqiTable, _effective_sinr, _layer_sinr_batch, select_csi
+from .csi import CqiTable, _effective_sinr, _layer_sinr_batch, mimo_capacity, select_csi
 from .overhead import expected_overhead, type1_overhead_bits, type2_overhead_bits
 
 __all__ = [
@@ -163,11 +164,10 @@ def _aggregate(snr_db: float, per_slot_tp: np.ndarray, ri_counts: Counter,
 
 def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     scenario = cfg.scenario
-    antenna, table = scenario.antenna, scenario.cqi_table
+    antenna, table, ch_cfg = scenario.antenna, scenario.cqi_table, scenario.channel
     snr_db = cfg.snr_points_db[point_idx]
     noise_var = 10.0 ** (-snr_db / 10.0)
-    ch_cfg = replace(scenario.channel, seed=_derive_point_seed(cfg.seed, point_idx))
-    realization = generate_channel(ch_cfg, cfg.num_slots)
+    realization = generate_channel(ch_cfg, cfg.num_slots, _derive_point_seed(cfg.seed, point_idx))
     num_sb = realization.num_subbands
     bandwidth_hz = num_sb * ch_cfg.subband_spacing_hz
     delay = cfg.feedback_delay_slots
@@ -176,7 +176,7 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
 
     if cfg.codebook_mode is CodebookMode.SVD_IDEAL:
         sigma = np.linalg.svd(realization.h[delay:], compute_uv=False)
-        capacity = np.log2(1.0 + sigma ** 2 / noise_var).sum(axis=-1).mean(axis=-1)
+        capacity = mimo_capacity(sigma, noise_var).mean(axis=-1)
         return _aggregate(
             snr_db, capacity,
             Counter({min(num_rx, num_tx): scored}), Counter({0: scored}),
@@ -233,18 +233,13 @@ def _worker_count(num_tasks: int) -> int:
     return max(1, min(limit, num_tasks))
 
 
-def _point_task(args) -> SnrPointResult:
-    cfg, idx = args
-    return _run_point(cfg, idx)
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every SNR point of one sweep; deterministic per (config, seed)."""
     n = len(cfg.snr_points_db)
     workers = _worker_count(n)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_point_task, [(cfg, i) for i in range(n)]))
+            points = list(pool.map(_run_point, [cfg] * n, range(n)))
     else:
         points = [_run_point(cfg, i) for i in range(n)]
     return SweepResult(mode=cfg.codebook_mode, points=tuple(points))
@@ -265,29 +260,26 @@ class ModeComparison:
     rows: tuple[ComparisonRow, ...]
 
 
+_PAIRED_FIELDS = ("snr_points_db", "num_slots", "feedback_delay_slots", "seed",
+                  "scenario.antenna", "scenario.channel", "scenario.cqi_table")
+
+
 def compare_modes(cfgs) -> ModeComparison:
     """Run several sweep configs over paired channel seeds and classify which
     mode wins at each SNR point.
 
-    All configs must share the SNR grid, slot counts, seed, and scenario
-    geometry so per-point differences reflect the codebook alone.
+    All configs must agree on every field in _PAIRED_FIELDS so per-point
+    differences reflect the codebook alone; scenario.type2 may differ, as
+    only Type II mode reads it.
     """
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("compare_modes needs at least one config")
     ref = cfgs[0]
-    for other in cfgs[1:]:
-        if other.snr_points_db != ref.snr_points_db:
-            raise ValueError("configs disagree on snr_points_db")
-        if (other.num_slots, other.feedback_delay_slots, other.seed) != (
-                ref.num_slots, ref.feedback_delay_slots, ref.seed):
-            raise ValueError("configs disagree on num_slots/feedback_delay_slots/seed")
-        if other.scenario.antenna != ref.scenario.antenna:
-            raise ValueError("configs disagree on the antenna layout")
-        if other.scenario.channel != ref.scenario.channel:
-            raise ValueError("configs disagree on the channel scenario")
-        if other.scenario.cqi_table != ref.scenario.cqi_table:
-            raise ValueError("configs disagree on the CQI table")
+    for field in _PAIRED_FIELDS:
+        get = attrgetter(field)
+        if any(get(other) != get(ref) for other in cfgs[1:]):
+            raise ValueError(f"configs disagree on {field}")
     results = tuple(run_sweep(c) for c in cfgs)
     rows = []
     for i, snr_db in enumerate(ref.snr_points_db):
@@ -318,23 +310,22 @@ def write_sweep_csv(results, path) -> None:
                 ])
 
 
-def write_ri_hist_csv(results, path) -> None:
+def _write_hist_csv(results, path, column: str, attr: str) -> None:
+    """One row per (mode, SNR point, key of the point's histogram attr):
+    snr_db, mode, column, fraction."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["snr_db", "mode", "rank", "fraction"])
+        writer.writerow(["snr_db", "mode", column, "fraction"])
         for res in results:
             for pt in res.points:
-                for rank in sorted(pt.ri_histogram):
-                    writer.writerow([_fmt(pt.snr_db), res.mode.value, rank,
-                                     _fmt(pt.ri_histogram[rank])])
+                hist = getattr(pt, attr)
+                for key in sorted(hist):
+                    writer.writerow([_fmt(pt.snr_db), res.mode.value, key, _fmt(hist[key])])
+
+
+def write_ri_hist_csv(results, path) -> None:
+    _write_hist_csv(results, path, "rank", "ri_histogram")
 
 
 def write_cqi_hist_csv(results, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "mode", "cqi", "fraction"])
-        for res in results:
-            for pt in res.points:
-                for cqi in sorted(pt.cqi_histogram):
-                    writer.writerow([_fmt(pt.snr_db), res.mode.value, cqi,
-                                     _fmt(pt.cqi_histogram[cqi])])
+    _write_hist_csv(results, path, "cqi", "cqi_histogram")

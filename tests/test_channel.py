@@ -123,37 +123,37 @@ class TestChannelConfig:
 
 class TestGenerateChannel:
     def test_shape(self):
-        cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, seed=3)
-        assert generate_channel(cfg, 5).h.shape == (5, 13, 4, 8)
+        cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4)
+        assert generate_channel(cfg, 5, 3).h.shape == (5, 13, 4, 8)
 
     def test_zero_slots_rejected(self):
         cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4)
         with pytest.raises(ValueError):
-            generate_channel(cfg, 0)
+            generate_channel(cfg, 0, 0)
 
     def test_deterministic_per_seed(self):
-        cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, seed=7)
-        a = generate_channel(cfg, 4)
-        b = generate_channel(cfg, 4)
+        cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4)
+        a = generate_channel(cfg, 4, 7)
+        b = generate_channel(cfg, 4, 7)
         assert np.array_equal(a.h, b.h)
-        other = generate_channel(ChannelConfig(num_tx_ports=8, num_rx_ports=4, seed=8), 4)
+        other = generate_channel(cfg, 4, 8)
         assert not np.array_equal(a.h, other.h)
 
     def test_longer_run_extends_shorter(self):
-        cfg = ChannelConfig(num_tx_ports=4, num_rx_ports=2, seed=11)
-        short = generate_channel(cfg, 3)
-        long = generate_channel(cfg, 6)
+        cfg = ChannelConfig(num_tx_ports=4, num_rx_ports=2)
+        short = generate_channel(cfg, 3, 11)
+        long = generate_channel(cfg, 6, 11)
         assert np.array_equal(long.h[:3], short.h)
 
     def test_zero_doppler_freezes_fading(self):
-        cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, doppler_hz=0.0, seed=5)
-        real = generate_channel(cfg, 6)
+        cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, doppler_hz=0.0)
+        real = generate_channel(cfg, 6, 5)
         for s in range(1, 6):
             assert np.array_equal(real.h[s], real.h[0])
 
     def test_single_tap_is_frequency_flat(self):
-        cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, pdp=((0.0, 1.0),), seed=2)
-        real = generate_channel(cfg, 3)
+        cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, pdp=((0.0, 1.0),))
+        real = generate_channel(cfg, 3, 2)
         spread = real.h - real.h[:, :1]
         assert np.max(np.abs(spread)) <= 1e-12
 
@@ -162,9 +162,9 @@ class TestGenerateChannel:
         rotation exp(-j*2*pi*spacing*tau)."""
         cfg = ChannelConfig(
             num_tx_ports=2, num_rx_ports=2, pdp=((1.0, 1.0),),
-            delay_spread_ns=100.0, subband_spacing_hz=720e3, seed=2,
+            delay_spread_ns=100.0, subband_spacing_hz=720e3,
         )
-        real = generate_channel(cfg, 2)
+        real = generate_channel(cfg, 2, 2)
         expect = np.exp(-2j * np.pi * 720e3 * 100e-9)
         ratios = real.h[:, 1:] / real.h[:, :-1]
         assert np.max(np.abs(ratios - expect)) < 1e-12
@@ -172,9 +172,9 @@ class TestGenerateChannel:
     def test_unit_average_power(self):
         """E|H_k(r,e)|^2 = 1: the profile is normalized, taps are independent."""
         samples = []
+        cfg = ChannelConfig(num_tx_ports=50, num_rx_ports=40, num_subbands=8)
         for seed in range(4):
-            cfg = ChannelConfig(num_tx_ports=50, num_rx_ports=40, num_subbands=8, seed=seed)
-            samples.append(np.abs(generate_channel(cfg, 1).h) ** 2)
+            samples.append(np.abs(generate_channel(cfg, 1, seed).h) ** 2)
         assert np.mean(samples) == pytest.approx(1.0, abs=0.03)
 
     def test_per_tap_power_follows_profile(self):
@@ -187,9 +187,9 @@ class TestGenerateChannel:
     def test_slot_correlation_matches_jakes(self):
         cfg = ChannelConfig(
             num_tx_ports=1, num_rx_ports=1, doppler_hz=100.0, slot_duration_s=1e-3,
-            pdp=((0.0, 1.0),), num_subbands=1, seed=17,
+            pdp=((0.0, 1.0),), num_subbands=1,
         )
-        h = generate_channel(cfg, 100_000).h[:, 0, 0, 0]
+        h = generate_channel(cfg, 100_000, 17).h[:, 0, 0, 0]
         measured = np.mean(h[1:] * h[:-1].conj()).real / np.mean(np.abs(h) ** 2)
         expect = _bessel_j0_series(2.0 * np.pi * 100.0 * 1e-3)
         assert measured == pytest.approx(expect, abs=0.02)
@@ -215,9 +215,8 @@ def test_power_never_depends_on_doppler_marginally(doppler, seed):
     rate of 1e-9 per example, split over both tails of every slot.
     """
     num_slots, n = 8, 32 * 32
-    cfg = ChannelConfig(num_tx_ports=32, num_rx_ports=32, doppler_hz=doppler,
-                        num_subbands=1, seed=seed)
-    power = np.mean(np.abs(generate_channel(cfg, num_slots).h) ** 2, axis=(1, 2, 3))
+    cfg = ChannelConfig(num_tx_ports=32, num_rx_ports=32, doppler_hz=doppler, num_subbands=1)
+    power = np.mean(np.abs(generate_channel(cfg, num_slots, seed).h) ** 2, axis=(1, 2, 3))
     tail = 1e-9 / (2 * num_slots)
     lo, hi = gamma.ppf(tail, n, scale=1.0 / n), gamma.isf(tail, n, scale=1.0 / n)
     assert np.all((power >= lo) & (power <= hi)), (power, lo, hi)

@@ -1,11 +1,15 @@
 """Command-line front end: subcommands, config precedence, manifests."""
 
 import configparser
+import io
 import json
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import nrsim
 from nrsim import (
@@ -204,7 +208,7 @@ class TestSweepCommand:
         assert main(["sweep", *args]) == 2
         assert "threshold_db" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["2,0.2", "2,abc,1.0", "2.5,0.2,1.0"])
+    @pytest.mark.parametrize("row", ["2,0.2", "2,abc,1.0", "2.5,0.2,1.0", "2,0.2,-5,99"])
     def test_malformed_cqi_table_row(self, row, tmp_path, capsys):
         table = tmp_path / "cqi.csv"
         table.write_text(f"cqi_index,efficiency,threshold_db\n1,0.15,-7.5\n{row}\n")
@@ -217,6 +221,103 @@ class TestSweepCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "none.ini"
         assert main(["sweep", "--config", str(missing)]) == 1
+
+
+# Strategies for malformed input files. Each draws a whole file as bytes.
+_WORD = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8)
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e999"])
+_SECTION_KEY = st.sampled_from(sorted(_DEFAULTS)).map(lambda key: key.split("."))
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# A field with no separator, comment or quote character that is not a number.
+_JUNK = st.text(st.characters(blacklist_categories=("C", "Z"), blacklist_characters='#,"'),
+                min_size=1, max_size=8).filter(lambda text: not _is_number(text))
+
+
+def _with_bad_byte(text: str):
+    """text as UTF-8 with a byte that cannot occur in UTF-8 spliced in."""
+    data = text.encode()
+    return st.integers(0, len(data)).map(lambda i: data[:i] + b"\xff" + data[i:])
+
+
+_BAD_INI = st.one_of(
+    st.tuples(_SECTION_KEY, _WORD, _WORD).map(  # configparser rejects a bare '%'
+        lambda t: f"[{t[0][0]}]\n{t[0][1]} = {t[1]}%{t[2]}\n"),
+    _SECTION_KEY.map(lambda sk: f"{sk[1]} = 1\n"),  # no section header
+    _SECTION_KEY.map(lambda sk: f"[{sk[0]}]\n{sk[1]} = 1\n{sk[1]} = 2\n"),
+    st.tuples(_WORD, _WORD).filter(lambda t: ".".join(t) not in _DEFAULTS).map(
+        lambda t: f"[{t[0]}]\n{t[1]} = 1\n"),
+    _WORD.map(lambda word: f"[sweep]\n{word}\n"),  # neither '=' nor ':'
+    _WORD.map(lambda word: "{" + word),  # a manifest that is not JSON
+).map(str.encode) | _with_bad_byte("[sweep]\nslots = 2\n")
+
+_PDP_HEAD = "0 0\n"
+_BAD_PDP = st.one_of(
+    st.lists(_NUMBER, min_size=1, max_size=5).filter(lambda xs: len(xs) != 2).map(
+        lambda xs: _PDP_HEAD + " ".join(xs) + "\n"),
+    st.tuples(_JUNK, _NUMBER).map(lambda t: f"{_PDP_HEAD}{t[0]} {t[1]}\n"),
+    st.tuples(_NUMBER, _JUNK).map(lambda t: f"{_PDP_HEAD}{t[0]} {t[1]}\n"),
+    st.tuples(_NUMBER, _NON_FINITE).map(lambda t: f"{_PDP_HEAD}{t[0]} {t[1]}\n"),
+    st.tuples(_NON_FINITE, _NUMBER).map(lambda t: f"{_PDP_HEAD}{t[0]} {t[1]}\n"),
+    st.lists(st.floats(-1e6, -3240.0), min_size=1, max_size=4).map(  # all powers underflow
+        lambda ps: "".join(f"{100 * i} {p!r}\n" for i, p in enumerate(ps))),
+    st.floats(3090.0, 1e6).map(lambda p: f"{_PDP_HEAD}100 {p!r}\n"),  # a power overflows
+    st.floats(1e160, 1e308).map(lambda d: f"{_PDP_HEAD}{d!r} 0\n"),  # the spread overflows
+    st.sampled_from(["", "# comments only\n", "\n\n"]),
+).map(str.encode) | _with_bad_byte(_PDP_HEAD)
+
+_CQI_HEAD = "cqi_index,efficiency,threshold_db\n1,0.15,-7.5\n"
+_BAD_CQI = st.one_of(
+    st.lists(_NUMBER, min_size=1, max_size=6).filter(lambda xs: len(xs) != 3).map(
+        lambda xs: _CQI_HEAD + ",".join(xs) + "\n"),
+    st.tuples(st.integers(0, 2), _JUNK | _NON_FINITE).map(
+        lambda t: _CQI_HEAD + ",".join(t[1] if i == t[0] else ["2", "0.2", "-5"][i]
+                                       for i in range(3)) + "\n"),
+    (st.integers().filter(lambda i: i != 2).map(str) | st.just("2.5")).map(
+        lambda index: f"{_CQI_HEAD}{index},0.2,-5\n"),
+    st.tuples(st.floats(-1.0, 0.15), st.floats(-20.0, 20.0)).map(  # efficiency not increasing
+        lambda t: f"{_CQI_HEAD}2,{t[0]!r},{t[1]!r}\n"),
+    st.sampled_from(["cqi_index,efficiency\n1,0.15\n", "", "index,se,thr\n1,0.15,-7.5\n"]),
+).map(str.encode) | _with_bad_byte(_CQI_HEAD)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=st.one_of(
+    _BAD_INI.map(lambda data: ("", data)),
+    _BAD_PDP.map(lambda data: ("channel.pdp_file", data)),
+    _BAD_CQI.map(lambda data: ("csi.cqi_table", data)),
+))
+@example(case=("", b"[sweep]\nsnr = 10%\n"))
+@example(case=("", b'{"config": ' + b"[" * 100_000))  # nested past the recursion limit
+@example(case=("channel.pdp_file", b"0 -4000\n100 -4000\n"))
+@example(case=("csi.cqi_table", f"{_CQI_HEAD}2,{'1' * 200_000},-5\n".encode()))
+def test_malformed_input_file_exits_2_naming_it(case):
+    """A malformed config, pdp or CQI-table file is a config error (exit 2)
+    that names the file, never a runtime error (exit 1) or a traceback."""
+    key, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.txt"
+        bad.write_bytes(data)
+        config = bad
+        if key:  # the bad file is named by a config key
+            section, name = key.split(".")
+            config = Path(tmp) / "run.ini"
+            config.write_text(f"[{section}]\n{name} = {bad}\n")
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["sweep", "--config", str(config), "--slots", "2", "--snr", "0",
+                         "--out", str(Path(tmp) / "out")])
+    assert code == 2, err.getvalue()
+    assert str(bad) in err.getvalue()
 
 
 def test_multi_mode_manifest_feeds_overhead_and_dump(tmp_path, capsys):

@@ -210,6 +210,13 @@ class TestType1Codebook:
             cb.index_of_pmi(TypeIPmi(0, 0, 0, (4,)))
         with pytest.raises(ValueError):
             cb.index_of_pmi(TypeIPmi(-1, 0, 0, (0,)))
+        # Entries are wideband: every subband must report the same i2.
+        for i2 in [(0, 3, 1), ()]:
+            with pytest.raises(ValueError, match="wideband"):
+                cb.index_of_pmi(TypeIPmi(0, 0, 0, i2))
+            with pytest.raises(ValueError, match="wideband"):
+                cb.matrix_for(TypeIPmi(0, 0, 0, i2))
+        assert cb.index_of_pmi(TypeIPmi(0, 0, 0, (3, 3, 3))) == 3
         with pytest.raises(ValueError):
             cb.pmi_of(len(cb))
         with pytest.raises(ValueError):
