@@ -87,55 +87,66 @@ def _load_config_file(path: str) -> dict[str, object]:
     return dict(flat)
 
 
-def _resolve(args: argparse.Namespace) -> dict[str, object]:
+class _Settings(dict):
+    """Resolved settings; origins maps each key set by a --config file to it."""
+
+    origins: dict[str, str] = {}
+
+    def name(self, key: str) -> str:
+        """The key, prefixed by the file that set it, for error messages."""
+        return f"{self.origins[key]}: {key}" if key in self.origins else key
+
+
+def _resolve(args: argparse.Namespace) -> _Settings:
     """Defaults, overridden by the --config file, overridden by the flags
     whose dest is a config key."""
-    resolved = dict(_DEFAULTS)
-    if args.config:
-        resolved.update(_load_config_file(args.config))
-    resolved.update((key, value) for key, value in vars(args).items()
-                    if key in _DEFAULTS and value is not None)
-    return resolved
+    from_file = _load_config_file(args.config) if args.config else {}
+    flags = {key: value for key, value in vars(args).items()
+             if key in _DEFAULTS and value is not None}
+    settings = _Settings({**_DEFAULTS, **from_file, **flags})
+    settings.origins = {key: args.config for key in from_file if key not in flags}
+    return settings
 
 
-def _as_int(cfg: dict, key: str) -> int:
+def _as_int(cfg: _Settings, key: str) -> int:
     try:
         return int(str(cfg[key]))
     except ValueError:
-        raise ValueError(f"{key} must be an integer, got {cfg[key]!r}") from None
+        raise ValueError(f"{cfg.name(key)} must be an integer, got {cfg[key]!r}") from None
 
 
-def _as_float(cfg: dict, key: str) -> float:
+def _as_float(cfg: _Settings, key: str) -> float:
     try:
         return float(str(cfg[key]))
     except ValueError:
-        raise ValueError(f"{key} must be a number, got {cfg[key]!r}") from None
+        raise ValueError(f"{cfg.name(key)} must be a number, got {cfg[key]!r}") from None
 
 
-def _positive_int(cfg: dict, key: str) -> int:
+def _positive_int(cfg: _Settings, key: str) -> int:
     value = _as_int(cfg, key)
     if value < 1:
-        raise ValueError(f"{key} must be a positive integer, got {value}")
+        raise ValueError(f"{cfg.name(key)} must be a positive integer, got {value}")
     return value
 
 
-def _parse_snr(spec: str) -> tuple[float, ...]:
+def _parse_snr(cfg: _Settings) -> tuple[float, ...]:
+    spec, name = cfg["sweep.snr"], cfg.name("sweep.snr")
     parts = str(spec).split(":")
     try:
         if len(parts) not in (1, 3):
             raise ValueError
         values = [float(p) for p in parts]
     except ValueError:
-        raise ValueError(f"sweep.snr must be 'min:step:max' or a single value, got {spec!r}") from None
+        raise ValueError(f"{name} must be 'min:step:max' or a single value, got {spec!r}") from None
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"sweep.snr must be finite, got {spec!r}")
+        raise ValueError(f"{name} must be finite, got {spec!r}")
     if len(values) == 1:
         return (values[0],)
     lo, step, hi = values
     if step <= 0:
-        raise ValueError(f"sweep.snr step must be positive, got {step}")
+        raise ValueError(f"{name} step must be positive, got {step}")
     if hi < lo:
-        raise ValueError(f"sweep.snr has max {hi} below min {lo}")
+        raise ValueError(f"{name} has max {hi} below min {lo}")
     points = []
     value = lo
     while value <= hi + 1e-9:
@@ -144,27 +155,28 @@ def _parse_snr(spec: str) -> tuple[float, ...]:
     return tuple(points)
 
 
-def _parse_modes(cfg: dict) -> list[CodebookMode]:
+def _parse_modes(cfg: _Settings) -> list[CodebookMode]:
     """Comma-separated mode labels, each at most once, in the given order."""
-    labels = [label.strip() for label in str(cfg["sweep.codebook"]).split(",")]
+    spec, name = cfg["sweep.codebook"], cfg.name("sweep.codebook")
+    labels = [label.strip() for label in str(spec).split(",")]
     known = {mode.value: mode for mode in CodebookMode}
     for label in labels:
         if label not in known:
-            raise ValueError(f"sweep.codebook entries must be type1/type2/svd, got {label!r}")
+            raise ValueError(f"{name} entries must be type1/type2/svd, got {label!r}")
     if len(set(labels)) != len(labels):
-        raise ValueError(f"sweep.codebook lists a mode twice: {cfg['sweep.codebook']!r}")
+        raise ValueError(f"{name} lists a mode twice: {spec!r}")
     return [known[label] for label in labels]
 
 
-def _antenna(cfg: dict) -> AntennaConfig:
+def _antenna(cfg: _Settings) -> AntennaConfig:
     return AntennaConfig(n1=_positive_int(cfg, "antenna.n1"), n2=_positive_int(cfg, "antenna.n2"))
 
 
-def _type2(cfg: dict) -> Type2Config:
+def _type2(cfg: _Settings) -> Type2Config:
     return Type2Config(num_beams=_positive_int(cfg, "type2.beams"), n_psk=_as_int(cfg, "type2.n_psk"))
 
 
-def _channel(cfg: dict, antenna: AntennaConfig) -> ChannelConfig:
+def _channel(cfg: _Settings, antenna: AntennaConfig) -> ChannelConfig:
     pdp_file = str(cfg["channel.pdp_file"])
     pdp = {"pdp": tuple(load_pdp_file(pdp_file))} if pdp_file else {}
     return ChannelConfig(
@@ -205,7 +217,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    snr_points = _parse_snr(cfg["sweep.snr"])
+    snr_points = _parse_snr(cfg)
     slots = _positive_int(cfg, "sweep.slots")
     delay = _as_int(cfg, "sweep.feedback_delay")
     seed = _as_int(cfg, "sweep.seed")

@@ -152,18 +152,37 @@ class TypeIIPmi:
 
 
 class Codebook:
-    """Materialized Type I codebook for one rank.
+    """Type I codebook for one rank, defined by read-only tables: entry (i11,
+    i12, i13, i2) has columns c = [v; cophase[i13, i2, c] * v] / sqrt(ports *
+    rank), v the beam of grid (n1*o1, n2*o2, n1*n2) at (i11, i12) +
+    col_offsets[i13, c], wrapping around the grid.
 
-    matrices[i11, i12, i13, i2] is the precoder of that PMI; shape (n1*o1,
+    matrices[i11, i12, i13, i2] is the reference materialization of that
+    precoder, each entry divided by its own np.linalg.norm; shape (n1*o1,
     n2*o2, i13 values, i2 values, ports, rank). w_stack is its (entries,
     ports, rank) reshape, so entry e enumerates the PMIs lexicographically in
     (i11, i12, i13, i2) and converts to and from them through that shape
     (index_of_pmi and its inverse pmi_of).
     """
 
-    def __init__(self, cfg: AntennaConfig, matrices: np.ndarray):
+    def __init__(self, cfg: AntennaConfig, grid: np.ndarray, col_offsets: np.ndarray,
+                 cophase: np.ndarray):
         self.cfg = cfg
-        self.matrices = np.ascontiguousarray(matrices)
+        self.grid, self.col_offsets, self.cophase = grid, col_offsets, cophase
+        n_l, n_m = grid.shape[:2]
+        l = (np.arange(n_l)[:, None, None, None] + col_offsets[..., 0]) % n_l
+        m = (np.arange(n_m)[:, None, None] + col_offsets[..., 1]) % n_m
+        beams = grid[l, m][:, :, :, None]  # (i11, i12, i13, 1, column, n1*n2)
+        second = cophase[..., None] * beams  # (i11, i12, i13, i2, column, n1*n2)
+        cols = np.concatenate([np.broadcast_to(beams, second.shape), second], axis=-1)
+        # Each entry is divided by its own np.linalg.norm: a batched norm rounds
+        # some entries differently in the last bit.
+        stack = np.ascontiguousarray(np.swapaxes(cols, -1, -2)).reshape(
+            -1, cfg.num_ports, col_offsets.shape[1])
+        stack = stack / np.array([np.linalg.norm(w) for w in stack])[:, None, None]
+        self.matrices = stack.reshape(cols.shape[:4] + stack.shape[1:])
+        for table in (grid, col_offsets, cophase, self.matrices):
+            table.flags.writeable = False
         self.w_stack = self.matrices.reshape(-1, *self.matrices.shape[4:])
 
     def __len__(self) -> int:
@@ -278,18 +297,7 @@ def build_type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Cod
         cophase = np.array([[[s * (-phi if negate else phi) for s in signs] for phi in _PHI2]
                             for _, _, signs, negate in variants])
 
-    grid = _dft_grid(cfg, ov)
-    n_l, n_m = grid.shape[:2]
-    l = (np.arange(n_l)[:, None, None, None] + col_offsets[..., 0]) % n_l
-    m = (np.arange(n_m)[:, None, None] + col_offsets[..., 1]) % n_m
-    beams = grid[l, m][:, :, :, None]  # (i11, i12, i13, 1, column, n1*n2)
-    second = cophase[..., None] * beams  # (i11, i12, i13, i2, column, n1*n2)
-    cols = np.concatenate([np.broadcast_to(beams, second.shape), second], axis=-1)
-    # Each entry is divided by its own np.linalg.norm: a batched norm rounds
-    # some entries differently in the last bit.
-    stack = np.ascontiguousarray(np.swapaxes(cols, -1, -2)).reshape(-1, cfg.num_ports, rank)
-    stack = stack / np.array([np.linalg.norm(w) for w in stack])[:, None, None]
-    return Codebook(cfg, stack.reshape(cols.shape[:4] + stack.shape[1:]))
+    return Codebook(cfg, _dft_grid(cfg, ov), col_offsets, cophase)
 
 
 # Type II reports carry at most two layers (TS 38.214 Sec. 5.2.2.2.3).
@@ -317,7 +325,7 @@ class Type2CodebookSpace:
     beams[q1, q2, b] is orthogonal beam b = x1*n2 + x2 at rotation (q1, q2),
     the DFT beam at grid point (q1 + o1*x1, q2 + o2*x2); shape (o1, o2,
     n1*n2, n1*n2). combos[i12] is the i12-th B-subset of the n1*n2 beams in
-    lexicographic order; shape (C(n1*n2, B), B).
+    lexicographic order; shape (C(n1*n2, B), B). Both are read-only.
     """
 
     def __init__(self, cfg: AntennaConfig, t2: Type2Config, ov: Oversampling):
@@ -332,6 +340,7 @@ class Type2CodebookSpace:
         self.beams = np.ascontiguousarray(
             grid.transpose(1, 3, 0, 2, 4).reshape(o1, o2, n1 * n2, n1 * n2))
         self.combos = np.array(list(itertools.combinations(range(cfg.n1 * cfg.n2), t2.num_beams)))
+        self.beams.flags.writeable = self.combos.flags.writeable = False
 
 
 def build_type2_structure(cfg: AntennaConfig, t2: Type2Config, ov: Oversampling) -> Type2CodebookSpace:

@@ -9,6 +9,7 @@ projection-and-quantization construction.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -168,14 +169,47 @@ def mimo_capacity(sigma, noise_var: float) -> float | np.ndarray:
     return float(capacity) if s.ndim == 1 else capacity
 
 
+def _mmse_sinr(upper, noise_var: float) -> np.ndarray:
+    """Per-layer linear-MMSE SINR_i = 1/[(I + G/nv)^-1]_ii - 1, clamped at 0
+    against roundoff, for Hermitian r x r Grams G given by their upper
+    triangle: upper[n] is G[i, j] for the n-th (i, j) of np.triu_indices(r),
+    the batch on its trailing axes. Returns (r, *batch). Works on A = G +
+    nv*I: closed form for r <= 2, else one Gauss-Jordan sweep per index (no
+    pivot search, A being positive definite), which turns A into -A^-1;
+    only the upper triangle is kept, and entries no later step reads are not
+    updated."""
+    r = (math.isqrt(8 * len(upper) + 1) - 1) // 2
+    a = [[None] * r for _ in range(r)]
+    for (i, j), g in zip(((i, j) for i in range(r) for j in range(i, r)), upper):
+        a[i][j] = g.real + noise_var if i == j else g
+    if r == 1:
+        inv_diag = [1.0 / a[0][0]]
+    elif r == 2:
+        det = a[0][0] * a[1][1] - (a[0][1].real ** 2 + a[0][1].imag ** 2)
+        inv_diag = [a[1][1] / det, a[0][0] / det]
+    else:
+        for k in range(r):
+            p = 1.0 / a[k][k]
+            row = {j: (a[k][j] if j > k else np.conj(a[j][k])) * p for j in range(r) if j != k}
+            for i in row:
+                col = a[i][k] if i < k else np.conj(a[k][i])
+                a[i][i] = a[i][i] - (col * row[i]).real
+                for j in range(max(i, k) + 1, r):
+                    a[i][j] = a[i][j] - col * row[j]
+            for j in range(k + 1, r):
+                a[k][j] = row[j]
+            a[k][k] = -p
+        inv_diag = [-a[i][i] for i in range(r)]
+    return np.maximum(1.0 / (noise_var * np.array(inv_diag)) - 1.0, 0.0)
+
+
 def _layer_sinr_batch(g: np.ndarray, noise_var: float) -> np.ndarray:
-    """Per-layer linear-MMSE SINR for effective channels g (..., rx, layers):
-    SINR_i = 1/[(I + G^H G / nv)^-1]_ii - 1, clamped at 0 against roundoff."""
+    """Per-layer linear-MMSE SINR for effective channels g (..., rx, layers),
+    shape (..., layers)."""
     r = g.shape[-1]
-    gram = np.einsum("...ir,...is->...rs", g.conj(), g)
-    a = np.eye(r) + gram / noise_var
-    diag = np.einsum("...ii->...i", np.linalg.inv(a)).real
-    return np.maximum(1.0 / diag - 1.0, 0.0)
+    gram = np.einsum("...ir,...is->rs...", g.conj(), g)
+    upper = [gram[i, j] for i in range(r) for j in range(i, r)]
+    return np.moveaxis(_mmse_sinr(upper, noise_var), 0, -1)
 
 
 def layer_sinr_mmse(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarray:
@@ -271,19 +305,61 @@ def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
     return np.take_along_axis(idx, best, axis=-2)[..., 0, :]
 
 
+@functools.lru_cache(maxsize=16)
+def _gram_plan(cbs: tuple[Codebook, ...]):
+    """How each codebook's entry Grams gather from shared beam products.
+
+    Columns i <= j of the entry with base beam b and i13 value t use beams
+    b + o_i and b + o_j (o = col_offsets[t]), paired by D_d[b + o_i] where
+    d = o_j - o_i and D_d[b] pairs beams b and b + d. Returns the flat grid
+    index of b + d for each d used, (d values, beams), and per codebook over
+    (upper-triangle pairs, t): which d; the flat index of b + o_i, with the
+    beams last; and the weights conj(a_ip) * a_jq / (ports * r) of the
+    polarization products D_d[p, q], a_i = (1, cophase), (pairs, t, i2, 4).
+    """
+    if len({(cb.cfg, cb.grid.shape) for cb in cbs}) != 1:
+        raise ValueError("Type I codebooks must share one panel and beam grid")
+    n_l, n_m = cbs[0].grid.shape[:2]
+    l, m = np.divmod(np.arange(n_l * n_m), n_m)
+
+    def moved(offset):  # flat grid index of every beam moved by offset (..., 2)
+        return (l + offset[..., :1]) % n_l * n_m + (m + offset[..., 1:]) % n_m
+
+    steps, tables = [], []
+    for cb in cbs:
+        r = cb.col_offsets.shape[1]
+        iu, ju = np.triu_indices(r)
+        o_i = cb.col_offsets[:, iu].swapaxes(0, 1)  # (pairs, t, 2)
+        steps.append(cb.col_offsets[:, ju].swapaxes(0, 1) - o_i)
+        c_i, c_j = cb.cophase[..., iu], cb.cophase[..., ju]  # (t, i2, pairs)
+        weights = np.stack([np.ones_like(c_i), c_j, c_i.conj(), c_i.conj() * c_j], axis=-1)
+        tables.append((moved(o_i), weights.transpose(2, 0, 1, 3) / (cb.cfg.num_ports * r)))
+    diffs, which = np.unique(np.concatenate([d.reshape(-1, 2) for d in steps]), axis=0,
+                             return_inverse=True)
+    which = np.split(which, np.cumsum([d.size // 2 for d in steps])[:-1])
+    return moved(diffs), [(w.reshape(d.shape[:2]), *t) for w, d, t in zip(which, steps, tables)]
+
+
 def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook],
                   table: CqiTable) -> CsiReport:
     num_sb, num_rx, num_tx = h.shape
-    for rank, cb in codebooks.items():
-        if len(cb) == 0:
-            raise ValueError(f"rank-{rank} codebook is empty")
     ranks = [rank for rank in sorted(codebooks) if rank <= min(num_rx, num_tx)]
     if not ranks:
         raise ValueError("no codebook rank is usable for this channel size")
-    candidates = (
-        (rank, _effective_sinr(_layer_sinr_batch(
-            np.einsum("kij,ejr->ekir", h, codebooks[rank].w_stack), noise_var)))
-        for rank in ranks)
+    shifts, plans = _gram_plan(tuple(codebooks[rank] for rank in ranks))
+    # x[p, :, b] = H_p v_b for polarization p and grid beam b: (2, rx, beams, subbands).
+    grid = codebooks[ranks[0]].grid
+    x = grid.reshape(shifts.shape[1], -1) @ h.reshape(num_sb, num_rx, 2, -1).transpose(2, 1, 3, 0)
+    # prod[p, q, d, b] = sum over rx of conj(x[p, :, b]) * x[q, :, b + d]
+    prod = (x.conj()[:, None, :, None] * x[:, :, shifts][None]).sum(axis=2)
+    prod = prod.reshape(4, *prod.shape[2:])
+    candidates = []
+    for rank, (which, base, weights) in zip(ranks, plans):
+        gathered = prod[np.arange(4)[:, None], which[:, :, None, None], base[:, :, None, :]]
+        gram = weights @ gathered.reshape(*gathered.shape[:3], -1)  # (pairs, t, i2, beams * subbands)
+        sinr = _mmse_sinr(gram, noise_var).reshape(-1, *gram.shape[1:3], *prod.shape[2:])
+        eff = _effective_sinr(np.moveaxis(sinr, 0, -1))  # (t, i2, beams)
+        candidates.append((rank, eff.transpose(2, 0, 1).ravel()))  # in entry order
     tp, rank, e, cqi = _choose(candidates, table)
     pmi = codebooks[rank].pmi_of(e)
     report_pmi = TypeIPmi(pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband * num_sb)

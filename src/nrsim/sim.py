@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 import os
 from collections import Counter
@@ -162,6 +163,13 @@ def _aggregate(snr_db: float, per_slot_tp: np.ndarray, ri_counts: Counter,
     )
 
 
+@functools.cache
+def _built(build, *args):
+    """build(*args), once per process: a codebook structure depends only on
+    its frozen arguments, and its arrays are read-only, so points share it."""
+    return build(*args)
+
+
 def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     scenario = cfg.scenario
     antenna, table, ch_cfg = scenario.antenna, scenario.cqi_table, scenario.channel
@@ -186,9 +194,9 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     ov = oversampling_factors(antenna)
     if cfg.codebook_mode is CodebookMode.TYPE1:
         max_rank = min(4, num_rx, num_tx)
-        selector = {r: build_type1_codebook(antenna, r, ov) for r in range(1, max_rank + 1)}
+        selector = {r: _built(build_type1_codebook, antenna, r, ov) for r in range(1, max_rank + 1)}
     else:
-        selector = build_type2_structure(antenna, scenario.type2, ov)
+        selector = _built(build_type2_structure, antenna, scenario.type2, ov)
 
     per_slot_tp = np.zeros(scored)
     ri_counts: Counter = Counter()

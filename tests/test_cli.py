@@ -228,6 +228,9 @@ _WORD = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, ma
 _NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 _NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e999"])
 _SECTION_KEY = st.sampled_from(sorted(_DEFAULTS)).map(lambda key: key.split("."))
+# Numeric keys the test's flags do not override.
+_NUMERIC_KEY = st.sampled_from(sorted(key for key, value in _DEFAULTS.items()
+                                      if isinstance(value, (int, float)) and key != "sweep.slots"))
 
 
 def _is_number(text: str) -> bool:
@@ -257,6 +260,8 @@ _BAD_INI = st.one_of(
     st.tuples(_WORD, _WORD).filter(lambda t: ".".join(t) not in _DEFAULTS).map(
         lambda t: f"[{t[0]}]\n{t[1]} = 1\n"),
     _WORD.map(lambda word: f"[sweep]\n{word}\n"),  # neither '=' nor ':'
+    st.tuples(_NUMERIC_KEY, _JUNK).map(  # a value that does not parse
+        lambda t: "[{}]\n{} = {}\n".format(*t[0].split("."), t[1])),
     _WORD.map(lambda word: "{" + word),  # a manifest that is not JSON
 ).map(str.encode) | _with_bad_byte("[sweep]\nslots = 2\n")
 
@@ -318,6 +323,26 @@ def test_malformed_input_file_exits_2_naming_it(case):
                          "--out", str(Path(tmp) / "out")])
     assert code == 2, err.getvalue()
     assert str(bad) in err.getvalue()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("sweep", "slots", "abc"),
+    ("sweep", "seed", "1.5"),
+    ("channel", "doppler_hz", "fast"),
+    ("sweep", "snr", "0:1"),
+    ("sweep", "codebook", "type3"),
+])
+def test_bad_config_value_names_file_and_key(tmp_path, capsys, section, key, value):
+    """A bad value read from a --config file names that file and the key; the
+    same value given as a flag names only the key."""
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {config}: {section}.{key} " in capsys.readouterr().err
+    if key == "snr":
+        assert main(["sweep", "--config", str(config), f"--snr={value}",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {section}.{key} ")
 
 
 def test_multi_mode_manifest_feeds_overhead_and_dump(tmp_path, capsys):

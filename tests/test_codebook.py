@@ -167,6 +167,17 @@ class TestType1Codebook:
             assert np.array_equal(cb.matrices[pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband[0]],
                                   cb.w_stack[e])
 
+    def test_tables_read_only(self):
+        """Codebooks are shared between sweep points, so nothing may write
+        into them."""
+        cfg, ov = _panel(2, 2)
+        cb = build_type1_codebook(cfg, 2, ov)
+        space = build_type2_structure(cfg, Type2Config(), ov)
+        for table in (cb.grid, cb.col_offsets, cb.cophase, cb.matrices, cb.w_stack,
+                      space.beams, space.combos):
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 0
+
     def test_lexicographic_enumeration(self):
         cfg, ov = _panel(4, 2)
         cb = build_type1_codebook(cfg, 2, ov)

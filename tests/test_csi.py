@@ -25,7 +25,8 @@ from nrsim import (
     select_csi,
     svd_precode,
 )
-from nrsim.codebook import TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES
+from nrsim.codebook import TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES, TypeIPmi
+from nrsim.csi import CsiReport, _choose, _effective_sinr, _mmse_sinr
 
 
 def _rand_h(rng, num_rx, num_tx):
@@ -101,7 +102,46 @@ def _mmse_sinr_explicit(g, noise_var):
     return np.asarray(out)
 
 
+def _layer_sinr_inv(g, noise_var):
+    """Per-layer MMSE SINR of effective channels g (..., rx, layers) through
+    np.linalg.inv: the formula the closed-form and sweep helper replaced."""
+    r = g.shape[-1]
+    gram = np.einsum("...ir,...is->...rs", g.conj(), g)
+    diag = np.einsum("...ii->...i", np.linalg.inv(np.eye(r) + gram / noise_var)).real
+    return np.maximum(1.0 / diag - 1.0, 0.0)
+
+
+def _select_type1_einsum_inv(h, noise_var, codebooks, table):
+    """Type I selection as it was before the beam-Gram search: every entry's
+    effective channel H @ W formed explicitly, its SINRs through
+    np.linalg.inv, rated by the shared rule."""
+    num_sb, num_rx, num_tx = h.shape
+    ranks = [rank for rank in sorted(codebooks) if rank <= min(num_rx, num_tx)]
+    candidates = (
+        (rank, _effective_sinr(_layer_sinr_inv(
+            np.einsum("kij,ejr->ekir", h, codebooks[rank].w_stack), noise_var)))
+        for rank in ranks)
+    tp, rank, e, cqi = _choose(candidates, table)
+    pmi = codebooks[rank].pmi_of(e)
+    report_pmi = TypeIPmi(pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband * num_sb)
+    return CsiReport(ri=rank, pmi=report_pmi, cqi=cqi, predicted_throughput=tp)
+
+
 class TestLayerSinr:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_helper_matches_inverse(self, rank):
+        """The closed-form (r <= 2) and sweep (r = 3, 4) MMSE SINRs match
+        np.linalg.inv on Hermitian positive-definite Grams from -10 to 40 dB."""
+        rng = np.random.default_rng(20 + rank)
+        iu, ju = np.triu_indices(rank)
+        for snr_db in range(-10, 45, 5):
+            nv = 10.0 ** (-snr_db / 10.0)
+            g = _rand_h(rng, 500 * (rank + 2), rank).reshape(500, rank + 2, rank)
+            gram = g.conj().swapaxes(-1, -2) @ g
+            got = _mmse_sinr(np.moveaxis(gram[:, iu, ju], -1, 0), nv)
+            assert got.shape == (rank, 500)
+            np.testing.assert_allclose(got.T, _layer_sinr_inv(g, nv), rtol=1e-12, atol=0.0)
+
     def test_scalar_channel(self):
         h = np.array([[0.5 - 1.0j]])
         got = layer_sinr_mmse(h, np.array([[1.0]]), 0.25)
@@ -344,6 +384,51 @@ class TestSelectCsi:
             assert cbs[rank].index_of_pmi(report.pmi) == idx
             assert report.cqi == cqi
             assert report.predicted_throughput == pytest.approx(metric, abs=1e-12)
+
+    @pytest.mark.parametrize("layout", [(2, 2), (4, 1)])
+    def test_matches_brute_force_ranks_1_to_4(self, layout):
+        """Ranks 3-4 and a panel with both grid axes oversampled, against
+        the double-loop evaluator, with 4 rx from -10 to 40 dB."""
+        cfg = AntennaConfig(*layout)
+        ov = oversampling_factors(cfg)
+        cbs = {r: build_type1_codebook(cfg, r, ov) for r in (1, 2, 3, 4)}
+        table = CqiTable.default()
+        rng = np.random.default_rng(17)
+        ranks = []
+        for snr_db in (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0):
+            nv = 10.0 ** (-snr_db / 10.0)
+            h = np.stack([_rand_h(rng, 4, cfg.num_ports) for _ in range(2)])
+            report = select_csi(h, nv, cbs, table)
+            metric, rank, idx, cqi = _brute_force_type1(h, nv, cbs, table)
+            assert (report.ri, cbs[report.ri].index_of_pmi(report.pmi), report.cqi) == (rank, idx, cqi)
+            assert report.predicted_throughput == pytest.approx(metric, abs=1e-12)
+            ranks.append(report.ri)
+        assert {3, 4} <= set(ranks)
+
+    def test_matches_einsum_inverse_selection_4x2(self):
+        """The beam-Gram search gives the same reports as forming every H @ W
+        and inverting, on the 16-port panel from -10 to 40 dB."""
+        cfg = AntennaConfig(4, 2)
+        ov = oversampling_factors(cfg)
+        cbs = {r: build_type1_codebook(cfg, r, ov) for r in (1, 2, 3, 4)}
+        table = CqiTable.default()
+        rng = np.random.default_rng(18)
+        ranks = []
+        for snr_db in range(-10, 45, 5):
+            nv = 10.0 ** (-snr_db / 10.0)
+            for _ in range(3):
+                h = np.stack([_rand_h(rng, 4, cfg.num_ports) for _ in range(4)])
+                report = select_csi(h, nv, cbs, table)
+                assert report == _select_type1_einsum_inv(h, nv, cbs, table)
+                ranks.append(report.ri)
+        assert set(ranks) == {1, 2, 3, 4}
+
+    def test_codebooks_of_two_panels_rejected(self):
+        """4x1 and 2x2 panels both have 8 ports, but not the same beam grid."""
+        cbs = {rank: build_type1_codebook(cfg, rank, oversampling_factors(cfg))
+               for rank, cfg in ((1, AntennaConfig(4, 1)), (2, AntennaConfig(2, 2)))}
+        with pytest.raises(ValueError, match="one panel"):
+            select_csi(np.ones((1, 2, 8), dtype=complex), 1.0, cbs, CqiTable.default())
 
     def test_rank_above_rx_count_skipped(self):
         cfg = AntennaConfig(2, 1)

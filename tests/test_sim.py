@@ -174,13 +174,38 @@ class TestRunSweep:
                 assert pt.mean_overhead_bits == expected_overhead(probs, bits)
 
     def test_parallel_matches_sequential(self, monkeypatch):
+        """Points depend neither on the worker count nor on which points a
+        worker ran before, though each process builds its codebooks once."""
         cfg = _mini_config(slots=25)
+        cfgs = [_mini_config(mode=mode, snr=(0.0, 10.0, 20.0), slots=25) for mode in CodebookMode]
         monkeypatch.setenv("NRSIM_THREADS", "1")
         seq = run_sweep(cfg)
+        seq_cmp = compare_modes(cfgs)
         monkeypatch.delenv("NRSIM_THREADS")
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
         par = run_sweep(cfg)
+        par_cmp = compare_modes(cfgs)
         assert seq.points == par.points
+        assert [res.mode for res in par_cmp.results] == list(CodebookMode)
+        assert [res.points for res in seq_cmp.results] == [res.points for res in par_cmp.results]
+
+    def test_codebooks_built_once_per_process(self, monkeypatch):
+        builds = []
+
+        def counting(build):
+            def wrapper(*args):
+                builds.append((build.__name__, *args))
+                return build(*args)
+            return wrapper
+
+        for name in ("build_type1_codebook", "build_type2_structure"):
+            monkeypatch.setattr(sim, name, counting(getattr(sim, name)))
+        monkeypatch.setenv("NRSIM_THREADS", "1")
+        for mode in (CodebookMode.TYPE1, CodebookMode.TYPE2):
+            run_sweep(_mini_config(mode=mode, snr=(0.0, 10.0, 20.0), slots=5))
+            run_sweep(_mini_config(mode=mode, snr=(5.0,), slots=5))
+        assert sorted(b[0] for b in builds) == ["build_type1_codebook"] * 2 + ["build_type2_structure"]
+        assert len(set(builds)) == len(builds)
 
     def test_thread_env_validation(self, monkeypatch):
         monkeypatch.setenv("NRSIM_THREADS", "two")
