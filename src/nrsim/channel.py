@@ -7,11 +7,11 @@ is the DFT of the tap matrices at the tap delays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j0
 
 __all__ = [
     "ChannelConfig",
@@ -33,6 +33,48 @@ _CDL_A_POWERS_DB = (
     -7.5, -15.9, -6.6, -16.7, -12.4, -15.2, -10.8, -11.3,
     -12.7, -16.2, -18.3, -18.9, -16.6, -19.9, -29.7,
 )
+
+
+# Cephes j0, the routine scipy.special.j0 runs: a rational approximation in
+# z = x^2 up to x = 5, the Hankel asymptotic form above it. Coefficients are
+# highest power first; RQ and QQ carry their implicit leading 1.
+_J0_DR1, _J0_DR2 = 5.78318596294678452118e0, 3.04712623436620863991e1
+_J0_RP = (-4.79443220978201773821e9, 1.95617491946556577543e12, -2.49248344360967716204e14,
+          9.70862251047306323952e15)
+_J0_RQ = (1.0, 4.99563147152651017219e2, 1.73785401676374683123e5, 4.84409658339962045305e7,
+          1.11855537045356834862e10, 2.11277520115489217587e12, 3.10518229857422583814e14,
+          3.18121955943204943306e16, 1.71086294081043136091e18)
+_J0_PP = (7.96936729297347051624e-4, 8.28352392107440799803e-2, 1.23953371646414299388e0,
+          5.44725003058768775090e0, 8.74716500199817011941e0, 5.30324038235394892183e0,
+          9.99999999999999997821e-1)
+_J0_PQ = (9.24408810558863637013e-4, 8.56288474354474431428e-2, 1.25352743901058953537e0,
+          5.47097740330417105182e0, 8.76190883237069594232e0, 5.30605288235394617618e0,
+          1.00000000000000000218e0)
+_J0_QP = (-1.13663838898469149931e-2, -1.28252718670509318512e0, -1.95539544257735972385e1,
+          -9.32060152123768231369e1, -1.77681167980488050595e2, -1.47077505154951170175e2,
+          -5.14105326766599330220e1, -6.05014350600728481186e0)
+_J0_QQ = (1.0, 6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
+          7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3,
+          2.42005740240291393179e2)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    return functools.reduce(lambda acc, c: acc * x + c, coef)
+
+
+def _j0(x: float) -> float:
+    """Bessel J0 of a finite float, equal bit for bit to scipy.special.j0."""
+    x = abs(x)
+    if x <= 5.0:
+        z = x * x
+        if x < 1.0e-5:
+            return 1.0 - z / 4.0
+        return (z - _J0_DR1) * (z - _J0_DR2) * _polevl(z, _J0_RP) / _polevl(z, _J0_RQ)
+    w, q = 5.0 / x, 25.0 / (x * x)
+    p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+    q = _polevl(q, _J0_QP) / _polevl(q, _J0_QQ)
+    xn = x - math.pi / 4.0
+    return (p * math.cos(xn) - w * q * math.sin(xn)) * math.sqrt(2.0 / math.pi) / math.sqrt(x)
 
 
 def cdl_a_pdp() -> list[tuple[float, float]]:
@@ -188,7 +230,7 @@ def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRe
     delays_s = np.asarray([d for d, _ in cfg.pdp]) * cfg.delay_spread_ns * 1e-9
     powers = np.asarray([p for _, p in cfg.pdp])
     powers = powers / powers.sum()
-    rho = float(j0(2.0 * np.pi * cfg.doppler_hz * cfg.slot_duration_s))
+    rho = _j0(2.0 * np.pi * cfg.doppler_hz * cfg.slot_duration_s)
     k = np.arange(cfg.num_subbands)
     freqs = (k - (cfg.num_subbands - 1) / 2.0) * cfg.subband_spacing_hz
     phase = np.exp(-2j * np.pi * np.outer(freqs, delays_s))  # (subbands, taps)

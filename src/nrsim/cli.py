@@ -22,10 +22,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.special import j0
 
 from . import __version__
-from .channel import ChannelConfig, generate_channel, load_pdp_file
+from .channel import ChannelConfig, _j0, generate_channel, load_pdp_file
 from .codebook import AntennaConfig, Type2Config, build_type1_codebook, oversampling_factors
 from .csi import CqiTable
 from .overhead import type1_overhead_bits, type2_overhead_bits
@@ -95,6 +94,17 @@ class _Settings(dict):
     def name(self, key: str) -> str:
         """The key, prefixed by the file that set it, for error messages."""
         return f"{self.origins[key]}: {key}" if key in self.origins else key
+
+    def build(self, section: str, make, **kwargs):
+        """make(**kwargs); if make rejects them, the error also names the
+        --config file and the keys of section that it set."""
+        try:
+            return make(**kwargs)
+        except ValueError as exc:
+            keys = [key for key in self.origins if key.startswith(f"{section}.")]
+            if not keys:
+                raise
+            raise ValueError(f"{self.origins[keys[0]]}: {', '.join(keys)}: {exc}") from None
 
 
 def _resolve(args: argparse.Namespace) -> _Settings:
@@ -169,17 +179,22 @@ def _parse_modes(cfg: _Settings) -> list[CodebookMode]:
 
 
 def _antenna(cfg: _Settings) -> AntennaConfig:
-    return AntennaConfig(n1=_positive_int(cfg, "antenna.n1"), n2=_positive_int(cfg, "antenna.n2"))
+    antenna = cfg.build("antenna", AntennaConfig, n1=_positive_int(cfg, "antenna.n1"),
+                        n2=_positive_int(cfg, "antenna.n2"))
+    cfg.build("antenna", oversampling_factors, cfg=antenna)  # rejects an unsupported panel
+    return antenna
 
 
 def _type2(cfg: _Settings) -> Type2Config:
-    return Type2Config(num_beams=_positive_int(cfg, "type2.beams"), n_psk=_as_int(cfg, "type2.n_psk"))
+    return cfg.build("type2", Type2Config, num_beams=_positive_int(cfg, "type2.beams"),
+                     n_psk=_as_int(cfg, "type2.n_psk"))
 
 
 def _channel(cfg: _Settings, antenna: AntennaConfig) -> ChannelConfig:
     pdp_file = str(cfg["channel.pdp_file"])
     pdp = {"pdp": tuple(load_pdp_file(pdp_file))} if pdp_file else {}
-    return ChannelConfig(
+    return cfg.build(
+        "channel", ChannelConfig,
         num_tx_ports=antenna.num_ports,
         num_rx_ports=_positive_int(cfg, "channel.rx"),
         doppler_hz=_as_float(cfg, "channel.doppler_hz"),
@@ -228,8 +243,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     table = CqiTable.from_csv(table_path) if table_path else CqiTable.default()
     scenario = Scenario(antenna=antenna, channel=channel, type2=_type2(cfg), cqi_table=table)
     sweep_cfgs = [
-        SweepConfig(scenario=scenario, snr_points_db=snr_points, num_slots=slots,
-                    feedback_delay_slots=delay, codebook_mode=mode, seed=seed)
+        cfg.build("sweep", SweepConfig, scenario=scenario, snr_points_db=snr_points,
+                  num_slots=slots, feedback_delay_slots=delay, codebook_mode=mode, seed=seed)
         for mode in modes
     ]
     out = _out_dir(args)
@@ -327,7 +342,7 @@ def _cmd_channel_probe(args: argparse.Namespace) -> int:
     # Slot-to-slot correlation against the Jakes value at a Doppler that
     # separates cleanly from 1.
     doppler_corr = 100.0
-    rho_target = float(j0(2.0 * math.pi * doppler_corr * slot_s))
+    rho_target = _j0(2.0 * math.pi * doppler_corr * slot_s)
     h = generate_channel(replace(channel, doppler_hz=doppler_corr), slots, seed).h
     a = h[:-1].ravel()
     b = h[1:].ravel()

@@ -9,7 +9,8 @@ from scipy.special import j0
 from scipy.stats import gamma
 
 from nrsim import ChannelConfig, ChannelRealization, cdl_a_pdp, generate_channel, load_pdp_file
-from nrsim.channel import _tap_sequences
+from nrsim.channel import _j0, _tap_sequences
+from nrsim.cli import _J0_FIRST_ZERO
 
 
 def _bessel_j0_series(x: float) -> float:
@@ -198,6 +199,21 @@ class TestGenerateChannel:
         x = 2.0 * np.pi * 5.0 * 1e-3
         assert _bessel_j0_series(x) == pytest.approx(0.999753275109726, abs=1e-12)
         assert float(j0(x)) == pytest.approx(_bessel_j0_series(x), abs=1e-12)
+
+
+def test_j0_port_matches_scipy_bit_for_bit():
+    """The in-repo J0 equals scipy.special.j0 exactly: across the small-x
+    form (< 1e-5), the rational form (<= 5) and the Hankel form (> 5), at
+    both branch points and their neighbours, for negative x, and at every
+    Jakes argument 2*pi*f_d*T that the tests, the probe and the bench use."""
+    edges = [v for e in (1e-5, 5.0) for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 10.0))]
+    slots = (1e-3, 1e-2)
+    jakes = [2.0 * np.pi * f_d * t for f_d in (0.0, 5.0, 50.0, 100.0, 200.0, 383.0, 500.0)
+             for t in slots]
+    jakes += [2.0 * math.pi * (_J0_FIRST_ZERO / (2.0 * math.pi * t)) * t for t in slots]
+    x = np.concatenate([np.linspace(-40.0, 200.0, 120_001), np.geomspace(1e-300, 1e-3, 3001),
+                        [0.0, -0.0, 1e300], edges, np.negative(edges), jakes])
+    assert np.array_equal(np.array([_j0(float(v)) for v in x]), j0(x))
 
 
 @settings(deadline=None, max_examples=25)

@@ -3,7 +3,10 @@
 import configparser
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -343,6 +346,45 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, section, key, val
         assert main(["sweep", "--config", str(config), f"--snr={value}",
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {section}.{key} ")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("channel", "doppler_hz", "inf"),
+    ("antenna", "n1", "5"),
+    ("type2", "beams", "9"),
+    ("sweep", "feedback_delay", "5"),
+])
+def test_config_object_rejection_names_file_and_key(tmp_path, capsys, section, key, value):
+    """A --config value that parses but that a config object rejects names
+    the file and the key as well as the object's own complaint."""
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main(["sweep", "--config", str(config), "--slots", "2", "--snr", "0",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {config}: {section}.{key}: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["overhead", "--codebook", "type2", "--beams", "9"], "num_beams must be in {2,3,4}, got 9"),
+    (["sweep", "--slots", "1", "--snr", "0"],
+     "num_slots=1 leaves no scored slots at feedback_delay_slots=1"),
+])
+def test_config_object_rejection_of_a_flag_names_no_file(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_import_loads_numpy_random_and_no_scipy():
+    """Importing nrsim and its CLI never loads scipy, and loads numpy.random
+    up front, so forked pool workers inherit it instead of importing it."""
+    code = ("import sys, nrsim, nrsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules)")
+    src = str(Path(nrsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[] True\n"
 
 
 def test_multi_mode_manifest_feeds_overhead_and_dump(tmp_path, capsys):

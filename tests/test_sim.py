@@ -2,6 +2,7 @@
 
 import csv
 import math
+import types
 
 import numpy as np
 import pytest
@@ -211,6 +212,32 @@ class TestRunSweep:
         monkeypatch.setenv("NRSIM_THREADS", "two")
         with pytest.raises(ValueError, match="NRSIM_THREADS"):
             run_sweep(_mini_config(slots=5))
+
+    def test_worker_initializer_fixes_heap_thresholds(self, monkeypatch):
+        calls = []
+        libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(sim.ctypes, "CDLL", lambda name: libc)
+        sim._init_worker()
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize("missing", ["symbol", "library"])
+    def test_worker_initializer_without_mallopt_is_silent(self, monkeypatch, capfd, missing):
+        """Where the C library has no mallopt, or does not load, the
+        initializer does nothing: pool workers start, compute the same
+        points, and print nothing."""
+        def cdll(name):
+            if missing == "library":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(sim.ctypes, "CDLL", cdll)
+        assert sim._init_worker() is None
+        cfg = _mini_config(slots=5)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        par = run_sweep(cfg)
+        monkeypatch.setenv("NRSIM_THREADS", "1")
+        assert par.points == run_sweep(cfg).points
+        assert capfd.readouterr() == ("", "")
 
 
 class TestCompareModes:
