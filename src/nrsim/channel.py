@@ -155,7 +155,8 @@ class ChannelConfig:
 
     def __post_init__(self) -> None:
         if self.num_tx_ports < 1 or self.num_rx_ports < 1:
-            raise ValueError("port counts must be positive")
+            raise ValueError(f"num_tx_ports and num_rx_ports must be positive, "
+                             f"got ({self.num_tx_ports}, {self.num_rx_ports})")
         for name in ("doppler_hz", "delay_spread_ns", "subband_spacing_hz", "slot_duration_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -167,6 +168,11 @@ class ChannelConfig:
             raise ValueError(f"num_subbands must be >= 1, got {self.num_subbands}")
         if self.subband_spacing_hz <= 0 or self.slot_duration_s <= 0:
             raise ValueError("subband_spacing_hz and slot_duration_s must be positive")
+        if not math.isfinite(2.0 * math.pi * self.doppler_hz * self.slot_duration_s):
+            raise ValueError(
+                f"the Jakes argument 2*pi*doppler_hz*slot_duration_s must be finite, got "
+                f"doppler_hz={self.doppler_hz!r}, slot_duration_s={self.slot_duration_s!r}"
+            )
         if len(self.pdp) == 0:
             raise ValueError("pdp must contain at least one tap")
         object.__setattr__(self, "pdp", tuple((float(d), float(p)) for d, p in self.pdp))

@@ -66,6 +66,8 @@ _J0_FIRST_ZERO = 2.404825557695773
 
 
 def _load_config_file(path: str) -> dict[str, object]:
+    """The settings of an INI file or manifest, each converted to the type
+    of its key's default."""
     try:
         text = Path(path).read_text(encoding="utf-8")
         if text.lstrip().startswith("{"):
@@ -76,14 +78,22 @@ def _load_config_file(path: str) -> dict[str, object]:
             parser.read_string(text)
             flat = {f"{section}.{key}": value for section in parser.sections()
                     for key, value in parser.items(section)}
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, configparser.Error) as exc:
+    except (ValueError, RecursionError, configparser.Error) as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(flat, dict):
         raise ValueError(f"{path}: manifest 'config' must be an object")
     unknown = sorted(set(flat) - set(_DEFAULTS))
     if unknown:
         raise ValueError(f"{path}: unknown config key {unknown[0]!r}")
-    return dict(flat)
+    typed = {}
+    for key, value in flat.items():
+        kind = type(_DEFAULTS[key])
+        try:
+            typed[key] = kind(str(value))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{path}: {key} must be {noun}, got {value!r}") from None
+    return typed
 
 
 class _Settings(dict):
@@ -95,13 +105,13 @@ class _Settings(dict):
         """The key, prefixed by the file that set it, for error messages."""
         return f"{self.origins[key]}: {key}" if key in self.origins else key
 
-    def build(self, section: str, make, **kwargs):
+    def build(self, sections: str, make, **kwargs):
         """make(**kwargs); if make rejects them, the error also names the
-        --config file and the keys of section that it set."""
+        --config file and the keys it set in the space-separated sections."""
         try:
             return make(**kwargs)
         except ValueError as exc:
-            keys = [key for key in self.origins if key.startswith(f"{section}.")]
+            keys = [key for key in self.origins if key.split(".")[0] in sections.split()]
             if not keys:
                 raise
             raise ValueError(f"{self.origins[keys[0]]}: {', '.join(keys)}: {exc}") from None
@@ -109,7 +119,7 @@ class _Settings(dict):
 
 def _resolve(args: argparse.Namespace) -> _Settings:
     """Defaults, overridden by the --config file, overridden by the flags
-    whose dest is a config key."""
+    whose dest is a config key; every value has its default's type."""
     from_file = _load_config_file(args.config) if args.config else {}
     flags = {key: value for key, value in vars(args).items()
              if key in _DEFAULTS and value is not None}
@@ -118,30 +128,9 @@ def _resolve(args: argparse.Namespace) -> _Settings:
     return settings
 
 
-def _as_int(cfg: _Settings, key: str) -> int:
-    try:
-        return int(str(cfg[key]))
-    except ValueError:
-        raise ValueError(f"{cfg.name(key)} must be an integer, got {cfg[key]!r}") from None
-
-
-def _as_float(cfg: _Settings, key: str) -> float:
-    try:
-        return float(str(cfg[key]))
-    except ValueError:
-        raise ValueError(f"{cfg.name(key)} must be a number, got {cfg[key]!r}") from None
-
-
-def _positive_int(cfg: _Settings, key: str) -> int:
-    value = _as_int(cfg, key)
-    if value < 1:
-        raise ValueError(f"{cfg.name(key)} must be a positive integer, got {value}")
-    return value
-
-
 def _parse_snr(cfg: _Settings) -> tuple[float, ...]:
     spec, name = cfg["sweep.snr"], cfg.name("sweep.snr")
-    parts = str(spec).split(":")
+    parts = spec.split(":")
     try:
         if len(parts) not in (1, 3):
             raise ValueError
@@ -168,7 +157,7 @@ def _parse_snr(cfg: _Settings) -> tuple[float, ...]:
 def _parse_modes(cfg: _Settings) -> list[CodebookMode]:
     """Comma-separated mode labels, each at most once, in the given order."""
     spec, name = cfg["sweep.codebook"], cfg.name("sweep.codebook")
-    labels = [label.strip() for label in str(spec).split(",")]
+    labels = [label.strip() for label in spec.split(",")]
     known = {mode.value: mode for mode in CodebookMode}
     for label in labels:
         if label not in known:
@@ -179,29 +168,27 @@ def _parse_modes(cfg: _Settings) -> list[CodebookMode]:
 
 
 def _antenna(cfg: _Settings) -> AntennaConfig:
-    antenna = cfg.build("antenna", AntennaConfig, n1=_positive_int(cfg, "antenna.n1"),
-                        n2=_positive_int(cfg, "antenna.n2"))
+    antenna = cfg.build("antenna", AntennaConfig, n1=cfg["antenna.n1"], n2=cfg["antenna.n2"])
     cfg.build("antenna", oversampling_factors, cfg=antenna)  # rejects an unsupported panel
     return antenna
 
 
 def _type2(cfg: _Settings) -> Type2Config:
-    return cfg.build("type2", Type2Config, num_beams=_positive_int(cfg, "type2.beams"),
-                     n_psk=_as_int(cfg, "type2.n_psk"))
+    return cfg.build("type2", Type2Config, num_beams=cfg["type2.beams"], n_psk=cfg["type2.n_psk"])
 
 
 def _channel(cfg: _Settings, antenna: AntennaConfig) -> ChannelConfig:
-    pdp_file = str(cfg["channel.pdp_file"])
+    pdp_file = cfg["channel.pdp_file"]
     pdp = {"pdp": tuple(load_pdp_file(pdp_file))} if pdp_file else {}
     return cfg.build(
         "channel", ChannelConfig,
         num_tx_ports=antenna.num_ports,
-        num_rx_ports=_positive_int(cfg, "channel.rx"),
-        doppler_hz=_as_float(cfg, "channel.doppler_hz"),
-        delay_spread_ns=_as_float(cfg, "channel.delay_spread_ns"),
-        num_subbands=_positive_int(cfg, "channel.subbands"),
-        subband_spacing_hz=_as_float(cfg, "channel.subband_spacing_hz"),
-        slot_duration_s=_as_float(cfg, "channel.slot_duration_s"),
+        num_rx_ports=cfg["channel.rx"],
+        doppler_hz=cfg["channel.doppler_hz"],
+        delay_spread_ns=cfg["channel.delay_spread_ns"],
+        num_subbands=cfg["channel.subbands"],
+        subband_spacing_hz=cfg["channel.subband_spacing_hz"],
+        slot_duration_s=cfg["channel.slot_duration_s"],
         **pdp,
     )
 
@@ -233,23 +220,22 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     snr_points = _parse_snr(cfg)
-    slots = _positive_int(cfg, "sweep.slots")
-    delay = _as_int(cfg, "sweep.feedback_delay")
-    seed = _as_int(cfg, "sweep.seed")
     modes = _parse_modes(cfg)
     antenna = _antenna(cfg)
     channel = _channel(cfg, antenna)
-    table_path = str(cfg["csi.cqi_table"])
+    table_path = cfg["csi.cqi_table"]
     table = CqiTable.from_csv(table_path) if table_path else CqiTable.default()
     scenario = Scenario(antenna=antenna, channel=channel, type2=_type2(cfg), cqi_table=table)
-    sweep_cfgs = [
-        cfg.build("sweep", SweepConfig, scenario=scenario, snr_points_db=snr_points,
-                  num_slots=slots, feedback_delay_slots=delay, codebook_mode=mode, seed=seed)
+    sweep_cfgs = [  # in Type II mode SweepConfig also checks the beam count against the panel
+        cfg.build("sweep antenna type2" if mode is CodebookMode.TYPE2 else "sweep", SweepConfig,
+                  scenario=scenario, snr_points_db=snr_points, num_slots=cfg["sweep.slots"],
+                  feedback_delay_slots=cfg["sweep.feedback_delay"], codebook_mode=mode,
+                  seed=cfg["sweep.seed"])
         for mode in modes
     ]
     out = _out_dir(args)
     paths = [out / "sweep.csv", out / "ri_hist.csv", out / "cqi_hist.csv"]
-    _write_manifest(out, "sweep", cfg, seed, paths)
+    _write_manifest(out, "sweep", cfg, cfg["sweep.seed"], paths)
     comparison = compare_modes(sweep_cfgs)
     write_sweep_csv(comparison.results, paths[0])
     write_ri_hist_csv(comparison.results, paths[1])
@@ -272,8 +258,6 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     antenna = _antenna(cfg)
     ov = oversampling_factors(antenna)
-    if args.subbands < 1:
-        raise ValueError(f"subbands must be a positive integer, got {args.subbands}")
     if args.codebook == "type2":
         breakdown = type2_overhead_bits(antenna, ov, _type2(cfg), args.rank, args.subbands)
     else:
@@ -324,7 +308,7 @@ def _cmd_channel_probe(args: argparse.Namespace) -> int:
     cfg, slots = _resolve(args), args.slots
     if slots < 2:
         raise ValueError(f"slots must be >= 2 for the probe, got {slots}")
-    seed = _as_int(cfg, "sweep.seed")
+    seed = cfg["sweep.seed"]
     channel = _channel(cfg, _antenna(cfg))
     slot_s = channel.slot_duration_s
     ok = True

@@ -317,6 +317,13 @@ class Type2Config:
         if self.n_psk not in (4, 8):
             raise ValueError(f"n_psk must be 4 or 8, got {self.n_psk}")
 
+    def check_panel(self, cfg: AntennaConfig) -> None:
+        """Reject a beam count above the panel's n1*n2 orthogonal beams."""
+        if self.num_beams > cfg.n1 * cfg.n2:
+            raise ValueError(
+                f"num_beams={self.num_beams} exceeds the {cfg.n1 * cfg.n2} orthogonal beams"
+            )
+
 
 class Type2CodebookSpace:
     """Type II structure, built once; precoders are realized on demand from a
@@ -329,10 +336,7 @@ class Type2CodebookSpace:
     """
 
     def __init__(self, cfg: AntennaConfig, t2: Type2Config, ov: Oversampling):
-        if t2.num_beams > cfg.n1 * cfg.n2:
-            raise ValueError(
-                f"num_beams={t2.num_beams} exceeds the {cfg.n1 * cfg.n2} orthogonal beams"
-            )
+        t2.check_panel(cfg)
         self.cfg = cfg
         self.t2 = t2
         n1, n2, o1, o2 = cfg.n1, cfg.n2, ov.o1, ov.o2

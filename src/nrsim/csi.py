@@ -174,17 +174,15 @@ def _mmse_sinr(upper, noise_var: float) -> np.ndarray:
     against roundoff, for Hermitian r x r Grams G given by their upper
     triangle: upper[n] is G[i, j] for the n-th (i, j) of np.triu_indices(r),
     the batch on its trailing axes. Returns (r, *batch). Works on A = G +
-    nv*I: closed form for r <= 2, else one Gauss-Jordan sweep per index (no
-    pivot search, A being positive definite), which turns A into -A^-1;
-    only the upper triangle is kept, and entries no later step reads are not
-    updated."""
+    nv*I: closed form for r = 2, else one Gauss-Jordan sweep per index (no
+    pivot search, A being positive definite), which turns A into -A^-1 (at
+    r = 1, -1/a00); only the upper triangle is kept, and entries no later
+    step reads are not updated."""
     r = (math.isqrt(8 * len(upper) + 1) - 1) // 2
     a = [[None] * r for _ in range(r)]
     for (i, j), g in zip(((i, j) for i in range(r) for j in range(i, r)), upper):
         a[i][j] = g.real + noise_var if i == j else g
-    if r == 1:
-        inv_diag = [1.0 / a[0][0]]
-    elif r == 2:
+    if r == 2:
         det = a[0][0] * a[1][1] - (a[0][1].real ** 2 + a[0][1].imag ** 2)
         inv_diag = [a[1][1] / det, a[0][0] / det]
     else:
@@ -403,10 +401,11 @@ def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
     p_pol = num_tx // 2
     h_pol = h.reshape(num_sb, num_rx, 2, p_pol)
 
-    # Stage 1: the (rotation, beam subset) pair maximizing the projection
-    # power of H onto the beam span, summed over subbands and polarizations;
-    # np.argmax keeps the first of tied pairs in (q1, q2, i12) order.
-    proj = np.einsum("krpe,qsbe->qskrpb", h_pol, space.beams.conj()) / math.sqrt(p_pol)
+    # Stage 1: the (rotation, beam subset) pair maximizing sum_b ||H_p v_b||^2,
+    # the power each polarization's channel H_p sends through the chosen
+    # beams, summed over subbands and polarizations; np.argmax keeps the
+    # first of tied pairs in (q1, q2, i12) order.
+    proj = np.einsum("krpe,qsbe->qskrpb", h_pol, space.beams) / math.sqrt(p_pol)
     gains = np.sum(np.abs(proj) ** 2, axis=(2, 3, 4))  # (o1, o2, n1*n2)
     scores = np.sum(gains[:, :, space.combos], axis=-1)  # (o1, o2, combinations)
     q1, q2, i12 = (int(i) for i in np.unravel_index(np.argmax(scores), scores.shape))

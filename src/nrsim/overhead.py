@@ -69,10 +69,7 @@ def type2_overhead_bits(cfg: AntennaConfig, ov: Oversampling, t2: Type2Config,
         raise ValueError(f"layers must be in 1..{TYPE2_MAX_RANK}, got {layers}")
     if num_subbands < 1:
         raise ValueError(f"num_subbands must be >= 1, got {num_subbands}")
-    if t2.num_beams > cfg.n1 * cfg.n2:
-        raise ValueError(
-            f"num_beams={t2.num_beams} exceeds the {cfg.n1 * cfg.n2} orthogonal beams"
-        )
+    t2.check_panel(cfg)
     two_b = 2 * t2.num_beams
     per = {
         "i11": _bits(ov.o1) + _bits(ov.o2),

@@ -108,8 +108,10 @@ class SweepConfig:
                 f"num_slots={self.num_slots} leaves no scored slots at "
                 f"feedback_delay_slots={self.feedback_delay_slots}"
             )
-        if self.codebook_mode is CodebookMode.TYPE2 and self.scenario.type2 is None:
-            raise ValueError("Type II mode needs a Type2Config in the scenario")
+        if self.codebook_mode is CodebookMode.TYPE2:
+            if self.scenario.type2 is None:
+                raise ValueError("Type II mode needs a Type2Config in the scenario")
+            self.scenario.type2.check_panel(self.scenario.antenna)
 
 
 @dataclass(frozen=True)

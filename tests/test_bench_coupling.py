@@ -2,7 +2,10 @@
 wraps module attributes by name, and its workloads build configs and
 codebooks through the package. These checks load bench/spans.py and
 bench/workloads.py as they are and fail when a refactor drops a name they
-use, which would otherwise surface only as a crash of `bench/run.py --trace 1`.
+use, or changes a call pattern they rely on, which would otherwise surface
+only as a crash of `bench/run.py --trace 1`: run.py divides by the time
+spent in `sim.run_sweep` (so compare_modes must call it once per config),
+and the tracer's `select_csi` wrapper unpacks `h.shape` as (subbands, rx, tx).
 """
 
 import importlib.util
@@ -39,3 +42,39 @@ def test_workload_builds(name):
     cfgs = workloads.build_configs(nrsim, wl, workloads.REFERENCE_SEED, wl.slots)
     assert [cfg.codebook_mode.value for cfg in cfgs] == list(wl.modes)
     workloads.build_codebooks(nrsim, wl)
+
+
+def _traced_compare_8x4(monkeypatch):
+    """compare_8x4's three configs at 3 slots, traced in-process as the
+    benchmark traces them; returns the tracer summary and the shape of every
+    slot view select_csi received."""
+    monkeypatch.setenv("NRSIM_THREADS", "1")
+    shapes = []
+    select_csi = nrsim.sim.select_csi
+
+    def recording(h, *args):
+        shapes.append(h.shape)
+        return select_csi(h, *args)
+
+    monkeypatch.setattr(nrsim.sim, "select_csi", recording)
+    wl = workloads.WORKLOADS["compare_8x4"]
+    tracer = spans.Tracer()
+    tracer.install(nrsim)
+    try:
+        nrsim.compare_modes(workloads.build_configs(nrsim, wl, workloads.REFERENCE_SEED, 3))
+    finally:
+        tracer.uninstall()
+    return tracer.summary(), shapes
+
+
+def test_compare_modes_runs_run_sweep_once_per_config(monkeypatch):
+    summary, _ = _traced_compare_8x4(monkeypatch)
+    assert summary["calls"]["sim.run_sweep"] == 3
+    assert sorted(summary["sweep_s_by_mode"]) == ["svd", "type1", "type2"]
+
+
+def test_select_csi_gets_3d_slot_views(monkeypatch):
+    _, shapes = _traced_compare_8x4(monkeypatch)
+    wl = workloads.WORKLOADS["compare_8x4"]
+    assert len(shapes) == 2 * len(wl.snr_db) * (3 - wl.feedback_delay)  # type1 and type2
+    assert set(shapes) == {(wl.subbands, wl.rx, wl.tx)}

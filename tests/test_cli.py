@@ -121,7 +121,7 @@ class TestSweepCommand:
         assert manifest["seed"] == 5
         # Flag overrides the file value; the file overrides the default.
         assert manifest["config"]["sweep.slots"] == 25
-        assert manifest["config"]["channel.subbands"] == "3"
+        assert manifest["config"]["channel.subbands"] == 3
 
     def test_manifest_rerun_reproduces(self, small_ini, tmp_path, capsys):
         first = tmp_path / "a"
@@ -362,6 +362,56 @@ def test_config_object_rejection_names_file_and_key(tmp_path, capsys, section, k
     assert main(["sweep", "--config", str(config), "--slots", "2", "--snr", "0",
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {config}: {section}.{key}: ")
+
+
+def test_unread_bad_value_still_fails(tmp_path, capsys):
+    """Every --config value is typed at load, so a value that does not parse
+    fails even a command that never reads its key."""
+    config = tmp_path / "run.ini"
+    config.write_text("[sweep]\nslots = abc\n")
+    assert main(["overhead", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {config}: sweep.slots must be an integer, got 'abc'\n")
+
+
+def test_manifest_with_string_values_loads(small_ini, tmp_path, capsys):
+    """Manifests hold typed values; one that holds the strings an INI file
+    gives (as older manifests do) reruns to the same CSVs."""
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["sweep", "--config", str(small_ini), "--slots", "25", "--seed", "5",
+                 "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["config"]["channel.doppler_hz"] == 5.0
+    manifest["config"] = {key: str(value) for key, value in manifest["config"].items()}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    assert main(["sweep", "--config", str(old), "--out", str(second)]) == 0
+    for name in ("sweep.csv", "ri_hist.csv", "cqi_hist.csv"):
+        assert _read(first / name) == _read(second / name)
+
+
+def test_type2_beams_beyond_panel_refused_before_manifest(tmp_path, capsys):
+    """A Type II beam count the panel cannot hold exits 2, naming the file
+    and its keys, before manifest.json is written."""
+    config = tmp_path / "run.ini"
+    config.write_text("[antenna]\nn1 = 2\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--codebook", "type1,type2",
+                 "--slots", "2", "--snr", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {config}: antenna.n1: num_beams=4 exceeds the 2 orthogonal beams\n")
+    assert not (out / "manifest.json").exists()
+
+
+def test_jakes_overflow_names_file_and_keys(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[channel]\ndoppler_hz = 1e308\nslot_duration_s = 10\n")
+    assert main(["sweep", "--config", str(config), "--codebook", "svd", "--slots", "3",
+                 "--snr", "0", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: {config}: channel.doppler_hz, channel.slot_duration_s: ")
+    assert "must be finite" in err
 
 
 @pytest.mark.parametrize("argv, message", [

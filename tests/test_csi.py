@@ -15,6 +15,7 @@ from nrsim import (
     TypeIIPmi,
     build_type1_codebook,
     build_type2_structure,
+    dft_beam,
     effective_sinr,
     layer_sinr_mmse,
     map_cqi,
@@ -556,17 +557,48 @@ class TestSelectCsiType2:
         report = select_csi(_rand_h(rng, 1, 8), 0.5, space, CqiTable.default())
         assert report.ri == 1
 
-    def test_beam_selection_prefers_aligned_channel(self):
-        """A channel built from rotation-0 beams keeps that rotation."""
+    @pytest.mark.parametrize("q1, subset", [(0, [0, 2]), (1, [0, 1])],
+                             ids=["rotation0", "rotation1"])
+    def test_beam_selection_prefers_aligned_channel(self, q1, subset):
+        """A channel whose rows span beams v_b of one rotation (so H v_b
+        carries all its power) is reported with that rotation and those
+        beams. At rotation 1 the mirrored beams conj(v_b) are rotation 3's."""
         cfg, space = self._space(num_beams=2)
-        beams = space.beams[0, 0]
+        beams = space.beams[q1, 0]
         rng = np.random.default_rng(14)
         mix = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        h = mix @ np.stack([beams[0], beams[2]]).conj()
+        h = mix @ beams[subset].conj()
         h = np.concatenate([h, h], axis=1)  # same beams on both polarizations
         report = select_csi(h, 0.1, space, CqiTable.default())
-        assert report.pmi.i11 == (0, 0)
-        assert space.combos[report.pmi.i12].tolist() == [0, 2]
+        assert report.pmi.i11 == (q1, 0)
+        assert space.combos[report.pmi.i12].tolist() == subset
+
+    @pytest.mark.parametrize("n1, n2, num_beams", [(4, 1, 2), (2, 2, 3), (4, 2, 4)])
+    def test_stage1_brute_force_oracle(self, n1, n2, num_beams):
+        """Stage 1 reports the (q1, q2, i12) that maximizes the beam power
+        sum_k sum_p sum_b ||H_p[k] v_b||^2 over every rotation and B-subset,
+        v_b = dft_beam(q1 + o1*x1, q2 + o2*x2) with b = x1*n2 + x2 and H_p
+        the columns of polarization p."""
+        cfg = AntennaConfig(n1, n2)
+        ov = oversampling_factors(cfg)
+        space = build_type2_structure(cfg, Type2Config(num_beams, 8), ov)
+        p_pol = n1 * n2
+        rng = np.random.default_rng(30 + num_beams)
+        for _ in range(8):
+            num_sb = int(rng.integers(1, 4))
+            h = np.stack([_rand_h(rng, 2, 2 * p_pol) for _ in range(num_sb)])
+            scores = {}
+            for q1, q2 in itertools.product(range(ov.o1), range(ov.o2)):
+                v = [dft_beam(q1 + ov.o1 * x1, q2 + ov.o2 * x2, cfg, ov)
+                     for x1 in range(n1) for x2 in range(n2)]
+                gain = [sum(np.linalg.norm(h[k][:, p * p_pol:(p + 1) * p_pol] @ v_b) ** 2
+                            for k in range(num_sb) for p in range(2)) for v_b in v]
+                for i12, subset in enumerate(itertools.combinations(range(p_pol), num_beams)):
+                    scores[(q1, q2), i12] = sum(gain[b] for b in subset)
+            best = max(scores.values())
+            assert sorted(scores.values())[-2] < best * (1 - 1e-9)  # a unique best pick
+            pmi = select_csi(h, 0.5, space, CqiTable.default()).pmi
+            assert scores[pmi.i11, pmi.i12] == pytest.approx(best, rel=1e-12)
 
     @pytest.mark.parametrize("num_sb", [1, 2, 3])
     def test_cophase_oracle_2x1_panel(self, num_sb):

@@ -3,6 +3,7 @@
 import csv
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,24 @@ class TestConfigValidation:
 
         with pytest.raises(ValueError, match=field):
             build()
+
+    @pytest.mark.parametrize("doppler_hz, slot_duration_s", [(1e308, 10.0), (1e200, 1e200)])
+    def test_jakes_argument_overflow_rejected(self, doppler_hz, slot_duration_s):
+        """Finite fields whose Jakes argument 2*pi*f_d*T overflows raise a
+        ValueError naming both fields, not a math error in the sweep."""
+        with pytest.raises(ValueError, match="doppler_hz.*slot_duration_s.*must be finite"):
+            ChannelConfig(num_tx_ports=4, num_rx_ports=2, doppler_hz=doppler_hz,
+                          slot_duration_s=slot_duration_s)
+
+    def test_type2_beams_must_fit_panel(self):
+        """In Type II mode the sweep config refuses more beams than the
+        panel's n1*n2 orthogonal beams; Type I mode ignores the Type II
+        settings."""
+        scenario = replace(_mini_scenario(), type2=Type2Config(num_beams=3))  # 2x1 panel
+        with pytest.raises(ValueError, match="num_beams=3 exceeds the 2 orthogonal beams"):
+            SweepConfig(scenario=scenario, snr_points_db=(0.0,),
+                        codebook_mode=CodebookMode.TYPE2)
+        SweepConfig(scenario=scenario, snr_points_db=(0.0,), codebook_mode=CodebookMode.TYPE1)
 
     def test_type2_mode_needs_config(self):
         scenario = Scenario(
@@ -292,9 +311,9 @@ class TestCompareModes:
                 (3.6187199999999997, {2: 1.0}, {13: 1.0}, 11.0),
             ],
             "type2": [
-                (1.0609600000000001, {1: 0.8, 2: 0.2}, {4: 0.2, 6: 0.4, 7: 0.4}, 116.4),
-                (2.58982, {1: 0.6, 2: 0.4}, {10: 0.4, 12: 0.2, 13: 0.4}, 134.8),
-                (5.90152, {2: 1.0}, {13: 0.2, 14: 0.6, 15: 0.2}, 190.0),
+                (0.53596, {1: 0.6, 2: 0.4}, {4: 0.4, 7: 0.6}, 134.8),
+                (0.9625199999999999, {2: 1.0}, {9: 0.2, 10: 0.8}, 190.0),
+                (0.0, {2: 1.0}, {15: 1.0}, 190.0),
             ],
             "svd": [
                 (3.8104006385414615, {2: 1.0}, {0: 1.0}, 0.0),
