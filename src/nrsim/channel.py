@@ -232,6 +232,8 @@ def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRe
     """
     if num_slots < 1:
         raise ValueError(f"num_slots must be >= 1, got {num_slots}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     delays_s = np.asarray([d for d, _ in cfg.pdp]) * cfg.delay_spread_ns * 1e-9
     powers = np.asarray([p for _, p in cfg.pdp])

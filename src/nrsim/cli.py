@@ -32,6 +32,7 @@ from .sim import (
     CodebookMode,
     Scenario,
     SweepConfig,
+    _worker_count,
     compare_modes,
     write_cqi_hist_csv,
     write_ri_hist_csv,
@@ -59,6 +60,9 @@ _DEFAULTS: dict[str, object] = {
     "type2.n_psk": 8,
     "csi.cqi_table": "",
 }
+
+# Largest SNR grid a sweep accepts; a finer step is almost surely a typo.
+_MAX_SNR_POINTS = 10_000
 
 # First zero of J0, used by `channel probe` to pick a Doppler that makes
 # consecutive slots uncorrelated so the power check averages cleanly.
@@ -146,6 +150,8 @@ def _parse_snr(cfg: _Settings) -> tuple[float, ...]:
         raise ValueError(f"{name} step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"{name} has max {hi} below min {lo}")
+    if (hi - lo) / step >= _MAX_SNR_POINTS:
+        raise ValueError(f"{name} has more than {_MAX_SNR_POINTS} points, got {spec!r}")
     points = []
     value = lo
     while value <= hi + 1e-9:
@@ -233,6 +239,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   seed=cfg["sweep.seed"])
         for mode in modes
     ]
+    _worker_count(len(snr_points))  # rejects a malformed NRSIM_THREADS
     out = _out_dir(args)
     paths = [out / "sweep.csv", out / "ri_hist.csv", out / "cqi_hist.csv"]
     _write_manifest(out, "sweep", cfg, cfg["sweep.seed"], paths)

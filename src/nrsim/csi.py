@@ -81,10 +81,10 @@ class CqiTable:
         if np.any(np.diff(thr) <= 0):
             raise ValueError("SINR thresholds must be strictly increasing")
 
-    def efficiency(self, cqi: int) -> float:
-        if cqi == 0:
-            return 0.0
-        return self.spectral_efficiency[cqi - 1]
+    def efficiency(self, cqi):
+        """Spectral efficiency of a CQI index, or of each in an index array;
+        0 at CQI 0."""
+        return np.concatenate(([0.0], self.spectral_efficiency))[cqi]
 
     @classmethod
     def default(cls) -> "CqiTable":
@@ -242,10 +242,15 @@ def effective_sinr(per_layer_per_subband) -> float:
     return float(_effective_sinr(arr.reshape(1, -1)))
 
 
+def _precoded_sinr(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarray:
+    """Effective SINR of precoders w (..., subbands or 1, tx, layers) on
+    channels h (..., subbands, rx, tx), over the leading batch axes."""
+    return _effective_sinr(_layer_sinr_batch(np.einsum("...kij,...kjr->...kir", h, w), noise_var))
+
+
 def _choose(candidates, table: CqiTable) -> tuple[float, int, int, int]:
     """(throughput, rank, index, cqi) of the best candidate; candidates yields
     (rank, effective SINRs of that rank's candidates) in ascending rank."""
-    rates = np.concatenate([[0.0], table.spectral_efficiency])
     best = None
     for rank, eff in candidates:
         eff = np.atleast_1d(eff)
@@ -254,7 +259,7 @@ def _choose(candidates, table: CqiTable) -> tuple[float, int, int, int]:
         if np.any(positive):
             eff_db = 10.0 * np.log10(eff[positive])
             cqi[positive] = np.searchsorted(table.sinr_threshold_db, eff_db, side="right")
-        throughput = rank * rates[cqi]
+        throughput = rank * table.efficiency(cqi)
         i = int(np.argmax(throughput))
         if best is None or throughput[i] > best[0]:
             best = (float(throughput[i]), rank, i, int(cqi[i]))
@@ -426,10 +431,8 @@ def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
     pmis = [TypeIIPmi(i11=(q1, q2), i12=i12, wideband_amplitudes=wb[:n],
                       subband_cophase=ph[:n], subband_amplitude=sb[:n])
             for n in range(1, max_layers + 1)]
-    candidates = (
-        (pmi.rank, _effective_sinr(_layer_sinr_batch(
-            np.einsum("kij,kjr->kir", h, realize_type2_precoder(space, pmi)), noise_var)))
-        for pmi in pmis)
+    candidates = ((pmi.rank, _precoded_sinr(h, realize_type2_precoder(space, pmi), noise_var))
+                  for pmi in pmis)
     tp, layers, _, cqi = _choose(candidates, table)
     return CsiReport(ri=layers, pmi=pmis[layers - 1], cqi=cqi, predicted_throughput=tp)
 

@@ -1,6 +1,6 @@
-"""SNR sweep engine: per slot, select CSI, apply the reported precoder after
-a feedback delay, score throughput through the link abstraction, and
-aggregate RI/CQI/overhead statistics per SNR point.
+"""SNR sweep engine: select CSI per slot, apply each report's precoder after
+a feedback delay, score each reported rank's slots in one pass through the
+link abstraction, and aggregate RI/CQI/overhead statistics per SNR point.
 
 SNR is referenced to unit average channel power with unit-power symbols, so
 noise_var = 10^(-snr_db/10). Points run in parallel with independent derived
@@ -16,7 +16,6 @@ import enum
 import functools
 import math
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
@@ -27,14 +26,13 @@ import numpy.random  # noqa: F401  (numpy 2 loads it lazily; pool workers inheri
 from .channel import ChannelConfig, generate_channel
 from .codebook import (
     AntennaConfig,
-    Type2CodebookSpace,
     Type2Config,
     build_type1_codebook,
     build_type2_structure,
     oversampling_factors,
     realize_type2_precoder,
 )
-from .csi import CqiTable, _effective_sinr, _layer_sinr_batch, mimo_capacity, select_csi
+from .csi import CqiTable, _precoded_sinr, mimo_capacity, select_csi
 from .overhead import expected_overhead, type1_overhead_bits, type2_overhead_bits
 
 __all__ = [
@@ -56,6 +54,10 @@ __all__ = [
 # CQI boundaries (e.g. zero delay and zero Doppler reproduce the selection
 # channel bit for bit).
 _THRESHOLD_SLACK_DB = 1e-9
+
+# Beyond this many dB from 0 the noise power or the MMSE determinant
+# overflows, and a point would report inf or a spurious top CQI.
+_SNR_LIMIT_DB = 1000.0
 
 
 class CodebookMode(enum.Enum):
@@ -94,8 +96,9 @@ class SweepConfig:
         points = tuple(float(s) for s in self.snr_points_db)
         if len(points) == 0:
             raise ValueError("snr_points_db must be nonempty")
-        if not all(math.isfinite(s) for s in points):
-            raise ValueError(f"snr_points_db must be finite, got {points}")
+        if not all(abs(s) <= _SNR_LIMIT_DB for s in points):  # also refuses nan
+            raise ValueError(
+                f"snr_points_db must be finite and within +/-{_SNR_LIMIT_DB:g} dB, got {points}")
         if any(b < a for a, b in zip(points, points[1:])):
             raise ValueError("snr_points_db must be sorted ascending")
         object.__setattr__(self, "snr_points_db", points)
@@ -103,6 +106,8 @@ class SweepConfig:
             raise ValueError(f"num_slots must be >= 1, got {self.num_slots}")
         if self.feedback_delay_slots < 0:
             raise ValueError(f"feedback_delay_slots must be >= 0, got {self.feedback_delay_slots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_slots <= self.feedback_delay_slots:
             raise ValueError(
                 f"num_slots={self.num_slots} leaves no scored slots at "
@@ -138,23 +143,16 @@ def _derive_point_seed(sweep_seed: int, point_idx: int) -> int:
     return int(np.random.SeedSequence((sweep_seed, point_idx)).generate_state(1, np.uint64)[0])
 
 
-def _materialize_precoders(selector, report, num_subbands: int) -> np.ndarray:
-    """Reconstruct the per-subband precoders (subbands, tx, rank) from the
-    reported PMI, as the transmitter would."""
-    if isinstance(selector, Type2CodebookSpace):
-        return realize_type2_precoder(selector, report.pmi)
-    w = selector[report.ri].matrix_for(report.pmi)
-    return np.broadcast_to(w, (num_subbands,) + w.shape)
-
-
-def _aggregate(snr_db: float, per_slot_tp: np.ndarray, ri_counts: Counter,
-               cqi_counts: Counter, failed: int, mean_overhead: float,
-               bandwidth_hz: float) -> SnrPointResult:
-    scored = per_slot_tp.size
-    mean_se = float(per_slot_tp.mean())
-    se_of_mean = float(per_slot_tp.std(ddof=1) / math.sqrt(scored)) if scored > 1 else 0.0
-    ri_hist = {r: ri_counts[r] / scored for r in sorted(ri_counts)}
-    cqi_hist = {c: cqi_counts[c] / scored for c in sorted(cqi_counts)}
+def _aggregate(snr_db: float, tp: np.ndarray, ri: np.ndarray, cqi: np.ndarray,
+               failed: int, bits_of_rank, bandwidth_hz: float) -> SnrPointResult:
+    """One point's statistics from its per-slot throughputs and reported
+    ranks and CQIs; bits_of_rank(r) is the size of a rank-r report."""
+    scored = tp.size
+    mean_se = float(tp.mean())
+    se_of_mean = float(tp.std(ddof=1) / math.sqrt(scored)) if scored > 1 else 0.0
+    ri_hist, cqi_hist = ({int(k): int(n) / scored
+                          for k, n in zip(*np.unique(x, return_counts=True))} for x in (ri, cqi))
+    mean_overhead = expected_overhead(list(ri_hist.values()), [bits_of_rank(r) for r in ri_hist])
     return SnrPointResult(
         snr_db=snr_db,
         mean_throughput=mean_se,
@@ -179,59 +177,46 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     antenna, table, ch_cfg = scenario.antenna, scenario.cqi_table, scenario.channel
     snr_db = cfg.snr_points_db[point_idx]
     noise_var = 10.0 ** (-snr_db / 10.0)
-    realization = generate_channel(ch_cfg, cfg.num_slots, _derive_point_seed(cfg.seed, point_idx))
-    num_sb = realization.num_subbands
+    h = generate_channel(ch_cfg, cfg.num_slots, _derive_point_seed(cfg.seed, point_idx)).h
+    num_sb = h.shape[1]
     bandwidth_hz = num_sb * ch_cfg.subband_spacing_hz
     delay = cfg.feedback_delay_slots
     scored = cfg.num_slots - delay
     num_rx, num_tx = ch_cfg.num_rx_ports, ch_cfg.num_tx_ports
 
     if cfg.codebook_mode is CodebookMode.SVD_IDEAL:
-        sigma = np.linalg.svd(realization.h[delay:], compute_uv=False)
+        sigma = np.linalg.svd(h[delay:], compute_uv=False)
         capacity = mimo_capacity(sigma, noise_var).mean(axis=-1)
-        return _aggregate(
-            snr_db, capacity,
-            Counter({min(num_rx, num_tx): scored}), Counter({0: scored}),
-            failed=0, mean_overhead=0.0, bandwidth_hz=bandwidth_hz,
-        )
+        return _aggregate(snr_db, capacity, np.full(scored, min(num_rx, num_tx)),
+                          np.zeros(scored, dtype=int), 0, lambda r: 0, bandwidth_hz)
 
     ov = oversampling_factors(antenna)
     if cfg.codebook_mode is CodebookMode.TYPE1:
         max_rank = min(4, num_rx, num_tx)
         selector = {r: _built(build_type1_codebook, antenna, r, ov) for r in range(1, max_rank + 1)}
+        bits = lambda r: type1_overhead_bits(antenna, ov, r, num_sb).total_bits
+        precoder = lambda rep: selector[rep.ri].matrix_for(rep.pmi)[None]
     else:
         selector = _built(build_type2_structure, antenna, scenario.type2, ov)
+        bits = lambda r: type2_overhead_bits(antenna, ov, scenario.type2, r, num_sb).total_bits
+        precoder = lambda rep: realize_type2_precoder(selector, rep.pmi)
 
-    per_slot_tp = np.zeros(scored)
-    ri_counts: Counter = Counter()
-    cqi_counts: Counter = Counter()
-    failed = 0
-    for s in range(scored):
-        report = select_csi(realization.h[s], noise_var, selector, table)
-        ri_counts[report.ri] += 1
-        cqi_counts[report.cqi] += 1
-        if report.cqi == 0:
-            continue  # nothing scheduled; throughput 0 without counting a failure
-        w = _materialize_precoders(selector, report, num_sb)
-        g = np.einsum("kij,kjr->kir", realization.h[s + delay], w)
-        eff = float(_effective_sinr(_layer_sinr_batch(g, noise_var)))
-        eff_db = 10.0 * math.log10(eff) if eff > 0 else -math.inf
-        if eff_db >= table.sinr_threshold_db[report.cqi - 1] - _THRESHOLD_SLACK_DB:
-            per_slot_tp[s] = report.ri * table.efficiency(report.cqi)
-        else:
-            failed += 1
-
-    ranks = sorted(ri_counts)
-    probs = [ri_counts[r] / scored for r in ranks]
-    if cfg.codebook_mode is CodebookMode.TYPE1:
-        per_rank_bits = [type1_overhead_bits(antenna, ov, r, num_sb).total_bits for r in ranks]
-    else:
-        per_rank_bits = [
-            type2_overhead_bits(antenna, ov, scenario.type2, r, num_sb).total_bits for r in ranks
-        ]
-    mean_overhead = expected_overhead(probs, per_rank_bits)
-    return _aggregate(snr_db, per_slot_tp, ri_counts, cqi_counts, failed,
-                      mean_overhead, bandwidth_hz)
+    # Select on every scored slot, then score each reported rank's slots in
+    # one pass on the channel the report is applied to, feedback_delay later.
+    # CQI-0 slots schedule nothing: throughput 0 without counting a failure.
+    reports = [select_csi(h[s], noise_var, selector, table) for s in range(scored)]
+    ri = np.array([rep.ri for rep in reports])
+    cqi = np.array([rep.cqi for rep in reports])
+    tp, failed = np.zeros(scored), 0
+    for rank in set(ri[cqi > 0].tolist()):  # np.unique would import numpy.ma
+        idx = np.flatnonzero((ri == rank) & (cqi > 0))
+        w = np.stack([precoder(reports[s]) for s in idx])
+        with np.errstate(divide="ignore"):
+            eff_db = 10.0 * np.log10(_precoded_sinr(h[idx + delay], w, noise_var))
+        ok = eff_db >= np.asarray(table.sinr_threshold_db)[cqi[idx] - 1] - _THRESHOLD_SLACK_DB
+        tp[idx[ok]] = rank * table.efficiency(cqi[idx[ok]])
+        failed += int(idx.size - np.count_nonzero(ok))
+    return _aggregate(snr_db, tp, ri, cqi, failed, bits, bandwidth_hz)
 
 
 def _worker_count(num_tasks: int) -> int:

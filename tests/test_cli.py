@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -400,6 +401,27 @@ def test_type2_beams_beyond_panel_refused_before_manifest(tmp_path, capsys):
                  "--slots", "2", "--snr", "0", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"config error: {config}: antenna.n1: num_beams=4 exceeds the 2 orthogonal beams\n")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["--seed=-1"], {}, "seed must be >= 0, got -1"),
+    (["--snr=-3000"], {}, "snr_points_db must be finite and within +/-1000 dB"),
+    (["--snr=3000"], {}, "snr_points_db must be finite and within +/-1000 dB"),
+    (["--snr=-10:1e-7:40"], {}, "sweep.snr has more than 10000 points"),
+    ([], {"NRSIM_THREADS": "abc"}, "NRSIM_THREADS must be an integer, got 'abc'"),
+])
+def test_sweep_input_refused_before_manifest(tmp_path, capsys, monkeypatch, argv, env, message):
+    """A negative seed, an SNR point past +/-1000 dB, an SNR grid of more
+    than 10000 points and a malformed NRSIM_THREADS exit 2 promptly, naming
+    their source, before manifest.json is written."""
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["sweep", "--slots", "2", "--snr", "0", *argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (out / "manifest.json").exists()
 
 

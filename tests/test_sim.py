@@ -3,6 +3,8 @@
 import csv
 import math
 import types
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,11 +19,18 @@ from nrsim import (
     Scenario,
     SweepConfig,
     Type2Config,
+    build_type1_codebook,
+    build_type2_structure,
     compare_modes,
+    effective_sinr,
     expected_overhead,
+    generate_channel,
+    layer_sinr_mmse,
     load_pdp_file,
     oversampling_factors,
+    realize_type2_precoder,
     run_sweep,
+    select_csi,
     type1_overhead_bits,
     type2_overhead_bits,
     write_cqi_hist_csv,
@@ -107,6 +116,19 @@ class TestConfigValidation:
             ChannelConfig(num_tx_ports=4, num_rx_ports=2, doppler_hz=doppler_hz,
                           slot_duration_s=slot_duration_s)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            _mini_config(seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            generate_channel(_mini_scenario().channel, 2, -1)
+
+    @pytest.mark.parametrize("snr_db", [-3000.0, 3000.0, -1000.5, 1000.5])
+    def test_snr_beyond_limit_rejected(self, snr_db):
+        """Points past +/-1000 dB, where the noise power or the MMSE
+        determinant overflows, raise a ValueError naming the field."""
+        with pytest.raises(ValueError, match="snr_points_db must be finite and within"):
+            _mini_config(snr=(0.0, snr_db) if snr_db > 0 else (snr_db, 0.0))
+
     def test_type2_beams_must_fit_panel(self):
         """In Type II mode the sweep config refuses more beams than the
         panel's n1*n2 orthogonal beams; Type I mode ignores the Type II
@@ -139,6 +161,21 @@ class TestRunSweep:
         res = run_sweep(cfg)
         for pt in res.points:
             assert pt.slots_failed == 0.0
+
+    def test_snr_limits_run_clean(self, monkeypatch):
+        """At the +/-1000 dB limits every mode runs without a numpy warning:
+        nothing is scheduled at -1000 dB, and every value is finite at
+        +1000 dB."""
+        monkeypatch.setenv("NRSIM_THREADS", "1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode in CodebookMode:
+                cfg = _mini_config(mode=mode, snr=(-1000.0, 1000.0), slots=6)
+                low, high = run_sweep(cfg).points
+                assert low.mean_throughput == 0.0
+                assert high.mean_throughput > 0.0
+                assert all(map(math.isfinite, (high.mean_throughput, high.se_mean_throughput,
+                                               high.mean_throughput_mbps, high.mean_overhead_bits)))
 
     def test_histograms_normalized(self):
         for mode in (CodebookMode.TYPE1, CodebookMode.TYPE2, CodebookMode.SVD_IDEAL):
@@ -257,6 +294,69 @@ class TestRunSweep:
         monkeypatch.setenv("NRSIM_THREADS", "1")
         assert par.points == run_sweep(cfg).points
         assert capfd.readouterr() == ("", "")
+
+
+class TestScoringOracle:
+    """Each point's throughput, failures and histograms equal a per-slot
+    recomputation from public names: the slot's report, applied by its
+    precoder to the channel feedback_delay_slots later, pays rank x
+    efficiency when the realized effective SINR reaches the reported CQI's
+    threshold (1e-9 dB slack); a CQI-0 slot pays 0 without failing."""
+
+    @pytest.mark.parametrize("mode, ranks", [(CodebookMode.TYPE1, {1, 2, 3, 4}),
+                                             (CodebookMode.TYPE2, {1, 2})])
+    def test_point_matches_per_slot_recomputation(self, mode, ranks, monkeypatch):
+        channels = []
+
+        def recording(*args):
+            realization = generate_channel(*args)
+            channels.append(realization.h)
+            return realization
+
+        monkeypatch.setenv("NRSIM_THREADS", "1")
+        monkeypatch.setattr(sim, "generate_channel", recording)
+        cfg = _mini_config(mode=mode, snr=(-16.0, 0.0, 15.0, 30.0), slots=20, seed=1,
+                           num_rx=4, doppler=100.0)
+        points = run_sweep(cfg).points
+        antenna, table = cfg.scenario.antenna, cfg.scenario.cqi_table
+        ov = oversampling_factors(antenna)
+        if mode is CodebookMode.TYPE1:
+            selector = {r: build_type1_codebook(antenna, r, ov) for r in range(1, 5)}
+        else:
+            selector = build_type2_structure(antenna, cfg.scenario.type2, ov)
+        seen_ranks, seen_failed, seen_cqi0 = set(), 0, 0
+        for pt, h in zip(points, channels, strict=True):
+            noise_var = 10.0 ** (-pt.snr_db / 10.0)
+            tps, ris, cqis, failed = [], Counter(), Counter(), 0
+            for s in range(cfg.num_slots - cfg.feedback_delay_slots):
+                report = select_csi(h[s], noise_var, selector, table)
+                ris[report.ri] += 1
+                cqis[report.cqi] += 1
+                tp = 0.0
+                if report.cqi > 0:
+                    if mode is CodebookMode.TYPE1:
+                        w = [selector[report.ri].matrix_for(report.pmi)] * h.shape[1]
+                    else:
+                        w = realize_type2_precoder(selector, report.pmi)
+                    later = h[s + cfg.feedback_delay_slots]
+                    eff = effective_sinr([layer_sinr_mmse(later[k], w[k], noise_var)
+                                          for k in range(h.shape[1])])
+                    threshold = table.sinr_threshold_db[report.cqi - 1]
+                    if eff > 0 and 10.0 * math.log10(eff) >= threshold - 1e-9:
+                        tp = report.ri * table.efficiency(report.cqi)
+                    else:
+                        failed += 1
+                tps.append(tp)
+            scored = len(tps)
+            assert pt.mean_throughput == float(np.mean(tps))
+            assert pt.slots_failed == failed / scored
+            assert pt.ri_histogram == {r: n / scored for r, n in ris.items()}
+            assert pt.cqi_histogram == {c: n / scored for c, n in cqis.items()}
+            seen_ranks |= set(ris)
+            seen_failed += failed
+            seen_cqi0 += cqis[0]
+        assert seen_ranks == ranks
+        assert seen_failed > 0 and seen_cqi0 > 0
 
 
 class TestCompareModes:
