@@ -204,24 +204,50 @@ class ChannelRealization:
         return self.h.shape[1]
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+# Bytes of tap matrices per block of the trajectory. A block and its normals
+# take about twice this (or one slot each, where one slot is larger), so they
+# stay in L2 at any port and tap count, and no array but h grows with the
+# slot count.
+_BLOCK_BYTES = 1 << 17
 
 
-def _tap_sequences(rng: np.random.Generator, powers: np.ndarray, rho: float,
-                   num_slots: int, num_rx: int, num_tx: int) -> np.ndarray:
-    """AR(1)-evolved tap matrices, shape (num_slots, taps, rx, tx); every
-    slot is marginally CN(0, p_t) per entry."""
-    taps = len(powers)
-    scale = np.sqrt(powers)[:, None, None]
-    out = np.empty((num_slots, taps, num_rx, num_tx), dtype=complex)
-    current = scale * _complex_normal(rng, (taps, num_rx, num_tx))
-    out[0] = current
-    innov = np.sqrt(max(0.0, 1.0 - rho * rho))
-    for s in range(1, num_slots):
-        current = rho * current + innov * scale * _complex_normal(rng, (taps, num_rx, num_tx))
-        out[s] = current
-    return out
+def _block_slots(taps: int, num_rx: int, num_tx: int) -> int:
+    """Slots per block: as many as fit in _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // (16 * taps * num_rx * num_tx))
+
+
+def _complex_normal(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill out, shape (n, rx, tx, taps), with CN(0, 1) draws taken in one
+    call, in the stream order of one complex draw per slot: the slot's real
+    parts (taps, rx, tx), then its imaginary parts."""
+    n, num_rx, num_tx, taps = out.shape
+    g = rng.standard_normal((n, 2, taps, num_rx, num_tx)).transpose(0, 1, 3, 4, 2)
+    out.real, out.imag = g[:, 0], g[:, 1]
+    out /= np.sqrt(2.0)
+
+
+def _tap_blocks(rng: np.random.Generator, powers: np.ndarray, rho: float,
+                num_slots: int, num_rx: int, num_tx: int):
+    """AR(1)-evolved tap matrices, every slot marginally CN(0, p_t) per
+    entry, in blocks of _block_slots slots: yields (first slot, block
+    (slots, rx, tx, taps)). The block is a view of one buffer, which the
+    next block overwrites."""
+    scale = np.sqrt(powers)
+    innov = np.sqrt(max(0.0, 1.0 - rho * rho)) * scale
+    step = _block_slots(len(powers), num_rx, num_tx)
+    buf = np.empty((min(num_slots, step) + 1, num_rx, num_tx, len(powers)), dtype=complex)
+    for start in range(0, num_slots, step):  # buf[0] holds the slot before the block
+        block = buf[1:min(step, num_slots - start) + 1]
+        _complex_normal(rng, block)
+        if start == 0:  # the first slot is drawn from the stationary law
+            block[0] *= scale
+            block[1:] *= innov
+        else:
+            block *= innov
+        for s in range(start == 0, len(block)):
+            block[s] += rho * buf[s]
+        yield start, block
+        buf[0] = block[-1]
 
 
 def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRealization:
@@ -229,6 +255,8 @@ def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRe
 
     H(k) = sum_t A_t * exp(-j*2*pi*f_k*tau_t) with subband centers f_k placed
     symmetrically around the carrier and tau_t = normalized_delay * spread.
+    h is filled one block of slots at a time, so no other array grows with
+    num_slots.
     """
     if num_slots < 1:
         raise ValueError(f"num_slots must be >= 1, got {num_slots}")
@@ -242,6 +270,8 @@ def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRe
     k = np.arange(cfg.num_subbands)
     freqs = (k - (cfg.num_subbands - 1) / 2.0) * cfg.subband_spacing_hz
     phase = np.exp(-2j * np.pi * np.outer(freqs, delays_s))  # (subbands, taps)
-    taps = _tap_sequences(rng, powers, rho, num_slots, cfg.num_rx_ports, cfg.num_tx_ports)
-    h = np.einsum("kt,stre->skre", phase, taps)
-    return ChannelRealization(h=np.ascontiguousarray(h))
+    h = np.empty((num_slots, cfg.num_subbands, cfg.num_rx_ports, cfg.num_tx_ports), dtype=complex)
+    for start, taps in _tap_blocks(rng, powers, rho, num_slots, cfg.num_rx_ports,
+                                   cfg.num_tx_ports):
+        np.einsum("kt,sret->skre", phase, taps, out=h[start:start + len(taps)])
+    return ChannelRealization(h=h)

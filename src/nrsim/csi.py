@@ -155,13 +155,17 @@ def svd_precode(h: np.ndarray) -> SvdResult:
     return SvdResult(u=u, sigma=sigma, v=vh.conj().T)
 
 
+def _check_noise_var(noise_var: float) -> None:
+    if not 0.0 < noise_var < math.inf:  # also refuses nan
+        raise ValueError(f"noise_var must be finite and positive, got {noise_var}")
+
+
 def mimo_capacity(sigma, noise_var: float) -> float | np.ndarray:
     """Shannon capacity of the diagonalized channel with unit-power symbols:
     sum_i log2(1 + sigma_i^2 / noise_var) over the last axis of sigma. One
     sigma vector gives a float; a batch (..., n) gives an array of its
     leading shape."""
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be positive, got {noise_var}")
+    _check_noise_var(noise_var)
     s = np.atleast_1d(np.asarray(sigma, dtype=float))
     if np.any(s < 0):
         raise ValueError("singular values must be nonnegative")
@@ -218,8 +222,7 @@ def layer_sinr_mmse(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarra
         w = w.reshape(1, 1)
     elif w.ndim == 1:
         w = w[:, None]
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be positive, got {noise_var}")
+    _check_noise_var(noise_var)
     if h.shape[1] != w.shape[0]:
         raise ValueError(f"h has {h.shape[1]} columns but w has {w.shape[0]} rows")
     return _layer_sinr_batch(h @ w, noise_var)
@@ -237,8 +240,8 @@ def effective_sinr(per_layer_per_subband) -> float:
     arr = np.asarray(per_layer_per_subband, dtype=float)
     if arr.size == 0:
         raise ValueError("effective_sinr needs at least one SINR value")
-    if np.any(arr < 0):
-        raise ValueError("SINR values must be nonnegative")
+    if not np.all(arr >= 0):  # also refuses nan
+        raise ValueError("SINR values must be nonnegative, not nan")
     return float(_effective_sinr(arr.reshape(1, -1)))
 
 
@@ -269,6 +272,8 @@ def _choose(candidates, table: CqiTable) -> tuple[float, int, int, int]:
 def map_cqi(eff_sinr: float, table: CqiTable) -> int:
     """Largest CQI whose threshold is <= eff_sinr (boundary inclusive); 0 if
     below the lowest."""
+    if math.isnan(eff_sinr):
+        raise ValueError("eff_sinr must not be nan")
     return _choose([(1, np.asarray([eff_sinr], dtype=float))], table)[3]
 
 
@@ -456,8 +461,9 @@ def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
         h = h[None]
     if h.ndim != 3 or h.size == 0:
         raise ValueError(f"slot view must be (subbands, rx, tx), got shape {h.shape}")
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be positive, got {noise_var}")
+    if not np.all(np.isfinite(h)):  # LAPACK may never return on inf
+        raise ValueError("h must be finite, got a nan or inf entry")
+    _check_noise_var(noise_var)
     if isinstance(codebooks, Type2CodebookSpace):
         return _select_type2(h, noise_var, codebooks, table)
     if not codebooks:

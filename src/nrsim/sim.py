@@ -60,6 +60,12 @@ _THRESHOLD_SLACK_DB = 1e-9
 _SNR_LIMIT_DB = 1000.0
 
 
+# Slots whose singular values the SVD bound takes at a time: 64 slots of 52
+# subbands at rank 4 are 106 kB, so the per-slot capacities are the only
+# array of that scoring that grows with the slot count.
+_SVD_BLOCK = 64
+
+
 class CodebookMode(enum.Enum):
     TYPE1 = "type1"
     TYPE2 = "type2"
@@ -185,8 +191,10 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     num_rx, num_tx = ch_cfg.num_rx_ports, ch_cfg.num_tx_ports
 
     if cfg.codebook_mode is CodebookMode.SVD_IDEAL:
-        sigma = np.linalg.svd(h[delay:], compute_uv=False)
-        capacity = mimo_capacity(sigma, noise_var).mean(axis=-1)
+        capacity = np.concatenate([
+            mimo_capacity(np.linalg.svd(h[s:s + _SVD_BLOCK], compute_uv=False),
+                          noise_var).mean(axis=-1)
+            for s in range(delay, cfg.num_slots, _SVD_BLOCK)])
         return _aggregate(snr_db, capacity, np.full(scored, min(num_rx, num_tx)),
                           np.zeros(scored, dtype=int), 0, lambda r: 0, bandwidth_hz)
 

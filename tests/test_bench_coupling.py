@@ -78,3 +78,13 @@ def test_select_csi_gets_3d_slot_views(monkeypatch):
     wl = workloads.WORKLOADS["compare_8x4"]
     assert len(shapes) == 2 * len(wl.snr_db) * (3 - wl.feedback_delay)  # type1 and type2
     assert set(shapes) == {(wl.subbands, wl.rx, wl.tx)}
+
+
+def test_channel_generated_once_per_mode_and_point(monkeypatch):
+    """The traced channel metrics keep their meaning: one generate_channel
+    call per (mode, point), each returning one whole trajectory, so the
+    tracer's h_bytes is the (slots, subbands, rx, tx) complex array."""
+    summary, _ = _traced_compare_8x4(monkeypatch)
+    wl = workloads.WORKLOADS["compare_8x4"]
+    assert summary["calls"]["channel.generate_channel"] == len(wl.modes) * len(wl.snr_db)
+    assert summary["h_bytes"] == 3 * wl.subbands * wl.rx * wl.tx * 16

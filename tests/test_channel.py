@@ -1,6 +1,7 @@
 """Power-delay profiles and the correlated channel generator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import j0
 from scipy.stats import gamma
 
 from nrsim import ChannelConfig, ChannelRealization, cdl_a_pdp, generate_channel, load_pdp_file
-from nrsim.channel import _j0, _tap_sequences
+from nrsim.channel import _block_slots, _j0, _tap_blocks
 from nrsim.cli import _J0_FIRST_ZERO
 
 
@@ -21,6 +22,32 @@ def _bessel_j0_series(x: float) -> float:
         term *= -q / (m * m)
         total += term
     return total
+
+
+def _per_slot_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> np.ndarray:
+    """Reference generator: one complex draw (real parts, then imaginary
+    parts) and one AR(1) step per slot into the whole (slots, taps, rx, tx)
+    tap trajectory, then one frequency-response einsum over it."""
+    rng = np.random.default_rng(seed)
+    delays_s = np.asarray([d for d, _ in cfg.pdp]) * cfg.delay_spread_ns * 1e-9
+    powers = np.asarray([p for _, p in cfg.pdp])
+    powers = powers / powers.sum()
+    rho = _j0(2.0 * np.pi * cfg.doppler_hz * cfg.slot_duration_s)
+    k = np.arange(cfg.num_subbands)
+    freqs = (k - (cfg.num_subbands - 1) / 2.0) * cfg.subband_spacing_hz
+    phase = np.exp(-2j * np.pi * np.outer(freqs, delays_s))
+    shape = (len(powers), cfg.num_rx_ports, cfg.num_tx_ports)
+
+    def normal():
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    scale = np.sqrt(powers)[:, None, None]
+    innov = np.sqrt(max(0.0, 1.0 - rho * rho))
+    taps = np.empty((num_slots, *shape), dtype=complex)
+    taps[0] = scale * normal()
+    for s in range(1, num_slots):
+        taps[s] = rho * taps[s - 1] + innov * scale * normal()
+    return np.einsum("kt,stre->skre", phase, taps)
 
 
 class TestCdlAPdp:
@@ -181,9 +208,44 @@ class TestGenerateChannel:
     def test_per_tap_power_follows_profile(self):
         rng = np.random.default_rng(123)
         powers = np.asarray([0.7, 0.3])
-        taps = _tap_sequences(rng, powers, rho=0.9, num_slots=1, num_rx=100, num_tx=100)
-        measured = np.mean(np.abs(taps[0]) ** 2, axis=(1, 2))
+        _, taps = next(_tap_blocks(rng, powers, rho=0.9, num_slots=1, num_rx=100, num_tx=100))
+        measured = np.mean(np.abs(taps[0]) ** 2, axis=(0, 1))
         assert measured == pytest.approx(powers, rel=0.05)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"num_tx_ports": 8, "num_rx_ports": 4},
+        {"num_tx_ports": 1, "num_rx_ports": 1, "pdp": ((0.0, 1.0),), "num_subbands": 1},
+        {"num_tx_ports": 16, "num_rx_ports": 2, "num_subbands": 52},
+        {"num_tx_ports": 8, "num_rx_ports": 4, "doppler_hz": 0.0},
+        {"num_tx_ports": 8, "num_rx_ports": 4, "doppler_hz": 383.0,
+         "pdp": ((0.0, 0.6), (1.5, 0.4))},
+    ])
+    def test_blocks_match_per_slot_recursion(self, kwargs):
+        """Block generation equals the per-slot recursion bit for bit, for
+        trajectories that end just before, on and just after block
+        boundaries."""
+        cfg = ChannelConfig(**kwargs)
+        b = _block_slots(len(cfg.pdp), cfg.num_rx_ports, cfg.num_tx_ports)
+        counts = {1, 2, 63, 64, 65, 131, 1000, b - 1, b, b + 1, 2 * b + 1} - {0}
+        for num_slots in sorted(counts):
+            for seed in (0, 17):
+                h = generate_channel(cfg, num_slots, seed).h
+                assert h.flags.c_contiguous
+                assert np.array_equal(h, _per_slot_channel(cfg, num_slots, seed)), (num_slots, seed)
+
+    @pytest.mark.parametrize("num_slots", [1000, 4000])
+    def test_working_memory_independent_of_slots(self, num_slots):
+        """Beyond the returned h, generation needs about a block's worth of
+        memory (0.3 MB here), where the whole tap trajectory took 11.8 MB at
+        1000 slots and 47 MB at 4000."""
+        cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, num_subbands=52)
+        tracemalloc.start()
+        try:
+            h = generate_channel(cfg, num_slots, 3).h
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - h.nbytes < 1e6
 
     def test_slot_correlation_matches_jakes(self):
         cfg = ChannelConfig(

@@ -3,11 +3,16 @@
 import csv
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nrsim
 from nrsim import (
     AntennaConfig,
     CqiTable,
@@ -86,6 +91,10 @@ class TestCapacity:
             mimo_capacity((1.0,), 0.0)
         with pytest.raises(ValueError):
             mimo_capacity((-1.0,), 1.0)
+
+    def test_nan_noise_rejected(self):
+        with pytest.raises(ValueError, match="noise_var"):
+            mimo_capacity((1.0,), math.nan)
 
 
 def _mmse_sinr_explicit(g, noise_var):
@@ -167,6 +176,10 @@ class TestLayerSinr:
         with pytest.raises(ValueError):
             layer_sinr_mmse(np.eye(4), np.ones((3, 1), dtype=complex), 1.0)
 
+    def test_nan_noise_rejected(self):
+        with pytest.raises(ValueError, match="noise_var"):
+            layer_sinr_mmse(np.eye(2), np.eye(2), math.nan)
+
 
 class TestEffectiveSinr:
     def test_fixed_point(self):
@@ -186,6 +199,10 @@ class TestEffectiveSinr:
             effective_sinr([])
         with pytest.raises(ValueError):
             effective_sinr([-0.1, 1.0])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            effective_sinr([math.nan, 1.0])
 
 
 class TestCqiTable:
@@ -264,6 +281,10 @@ class TestMapCqi:
         gap = 10.0 ** (2.0 / 10.0)
         for k, se in enumerate(tbl.spectral_efficiency, start=1):
             assert map_cqi(gap * (2.0 ** se - 1.0), tbl) == k
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="eff_sinr"):
+            map_cqi(math.nan, CqiTable.default())
 
     @given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e6))
     def test_monotone(self, a, b):
@@ -485,6 +506,53 @@ class TestSelectCsi:
         cbs = {1: build_type1_codebook(cfg, 1, ov)}
         with pytest.raises(ValueError):
             select_csi(np.eye(4, dtype=complex), 0.0, cbs, CqiTable.default())
+
+
+def _selectors_4x1():
+    cfg = AntennaConfig(4, 1)
+    ov = oversampling_factors(cfg)
+    return {"type1": {r: build_type1_codebook(cfg, r, ov) for r in (1, 2, 3, 4)},
+            "type2": build_type2_structure(cfg, Type2Config(4, 8), ov)}
+
+
+@pytest.mark.parametrize("family", ["type1", "type2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_input_rejected(family, bad):
+    """A nan or inf channel entry, and a noise variance that is not finite
+    and positive, are refused naming the argument, in both families. (Type
+    II's inf channel runs in a subprocess: test_inf_type2_slot_fails_fast.)"""
+    selector = _selectors_4x1()[family]
+    rng = np.random.default_rng(4)
+    h = np.stack([_rand_h(rng, 4, 8) for _ in range(3)])
+    table = CqiTable.default()
+    if not (family == "type2" and bad == math.inf):
+        h_bad = h.copy()
+        h_bad[0, 0, 0] = bad
+        with pytest.raises(ValueError, match="h must be finite"):
+            select_csi(h_bad, 1.0, selector, table)
+    with pytest.raises(ValueError, match="noise_var"):
+        select_csi(h, bad, selector, table)
+
+
+def test_inf_type2_slot_fails_fast():
+    """An inf in the first channel entry makes Type II stage 2's full LAPACK
+    SVD spin without end, even on an all-ones slot, so the slot runs in a
+    subprocess that must refuse it within the timeout."""
+    code = ("import math, numpy as np, nrsim\n"
+            "cfg = nrsim.AntennaConfig(4, 1)\n"
+            "space = nrsim.build_type2_structure(cfg, nrsim.Type2Config(4, 8),\n"
+            "                                    nrsim.oversampling_factors(cfg))\n"
+            "h = np.ones((3, 4, 8), dtype=complex)\n"
+            "h[0, 0, 0] = math.inf\n"
+            "try:\n"
+            "    nrsim.select_csi(h, 1.0, space, nrsim.CqiTable.default())\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(nrsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=30).stdout
+    assert out == "h must be finite, got a nan or inf entry\n"
 
 
 def test_all_cqi_zero_reports_rank1_first_entry():

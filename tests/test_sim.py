@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 import types
 import warnings
 from collections import Counter
@@ -27,6 +28,7 @@ from nrsim import (
     generate_channel,
     layer_sinr_mmse,
     load_pdp_file,
+    mimo_capacity,
     oversampling_factors,
     realize_type2_precoder,
     run_sweep,
@@ -198,6 +200,37 @@ class TestRunSweep:
             assert pt.cqi_histogram == {0: 1.0}
             assert pt.mean_overhead_bits == 0.0
             assert pt.slots_failed == 0.0
+
+    @pytest.mark.parametrize("slots", [3, sim._SVD_BLOCK + 1, sim._SVD_BLOCK + 2, 131])
+    def test_svd_blocks_match_one_pass(self, slots):
+        """Scoring the SVD bound in slot blocks gives the bytes of one pass
+        over every scored slot."""
+        cfg = _mini_config(mode=CodebookMode.SVD_IDEAL, snr=(5.0,), slots=slots)
+        h = generate_channel(cfg.scenario.channel, slots, sim._derive_point_seed(cfg.seed, 0)).h
+        capacity = mimo_capacity(np.linalg.svd(h[1:], compute_uv=False), 10.0 ** -0.5)
+        capacity = capacity.mean(axis=-1)
+        got = sim._run_point(cfg, 0)
+        assert got.mean_throughput == float(capacity.mean())
+        assert got.se_mean_throughput == float(capacity.std(ddof=1) / math.sqrt(slots - 1))
+
+    @pytest.mark.parametrize("slots", [1000, 4000])
+    def test_svd_point_working_memory_independent_of_slots(self, slots):
+        """Beyond its channel array, an SVD point needs about a channel
+        block's worth of memory at 52 subbands and 8x4 ports, not the tap
+        trajectory and the singular values of every slot (11.8 MB at 1000
+        slots, 47 MB at 4000)."""
+        antenna = AntennaConfig(4, 1)
+        channel = ChannelConfig(num_tx_ports=8, num_rx_ports=4, num_subbands=52)
+        cfg = SweepConfig(scenario=Scenario(antenna=antenna, channel=channel),
+                          snr_points_db=(10.0,), num_slots=slots,
+                          codebook_mode=CodebookMode.SVD_IDEAL)
+        tracemalloc.start()
+        try:
+            sim._run_point(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - slots * 52 * 4 * 8 * 16 < 1e6
 
     def test_svd_upper_bounds_type1(self):
         ideal = run_sweep(_mini_config(mode=CodebookMode.SVD_IDEAL, slots=50))
