@@ -351,38 +351,55 @@ def build_type2_structure(cfg: AntennaConfig, t2: Type2Config, ov: Oversampling)
     return Type2CodebookSpace(cfg, t2, ov)
 
 
-def realize_type2_precoder(space: Type2CodebookSpace, pmi: TypeIIPmi) -> np.ndarray:
-    """Build the (subbands, ports, rank) precoders from a Type II PMI.
+def _type2_columns(space: Type2CodebookSpace, i11, i12: int, wb_idx, sb_idx, ph_idx) -> np.ndarray:
+    """Unit-norm columns (subbands, ports, layers) of in-range Type II indices:
+    wideband amplitudes (layers, 2B), subband bits and co-phases (layers,
+    subbands, 2B). Per polarization a column is sum_b a_wb * a_sb *
+    exp(j*2*pi*c/N_PSK) * v_b (position j = p*B + b), scaled to unit norm."""
+    beams = space.beams[i11[0], i11[1], space.combos[i12]]  # (B, n1*n2)
+    coeff = (TYPE2_WB_AMPLITUDES[wb_idx][:, None, :] * TYPE2_SB_AMPLITUDES[sb_idx]
+             * np.exp(2j * np.pi * ph_idx / space.t2.n_psk))
+    cols = (coeff.reshape(*coeff.shape[:2], 2, -1) @ beams).reshape(*coeff.shape[:2], -1)
+    norm = np.linalg.norm(cols, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
+        layer, subband, _ = np.argwhere(norm == 0.0)[0]
+        raise ValueError(f"layer {layer} has all-zero coefficients on subband {subband}")
+    return np.transpose(cols / norm, (1, 2, 0))
 
-    Per layer, subband and polarization: w = sum_b a_wb * a_sb *
-    exp(j*2*pi*c/N_PSK) * v_b, columns normalized to unit norm and each
-    subband's matrix scaled to unit Frobenius norm.
+
+def realize_type2_precoder(space: Type2CodebookSpace, pmi: TypeIIPmi) -> np.ndarray:
+    """Build the (subbands, ports, rank) precoders from a Type II PMI: its
+    unit columns, each subband's matrix scaled to unit Frobenius norm.
+
+    wideband_amplitudes must be (rank, 2B), and subband_cophase and
+    subband_amplitude (rank, subbands, 2B), with every index in range.
     """
     rank = pmi.rank
-    if rank > TYPE2_MAX_RANK:
-        raise ValueError(f"rank {rank} exceeds the Type II limit {TYPE2_MAX_RANK}")
+    if not 1 <= rank <= TYPE2_MAX_RANK:
+        raise ValueError(f"rank {rank} is outside the Type II range [1, {TYPE2_MAX_RANK}]")
     o1, o2 = space.beams.shape[:2]
     q1, q2 = pmi.i11
     if not (0 <= q1 < o1 and 0 <= q2 < o2):
         raise ValueError(f"rotation i11={pmi.i11} out of range [0, {o1}) x [0, {o2})")
     if not 0 <= pmi.i12 < len(space.combos):
         raise ValueError(f"i12={pmi.i12} out of range [0, {len(space.combos)})")
-    wb_idx, sb_idx, ph_idx = (np.asarray(x) for x in (
-        pmi.wideband_amplitudes, pmi.subband_amplitude, pmi.subband_cophase))
-    for name, idx, size in (("wideband amplitude", wb_idx, len(TYPE2_WB_AMPLITUDES)),
-                            ("subband amplitude", sb_idx, len(TYPE2_SB_AMPLITUDES)),
-                            ("co-phase", ph_idx, space.t2.n_psk)):
+    indices = []
+    for field in ("wideband_amplitudes", "subband_cophase", "subband_amplitude"):
+        try:
+            indices.append(np.asarray(getattr(pmi, field)))
+        except ValueError:  # numpy refuses ragged nesting
+            raise ValueError(f"{field} is ragged: its tuples differ in length") from None
+    wb_idx, ph_idx, sb_idx = indices
+    two_b = 2 * space.t2.num_beams
+    num_sb = ph_idx.shape[1] if ph_idx.ndim == 3 and ph_idx.shape[1] else "subbands"
+    for field, idx, dims, shape, size in (
+            ("wideband_amplitudes", wb_idx, "(rank, 2B)", (rank, two_b), len(TYPE2_WB_AMPLITUDES)),
+            ("subband_cophase", ph_idx, "(rank, subbands, 2B)", (rank, num_sb, two_b),
+             space.t2.n_psk),
+            ("subband_amplitude", sb_idx, "(rank, subbands, 2B)", (rank, num_sb, two_b),
+             len(TYPE2_SB_AMPLITUDES))):
+        if idx.shape != shape:
+            raise ValueError(f"{field} must be {dims} = {shape}, got shape {idx.shape}")
         if np.any((idx < 0) | (idx >= size)):
-            raise ValueError(f"{name} indices must be in [0, {size}), got {idx.tolist()}")
-    beams = space.beams[q1, q2, space.combos[pmi.i12]]  # (B, n1*n2)
-    wb = TYPE2_WB_AMPLITUDES[wb_idx][:, None, :]
-    sb = TYPE2_SB_AMPLITUDES[sb_idx]
-    ph = np.exp(2j * np.pi * ph_idx / space.t2.n_psk)
-    coeff = wb * sb * ph  # (rank, subbands, 2B), position j = p*B + b
-    num_sb = coeff.shape[1]
-    cols = (coeff.reshape(rank, num_sb, 2, -1) @ beams).reshape(rank, num_sb, -1)
-    norm = np.linalg.norm(cols, axis=-1, keepdims=True)
-    if np.any(norm == 0.0):
-        layer, subband, _ = np.argwhere(norm == 0.0)[0]
-        raise ValueError(f"layer {layer} has all-zero coefficients on subband {subband}")
-    return np.transpose(cols / norm, (1, 2, 0)) / math.sqrt(rank)
+            raise ValueError(f"{field} indices must be in [0, {size}), got {idx.tolist()}")
+    return _type2_columns(space, pmi.i11, pmi.i12, wb_idx, sb_idx, ph_idx) / math.sqrt(rank)

@@ -23,7 +23,8 @@ from .codebook import (
     Type2CodebookSpace,
     TypeIIPmi,
     TypeIPmi,
-    realize_type2_precoder,
+    _type2_columns,
+    realize_type2_precoder,  # not called here: bench/spans.py traces it as csi.realize_type2_precoder
 )
 
 __all__ = [
@@ -167,8 +168,8 @@ def mimo_capacity(sigma, noise_var: float) -> float | np.ndarray:
     leading shape."""
     _check_noise_var(noise_var)
     s = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if np.any(s < 0):
-        raise ValueError("singular values must be nonnegative")
+    if not np.all((s >= 0) & (s < math.inf)):  # also refuses nan
+        raise ValueError(f"singular values must be finite and nonnegative, got {s.tolist()}")
     capacity = np.sum(np.log2(1.0 + s * s / noise_var), axis=-1)
     return float(capacity) if s.ndim == 1 else capacity
 
@@ -223,6 +224,9 @@ def layer_sinr_mmse(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarra
     elif w.ndim == 1:
         w = w[:, None]
     _check_noise_var(noise_var)
+    for name, a in (("h", h), ("w", w)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite, got a nan or inf entry")
     if h.shape[1] != w.shape[0]:
         raise ValueError(f"h has {h.shape[1]} columns but w has {w.shape[0]} rows")
     return _layer_sinr_batch(h @ w, noise_var)
@@ -272,8 +276,8 @@ def _choose(candidates, table: CqiTable) -> tuple[float, int, int, int]:
 def map_cqi(eff_sinr: float, table: CqiTable) -> int:
     """Largest CQI whose threshold is <= eff_sinr (boundary inclusive); 0 if
     below the lowest."""
-    if math.isnan(eff_sinr):
-        raise ValueError("eff_sinr must not be nan")
+    if not eff_sinr >= 0:  # also refuses nan
+        raise ValueError(f"eff_sinr must be nonnegative, not nan, got {eff_sinr}")
     return _choose([(1, np.asarray([eff_sinr], dtype=float))], table)[3]
 
 
@@ -374,31 +378,24 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
     return CsiReport(ri=rank, pmi=report_pmi, cqi=cqi, predicted_throughput=tp)
 
 
-def _nearest_amplitude_index(rel: np.ndarray) -> np.ndarray:
-    return np.argmin(np.abs(rel[:, None] - TYPE2_WB_AMPLITUDES[None, :]), axis=1)
-
-
-def _quantize_type2_layer(c: np.ndarray, n_psk: int):
-    """Quantize one layer's beam-basis target coefficients c (subbands x 2B).
-
-    Wideband amplitude: per-coefficient mean magnitude over subbands, scaled
-    by the strongest coefficient, rounded to the 8-level alphabet. Subband
-    amplitude bit: above/below that mean. Phases: exact max-correlation PSK
-    indices per subband, after rotating each subband so the strongest
-    coefficient is real-positive.
-    """
-    width = c.shape[1]
-    wb_mag = np.abs(c).mean(axis=0)
-    peak = float(wb_mag.max())
-    if peak > 0.0:
-        ref = int(np.argmax(wb_mag))
-        c = c * np.exp(-1j * np.angle(c[:, ref]))[:, None]
-        wb_idx = _nearest_amplitude_index(wb_mag / peak)
-    else:
-        wb_idx = np.zeros(width, dtype=int)
-        wb_idx[0] = len(TYPE2_WB_AMPLITUDES) - 1
-    sb_bits = (np.abs(c) >= wb_mag[None, :]).astype(int)
-    amp = TYPE2_WB_AMPLITUDES[wb_idx][None, :] * TYPE2_SB_AMPLITUDES[sb_bits]
+def _quantize_type2(c: np.ndarray, n_psk: int):
+    """Quantize beam-basis target coefficients c (layers, subbands, 2B) to
+    wideband amplitude (layers, 2B), subband amplitude bit and co-phase
+    (layers, subbands, 2B) indices. Per layer: the wideband amplitude is each
+    coefficient's mean magnitude over subbands, scaled by the strongest and
+    rounded to the 8-level alphabet; the subband bit is above/below that mean;
+    phases are exact max-correlation PSK indices after rotating each subband
+    so the strongest coefficient is real-positive. An all-zero layer gets
+    wideband indices [7, 0, ...]."""
+    wb_mag = np.abs(c).mean(axis=1)  # (layers, 2B)
+    peak = wb_mag.max(axis=1, keepdims=True)
+    ref = np.argmax(wb_mag, axis=1)[:, None, None]
+    c = c * np.exp(-1j * np.angle(np.take_along_axis(c, ref, axis=2)))
+    rel = wb_mag / np.where(peak > 0.0, peak, 1.0)
+    wb_idx = np.argmin(np.abs(rel[..., None] - TYPE2_WB_AMPLITUDES), axis=-1)
+    wb_idx[peak[:, 0] == 0.0, 0] = len(TYPE2_WB_AMPLITUDES) - 1
+    sb_bits = (np.abs(c) >= wb_mag[:, None, :]).astype(int)
+    amp = TYPE2_WB_AMPLITUDES[wb_idx][:, None, :] * TYPE2_SB_AMPLITUDES[sb_bits]
     return wb_idx, sb_bits, quantize_phases(c, amp, n_psk)
 
 
@@ -421,25 +418,26 @@ def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
     q1, q2, i12 = (int(i) for i in np.unravel_index(np.argmax(scores), scores.shape))
     beams = space.beams[q1, q2, space.combos[i12]]
 
-    # Stage 2: per layer, quantize the dominant right-singular vectors in the
-    # selected beam basis, then rate every layer count up to the Type II limit.
+    # Stage 2: quantize the dominant right-singular vectors of every layer in
+    # the selected beam basis at once; rank n is rated by the first n unit
+    # columns, and only the reported rank becomes a PMI.
     vh = np.linalg.svd(h)[2]  # (subbands, num_tx, num_tx)
     max_layers = min(TYPE2_MAX_RANK, num_rx, num_tx)
-    quant = []
-    for layer in range(max_layers):
-        target = vh[:, layer, :].conj().reshape(num_sb, 2, p_pol)
-        c = np.einsum("kpe,be->kpb", target, beams.conj()).reshape(num_sb, -1) / p_pol
-        quant.append(_quantize_type2_layer(c, t2.n_psk))
-    wb = tuple(tuple(amps.tolist()) for amps, _, _ in quant)
-    sb = tuple(tuple(map(tuple, bits.tolist())) for _, bits, _ in quant)
-    ph = tuple(tuple(map(tuple, phases.tolist())) for _, _, phases in quant)
-    pmis = [TypeIIPmi(i11=(q1, q2), i12=i12, wideband_amplitudes=wb[:n],
-                      subband_cophase=ph[:n], subband_amplitude=sb[:n])
-            for n in range(1, max_layers + 1)]
-    candidates = ((pmi.rank, _precoded_sinr(h, realize_type2_precoder(space, pmi), noise_var))
-                  for pmi in pmis)
-    tp, layers, _, cqi = _choose(candidates, table)
-    return CsiReport(ri=layers, pmi=pmis[layers - 1], cqi=cqi, predicted_throughput=tp)
+    target = vh[:, :max_layers, :].conj().reshape(num_sb, max_layers, 2, p_pol)
+    c = np.einsum("klpe,be->lkpb", target, beams.conj()).reshape(max_layers, num_sb, -1) / p_pol
+    wb_idx, sb_bits, phases = _quantize_type2(c, t2.n_psk)
+    unit = _type2_columns(space, (q1, q2), i12, wb_idx, sb_bits, phases)
+    candidates = ((n, _precoded_sinr(h, unit[..., :n] / math.sqrt(n), noise_var))
+                  for n in range(1, max_layers + 1))
+    tp, n, _, cqi = _choose(candidates, table)
+    pmi = TypeIIPmi(i11=(q1, q2), i12=i12, wideband_amplitudes=_tuples(wb_idx[:n]),
+                    subband_cophase=_tuples(phases[:n]), subband_amplitude=_tuples(sb_bits[:n]))
+    return CsiReport(ri=n, pmi=pmi, cqi=cqi, predicted_throughput=tp)
+
+
+def _tuples(a: np.ndarray) -> tuple:
+    """Nested tuples of Python ints, the PMI report format."""
+    return tuple(map(_tuples, a)) if a.ndim > 1 else tuple(a.tolist())
 
 
 def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:

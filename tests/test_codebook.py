@@ -390,6 +390,37 @@ class TestType2Realization:
         with pytest.raises(ValueError, match="indices must be in"):
             realize_type2_precoder(space, replace(pmi, **{field: _nested(indices)}))
 
+    @pytest.mark.parametrize("changes, field", [
+        # One wideband amplitude and one subband bit per subband would broadcast
+        # to a (3, 8, 1) precoder.
+        ({"wideband_amplitudes": ((7,),), "subband_amplitude": (((1,),) * 3,)},
+         "wideband_amplitudes"),
+        ({"subband_amplitude": (((1,),) * 3,)}, "subband_amplitude"),
+        ({"subband_amplitude": (((0,) * 8,) * 2,)}, "subband_amplitude"),  # 2 subbands, not 3
+        ({"subband_cophase": ((0,) * 8,)}, "subband_cophase"),  # no subband axis
+        ({"subband_cophase": (((0,) * 8,) * 3,) * 2}, "subband_cophase"),  # 2 layers at rank 1
+        ({"wideband_amplitudes": ((7,) + (0,) * 8,)}, "wideband_amplitudes"),  # 2B + 1
+    ], ids=["broadcast", "one-bit-per-subband", "subband-count", "no-subband-axis",
+            "layer-count", "wideband-width"])
+    def test_malformed_shape_names_field(self, changes, field):
+        cfg, ov = _panel(4, 1)
+        space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
+        pmi = replace(_single_beam_pmi(0, num_subbands=3), **changes)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            realize_type2_precoder(space, pmi)
+
+    @pytest.mark.parametrize("field, value", [
+        ("wideband_amplitudes", ((7, 0, 0, 0, 0, 0, 0, 0), (7, 0))),
+        ("subband_cophase", (((0,) * 8, (0,) * 7, (0,) * 8),)),
+        ("subband_amplitude", (((0,) * 8, 0, (0,) * 8),)),
+    ])
+    def test_ragged_tuples_name_field(self, field, value):
+        cfg, ov = _panel(4, 1)
+        space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
+        pmi = replace(_single_beam_pmi(0, num_subbands=3), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} is ragged"):
+            realize_type2_precoder(space, pmi)
+
     def test_rank_above_limit(self):
         cfg, ov = _panel(4, 1)
         space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)

@@ -31,8 +31,9 @@ from nrsim import (
     select_csi,
     svd_precode,
 )
-from nrsim.codebook import TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES, TypeIPmi
-from nrsim.csi import CsiReport, _choose, _effective_sinr, _mmse_sinr
+from nrsim.codebook import TYPE2_MAX_RANK, TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES, TypeIPmi
+from nrsim.csi import (CsiReport, _choose, _effective_sinr, _mmse_sinr, _precoded_sinr,
+                       _quantize_type2)
 
 
 def _rand_h(rng, num_rx, num_tx):
@@ -95,6 +96,11 @@ class TestCapacity:
     def test_nan_noise_rejected(self):
         with pytest.raises(ValueError, match="noise_var"):
             mimo_capacity((1.0,), math.nan)
+
+    @pytest.mark.parametrize("sigma", [(math.nan, 1.0), (math.inf,), (1.0, -math.inf)])
+    def test_non_finite_singular_values_rejected(self, sigma):
+        with pytest.raises(ValueError, match="singular values must be finite"):
+            mimo_capacity(sigma, 1.0)
 
 
 def _mmse_sinr_explicit(g, noise_var):
@@ -179,6 +185,13 @@ class TestLayerSinr:
     def test_nan_noise_rejected(self):
         with pytest.raises(ValueError, match="noise_var"):
             layer_sinr_mmse(np.eye(2), np.eye(2), math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_channel_or_precoder_rejected(self, bad):
+        with pytest.raises(ValueError, match="^h must be finite"):
+            layer_sinr_mmse([[bad, 1.0]], [[1.0], [0.0]], 1.0)
+        with pytest.raises(ValueError, match="^w must be finite"):
+            layer_sinr_mmse([[1.0, 1.0]], [[1.0], [bad]], 1.0)
 
 
 class TestEffectiveSinr:
@@ -285,6 +298,11 @@ class TestMapCqi:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="eff_sinr"):
             map_cqi(math.nan, CqiTable.default())
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, -math.inf])
+    def test_negative_rejected(self, bad):
+        with pytest.raises(ValueError, match="eff_sinr"):
+            map_cqi(bad, CqiTable.default())
 
     @given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e6))
     def test_monotone(self, a, b):
@@ -694,3 +712,90 @@ class TestSelectCsiType2:
                 best = np.max(np.abs(cols.conj() @ v1[k]))
                 got = abs(np.vdot(w[k, :, 0], v1[k])) * math.sqrt(pmi.rank)
                 assert got == pytest.approx(best, abs=1e-12)
+
+
+def _quantize_type2_layer_reference(c, n_psk):
+    """One layer's stage-2 quantization, c (subbands, 2B), written per layer:
+    the reference that _quantize_type2's all-layers pass must equal."""
+    wb_mag = np.abs(c).mean(axis=0)
+    peak = float(wb_mag.max())
+    if peak > 0.0:
+        ref = int(np.argmax(wb_mag))
+        c = c * np.exp(-1j * np.angle(c[:, ref]))[:, None]
+        wb_idx = np.argmin(np.abs((wb_mag / peak)[:, None] - TYPE2_WB_AMPLITUDES[None, :]), axis=1)
+    else:
+        wb_idx = np.zeros(c.shape[1], dtype=int)
+        wb_idx[0] = len(TYPE2_WB_AMPLITUDES) - 1
+    sb_bits = (np.abs(c) >= wb_mag[None, :]).astype(int)
+    amp = TYPE2_WB_AMPLITUDES[wb_idx][None, :] * TYPE2_SB_AMPLITUDES[sb_bits]
+    return wb_idx, sb_bits, quantize_phases(c, amp, n_psk)
+
+
+def _select_type2_stage2_reference(h, noise_var, space, table, i11, i12):
+    """Type II stage 2 one layer and one candidate at a time, for the beams
+    (i11, i12) that stage 1 picked (stage 1 has its own brute-force oracle):
+    quantize each layer alone, build the PMI of every rank up to the Type II
+    limit, and rate each through realize_type2_precoder."""
+    num_sb, num_rx, num_tx = h.shape
+    p_pol = num_tx // 2
+    beams = space.beams[i11[0], i11[1], space.combos[i12]]
+    vh = np.linalg.svd(h)[2]
+    quant = []
+    for layer in range(min(TYPE2_MAX_RANK, num_rx, num_tx)):
+        target = vh[:, layer, :].conj().reshape(num_sb, 2, p_pol)
+        c = np.einsum("kpe,be->kpb", target, beams.conj()).reshape(num_sb, -1) / p_pol
+        quant.append(_quantize_type2_layer_reference(c, space.t2.n_psk))
+    nested = lambda a: tuple(map(nested, a)) if np.ndim(a) else int(a)
+    pmis = [TypeIIPmi(i11, i12, nested([q[0] for q in quant[:n]]),
+                      nested([q[2] for q in quant[:n]]), nested([q[1] for q in quant[:n]]))
+            for n in range(1, len(quant) + 1)]
+    rated = ((pmi.rank, _precoded_sinr(h, realize_type2_precoder(space, pmi), noise_var))
+             for pmi in pmis)
+    tp, rank, _, cqi = _choose(rated, table)
+    return CsiReport(ri=rank, pmi=pmis[rank - 1], cqi=cqi, predicted_throughput=tp)
+
+
+_STAGE2_GRID = [(n1, n2, num_beams, n_psk)
+                for n1, n2 in ((2, 1), (4, 1), (2, 2), (4, 2))
+                for num_beams in (2, 3, 4) if num_beams <= n1 * n2
+                for n_psk in (4, 8)]
+
+
+@pytest.mark.parametrize("n1, n2, num_beams, n_psk", _STAGE2_GRID,
+                         ids=[f"{n1}x{n2}-B{b}-psk{p}" for n1, n2, b, p in _STAGE2_GRID])
+def test_type2_stage2_oracle(n1, n2, num_beams, n_psk):
+    """select_csi's Type II report equals the per-layer, per-candidate
+    reference exactly (RI, CQI, predicted throughput and every PMI tuple) on
+    random slots with 1, 2 or 4 rx, 1-13 subbands and SNRs from -10 to 30 dB."""
+    cfg = AntennaConfig(n1, n2)
+    space = build_type2_structure(cfg, Type2Config(num_beams, n_psk), oversampling_factors(cfg))
+    table = CqiTable.default()
+    rng = np.random.default_rng(1000 * n1 + 100 * n2 + 10 * num_beams + n_psk)
+    ranks = set()
+    for _ in range(12):
+        num_rx, num_sb = int(rng.choice([1, 2, 4])), int(rng.integers(1, 14))
+        h = np.stack([_rand_h(rng, num_rx, cfg.num_ports) for _ in range(num_sb)])
+        noise_var = 10.0 ** (-rng.uniform(-10.0, 30.0) / 10.0)
+        report = select_csi(h, noise_var, space, table)
+        want = _select_type2_stage2_reference(h, noise_var, space, table,
+                                              report.pmi.i11, report.pmi.i12)
+        assert report == want
+        ranks.add(report.ri)
+    assert ranks == {1, 2}
+
+
+def test_quantize_type2_zero_layer_beside_live_layer():
+    """An all-zero layer gets wideband indices [7, 0, ...], every subband
+    bit set and zero phases, and leaves the live layer's indices as the
+    per-layer reference gives them, in either layer order."""
+    rng = np.random.default_rng(40)
+    live = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    zero = np.zeros_like(live)
+    want = _quantize_type2_layer_reference(live, 8)
+    for order in ((live, zero), (zero, live)):
+        wb_idx, sb_bits, phases = _quantize_type2(np.stack(order), 8)
+        z = 1 if order[1] is zero else 0
+        assert wb_idx[z].tolist() == [7] + [0] * 7
+        assert np.all(sb_bits[z] == 1) and np.all(phases[z] == 0)
+        for got, ref in zip((wb_idx[1 - z], sb_bits[1 - z], phases[1 - z]), want):
+            assert np.array_equal(got, ref)
