@@ -5,8 +5,10 @@ Runs `nrsim sweep --codebook type1,type2,svd --slots 80` from this
 checkout's `src/` at seeds 2026 and 7, on the default 4x1 panel and on a
 4x2 panel (`[antenna] n2 = 2`), each once with NRSIM_THREADS=1 and once with
 the default worker count. Prints one `sha256  seed panel workers file` line
-per CSV. Running it in two checkouts and diffing the output shows whether a
-change keeps the simulated curves byte-identical.
+per CSV, each followed by one `sha256  seed panel workers file mode` line per
+mode over that mode's rows, in file order without the header. Running it in
+two checkouts and diffing the output shows whether a change keeps the
+simulated curves byte-identical, and if not, which modes' rows moved.
 
 Example:
     python3 scripts/sweep_digests.py > digests.txt
@@ -25,6 +27,11 @@ SEEDS = (2026, 7)
 PANELS = {"4x1": "", "4x2": "[antenna]\nn2 = 2\n"}
 WORKERS = ("1", "default")
 CSVS = ("sweep.csv", "ri_hist.csv", "cqi_hist.csv")
+MODES = ("type1", "type2", "svd")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def main() -> int:
@@ -36,13 +43,17 @@ def main() -> int:
         for seed, panel, workers in itertools.product(SEEDS, PANELS, WORKERS):
             out = Path(tmp) / f"{seed}-{panel}-{workers}"
             subprocess.run([sys.executable, "-m", "nrsim", "sweep", "--config", f"{tmp}/{panel}.ini",
-                            "--codebook", "type1,type2,svd", "--slots", "80",
+                            "--codebook", ",".join(MODES), "--slots", "80",
                             "--seed", str(seed), "--out", str(out)],
                            env=env if workers == "default" else {**env, "NRSIM_THREADS": workers},
                            check=True, stdout=subprocess.DEVNULL)
             for name in CSVS:
-                digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-                print(f"{digest}  {seed} {panel} {workers} {name}", flush=True)
+                data = (out / name).read_bytes()
+                print(f"{sha256(data)}  {seed} {panel} {workers} {name}", flush=True)
+                rows = data.splitlines(keepends=True)[1:]  # every CSV has mode as column 2
+                for mode in MODES:
+                    mode_rows = b"".join(r for r in rows if r.split(b",")[1] == mode.encode())
+                    print(f"{sha256(mode_rows)}  {seed} {panel} {workers} {name} {mode}", flush=True)
     return 0
 
 

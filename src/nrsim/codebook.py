@@ -372,11 +372,15 @@ def realize_type2_precoder(space: Type2CodebookSpace, pmi: TypeIIPmi) -> np.ndar
     unit columns, each subband's matrix scaled to unit Frobenius norm.
 
     wideband_amplitudes must be (rank, 2B), and subband_cophase and
-    subband_amplitude (rank, subbands, 2B), with every index in range.
+    subband_amplitude (rank, subbands, 2B), with every index an integer in
+    range.
     """
     rank = pmi.rank
     if not 1 <= rank <= TYPE2_MAX_RANK:
         raise ValueError(f"rank {rank} is outside the Type II range [1, {TYPE2_MAX_RANK}]")
+    for field, values in (("i11", pmi.i11), ("i12", (pmi.i12,))):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+            raise ValueError(f"{field} must be integer, got {getattr(pmi, field)!r}")
     o1, o2 = space.beams.shape[:2]
     q1, q2 = pmi.i11
     if not (0 <= q1 < o1 and 0 <= q2 < o2):
@@ -400,6 +404,8 @@ def realize_type2_precoder(space: Type2CodebookSpace, pmi: TypeIIPmi) -> np.ndar
              len(TYPE2_SB_AMPLITUDES))):
         if idx.shape != shape:
             raise ValueError(f"{field} must be {dims} = {shape}, got shape {idx.shape}")
+        if idx.dtype.kind not in "iu":  # numpy would read bools as a mask and refuse floats
+            raise ValueError(f"{field} indices must be integers, got {idx.tolist()}")
         if np.any((idx < 0) | (idx >= size)):
             raise ValueError(f"{field} indices must be in [0, {size}), got {idx.tolist()}")
     return _type2_columns(space, pmi.i11, pmi.i12, wb_idx, sb_idx, ph_idx) / math.sqrt(rank)

@@ -174,6 +174,35 @@ def mimo_capacity(sigma, noise_var: float) -> float | np.ndarray:
     return float(capacity) if s.ndim == 1 else capacity
 
 
+def _logdet_capacity(h: np.ndarray, noise_var: float) -> np.ndarray:
+    """mimo_capacity of the singular values of channels h (..., rx, tx),
+    shape (...), without an SVD: log2 det(I + G/nv) for the Hermitian Gram G
+    on the smaller side, summed as log2 of the LDL^H pivots of I + G/nv.
+    Like _mmse_sinr's sweep, the elimination runs in plain ufuncs over the
+    batch with no pivot search, the matrix being positive definite, and no
+    LAPACK call (np.linalg.slogdet of the same Grams was slower and took more
+    memory). Each pivot is at least 1 in exact arithmetic and is clamped
+    there against roundoff."""
+    if h.shape[-2] > h.shape[-1]:
+        h = h.swapaxes(-2, -1)  # the Gram of H^T is conj(H^H H): same eigenvalues
+    r = h.shape[-2]
+    a = [[None] * r for _ in range(r)]
+    for j in range(r):
+        row_conj = h[..., j, :].conj()
+        for i in range(j + 1):
+            g = np.einsum("...t,...t->...", h[..., i, :], row_conj) / noise_var
+            a[i][j] = g.real + 1.0 if i == j else g
+    capacity = 0.0
+    for k in range(r):
+        capacity = capacity + np.log2(np.maximum(a[k][k], 1.0))
+        for i in range(k + 1, r):
+            row = a[k][i].conj() / a[k][k]
+            a[i][i] = a[i][i] - (row * a[k][i]).real
+            for j in range(i + 1, r):
+                a[i][j] = a[i][j] - row * a[k][j]
+    return capacity
+
+
 def _mmse_sinr(upper, noise_var: float) -> np.ndarray:
     """Per-layer linear-MMSE SINR_i = 1/[(I + G/nv)^-1]_ii - 1, clamped at 0
     against roundoff, for Hermitian r x r Grams G given by their upper
@@ -362,8 +391,12 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
     # x[p, :, b] = H_p v_b for polarization p and grid beam b: (2, rx, beams, subbands).
     grid = codebooks[ranks[0]].grid
     x = grid.reshape(shifts.shape[1], -1) @ h.reshape(num_sb, num_rx, 2, -1).transpose(2, 1, 3, 0)
-    # prod[p, q, d, b] = sum over rx of conj(x[p, :, b]) * x[q, :, b + d]
-    prod = (x.conj()[:, None, :, None] * x[:, :, shifts][None]).sum(axis=2)
+    # prod[p, q, d, b] = sum over rx of conj(x[p, :, b]) * x[q, :, b + d],
+    # accumulated one rx at a time in place.
+    x_conj = x.conj()[:, None, :, None]
+    prod = x_conj[:, :, 0] * x[None, :, 0, shifts]
+    for r in range(1, num_rx):
+        prod += x_conj[:, :, r] * x[None, :, r, shifts]
     prod = prod.reshape(4, *prod.shape[2:])
     candidates = []
     for rank, (which, base, weights) in zip(ranks, plans):

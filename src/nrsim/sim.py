@@ -32,7 +32,7 @@ from .codebook import (
     oversampling_factors,
     realize_type2_precoder,
 )
-from .csi import CqiTable, _precoded_sinr, mimo_capacity, select_csi
+from .csi import CqiTable, _logdet_capacity, _precoded_sinr, select_csi
 from .overhead import expected_overhead, type1_overhead_bits, type2_overhead_bits
 
 __all__ = [
@@ -60,10 +60,11 @@ _THRESHOLD_SLACK_DB = 1e-9
 _SNR_LIMIT_DB = 1000.0
 
 
-# Slots whose singular values the SVD bound takes at a time: 64 slots of 52
-# subbands at rank 4 are 106 kB, so the per-slot capacities are the only
-# array of that scoring that grows with the slot count.
-_SVD_BLOCK = 64
+# Slots whose capacities the SVD bound computes at a time: a 16-slot block of
+# 52 subbands at 4x8 ports needs about 0.4 MB of Gram entries and
+# temporaries, so the per-slot capacities are the only array of that scoring
+# that grows with the slot count.
+_SVD_BLOCK = 16
 
 
 class CodebookMode(enum.Enum):
@@ -191,10 +192,8 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     num_rx, num_tx = ch_cfg.num_rx_ports, ch_cfg.num_tx_ports
 
     if cfg.codebook_mode is CodebookMode.SVD_IDEAL:
-        capacity = np.concatenate([
-            mimo_capacity(np.linalg.svd(h[s:s + _SVD_BLOCK], compute_uv=False),
-                          noise_var).mean(axis=-1)
-            for s in range(delay, cfg.num_slots, _SVD_BLOCK)])
+        capacity = np.concatenate([_logdet_capacity(h[s:s + _SVD_BLOCK], noise_var).mean(axis=-1)
+                                   for s in range(delay, cfg.num_slots, _SVD_BLOCK)])
         return _aggregate(snr_db, capacity, np.full(scored, min(num_rx, num_tx)),
                           np.zeros(scored, dtype=int), 0, lambda r: 0, bandwidth_hz)
 

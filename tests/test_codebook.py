@@ -421,6 +421,32 @@ class TestType2Realization:
         with pytest.raises(ValueError, match=f"^{field} is ragged"):
             realize_type2_precoder(space, pmi)
 
+    @pytest.mark.parametrize("changes, field", [
+        ({"wideband_amplitudes": ((7.0,) + (0,) * 7,)}, "wideband_amplitudes"),
+        ({"subband_amplitude": (((True,) + (False,) * 7,) * 3,)}, "subband_amplitude"),
+        ({"subband_cophase": (((0.5,) + (0,) * 7,) * 3,)}, "subband_cophase"),
+        ({"i11": (0.5, 0)}, "i11"),
+        ({"i11": (True, 0)}, "i11"),
+        ({"i12": 0.0}, "i12"),
+    ], ids=["float-wideband", "bool-subband-amplitude", "float-cophase", "float-i11",
+            "bool-i11", "float-i12"])
+    def test_non_integer_index_names_field(self, changes, field):
+        """A float or bool PMI index is refused by name, not read by numpy as
+        a mask or an IndexError."""
+        cfg, ov = _panel(4, 1)
+        space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
+        pmi = replace(_single_beam_pmi(0, num_subbands=3), **changes)
+        with pytest.raises(ValueError, match=f"^{field} (indices )?must be integer"):
+            realize_type2_precoder(space, pmi)
+
+    def test_numpy_integer_indices_accepted(self):
+        cfg, ov = _panel(4, 1)
+        space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
+        pmi = _single_beam_pmi(0)
+        w = realize_type2_precoder(space, replace(pmi, i11=(np.int64(0), np.uint8(0)),
+                                                  i12=np.int32(0)))
+        assert np.array_equal(w, realize_type2_precoder(space, pmi))
+
     def test_rank_above_limit(self):
         cfg, ov = _panel(4, 1)
         space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
