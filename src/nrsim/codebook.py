@@ -351,20 +351,21 @@ def build_type2_structure(cfg: AntennaConfig, t2: Type2Config, ov: Oversampling)
     return Type2CodebookSpace(cfg, t2, ov)
 
 
-def _type2_columns(space: Type2CodebookSpace, i11, i12: int, wb_idx, sb_idx, ph_idx) -> np.ndarray:
-    """Unit-norm columns (subbands, ports, layers) of in-range Type II indices:
-    wideband amplitudes (layers, 2B), subband bits and co-phases (layers,
-    subbands, 2B). Per polarization a column is sum_b a_wb * a_sb *
+def _type2_columns(space: Type2CodebookSpace, beams, wb_idx, sb_idx, ph_idx) -> np.ndarray:
+    """Unit-norm columns (..., subbands, ports, layers) of in-range Type II
+    indices over leading batch axes: the selected beams (..., B, n1*n2),
+    wideband amplitudes (..., layers, 2B), subband bits and co-phases (...,
+    layers, subbands, 2B). Per polarization a column is sum_b a_wb * a_sb *
     exp(j*2*pi*c/N_PSK) * v_b (position j = p*B + b), scaled to unit norm."""
-    beams = space.beams[i11[0], i11[1], space.combos[i12]]  # (B, n1*n2)
-    coeff = (TYPE2_WB_AMPLITUDES[wb_idx][:, None, :] * TYPE2_SB_AMPLITUDES[sb_idx]
+    coeff = (TYPE2_WB_AMPLITUDES[wb_idx][..., None, :] * TYPE2_SB_AMPLITUDES[sb_idx]
              * np.exp(2j * np.pi * ph_idx / space.t2.n_psk))
-    cols = (coeff.reshape(*coeff.shape[:2], 2, -1) @ beams).reshape(*coeff.shape[:2], -1)
+    cols = (coeff.reshape(*coeff.shape[:-1], 2, -1) @ beams[..., None, None, :, :]).reshape(
+        *coeff.shape[:-1], -1)
     norm = np.linalg.norm(cols, axis=-1, keepdims=True)
     if np.any(norm == 0.0):
-        layer, subband, _ = np.argwhere(norm == 0.0)[0]
+        *_, layer, subband, _ = np.argwhere(norm == 0.0)[0]
         raise ValueError(f"layer {layer} has all-zero coefficients on subband {subband}")
-    return np.transpose(cols / norm, (1, 2, 0))
+    return np.moveaxis(cols / norm, -3, -1)
 
 
 def realize_type2_precoder(space: Type2CodebookSpace, pmi: TypeIIPmi) -> np.ndarray:
@@ -408,4 +409,5 @@ def realize_type2_precoder(space: Type2CodebookSpace, pmi: TypeIIPmi) -> np.ndar
             raise ValueError(f"{field} indices must be integers, got {idx.tolist()}")
         if np.any((idx < 0) | (idx >= size)):
             raise ValueError(f"{field} indices must be in [0, {size}), got {idx.tolist()}")
-    return _type2_columns(space, pmi.i11, pmi.i12, wb_idx, sb_idx, ph_idx) / math.sqrt(rank)
+    beams = space.beams[q1, q2, space.combos[pmi.i12]]
+    return _type2_columns(space, beams, wb_idx, sb_idx, ph_idx) / math.sqrt(rank)

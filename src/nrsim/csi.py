@@ -161,6 +161,11 @@ def _check_noise_var(noise_var: float) -> None:
         raise ValueError(f"noise_var must be finite and positive, got {noise_var}")
 
 
+def _check_finite(h: np.ndarray) -> None:
+    if not np.all(np.isfinite(h)):  # LAPACK may never return on inf
+        raise ValueError("h must be finite, got a nan or inf entry")
+
+
 def mimo_capacity(sigma, noise_var: float) -> float | np.ndarray:
     """Shannon capacity of the diagonalized channel with unit-power symbols:
     sum_i log2(1 + sigma_i^2 / noise_var) over the last axis of sigma. One
@@ -170,7 +175,7 @@ def mimo_capacity(sigma, noise_var: float) -> float | np.ndarray:
     s = np.atleast_1d(np.asarray(sigma, dtype=float))
     if not np.all((s >= 0) & (s < math.inf)):  # also refuses nan
         raise ValueError(f"singular values must be finite and nonnegative, got {s.tolist()}")
-    capacity = np.sum(np.log2(1.0 + s * s / noise_var), axis=-1)
+    capacity = np.sum(np.log1p(s * s / noise_var), axis=-1) / math.log(2.0)
     return float(capacity) if s.ndim == 1 else capacity
 
 
@@ -284,22 +289,25 @@ def _precoded_sinr(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarray
     return _effective_sinr(_layer_sinr_batch(np.einsum("...kij,...kjr->...kir", h, w), noise_var))
 
 
-def _choose(candidates, table: CqiTable) -> tuple[float, int, int, int]:
-    """(throughput, rank, index, cqi) of the best candidate; candidates yields
-    (rank, effective SINRs of that rank's candidates) in ascending rank."""
+def _choose(candidates, table: CqiTable) -> tuple[np.ndarray, ...]:
+    """(throughput, rank, index, cqi) of the best candidate per slot, for
+    candidates (rank, effective SINRs (slots..., that rank's candidates)) in
+    ascending rank. The first best is kept: lower rank, then lower index."""
     best = None
     for rank, eff in candidates:
         eff = np.atleast_1d(eff)
         cqi = np.zeros(eff.shape, dtype=int)
         positive = eff > 0
-        if np.any(positive):
-            eff_db = 10.0 * np.log10(eff[positive])
-            cqi[positive] = np.searchsorted(table.sinr_threshold_db, eff_db, side="right")
+        cqi[positive] = np.searchsorted(table.sinr_threshold_db, 10.0 * np.log10(eff[positive]),
+                                        side="right")
         throughput = rank * table.efficiency(cqi)
-        i = int(np.argmax(throughput))
-        if best is None or throughput[i] > best[0]:
-            best = (float(throughput[i]), rank, i, int(cqi[i]))
-    return best
+        i = np.argmax(throughput, axis=-1)[..., None]
+        found = (np.take_along_axis(throughput, i, axis=-1)[..., 0], np.full(i.shape[:-1], rank),
+                 i[..., 0], np.take_along_axis(cqi, i, axis=-1)[..., 0])
+        if best is not None:
+            found = tuple(np.where(found[0] > best[0], new, old) for new, old in zip(found, best))
+        best = found
+    return tuple(a[()] for a in best)  # one slot's values as numpy scalars
 
 
 def map_cqi(eff_sinr: float, table: CqiTable) -> int:
@@ -307,7 +315,7 @@ def map_cqi(eff_sinr: float, table: CqiTable) -> int:
     below the lowest."""
     if not eff_sinr >= 0:  # also refuses nan
         raise ValueError(f"eff_sinr must be nonnegative, not nan, got {eff_sinr}")
-    return _choose([(1, np.asarray([eff_sinr], dtype=float))], table)[3]
+    return int(_choose([(1, np.asarray([eff_sinr], dtype=float))], table)[3])
 
 
 def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
@@ -354,9 +362,10 @@ def _gram_plan(cbs: tuple[Codebook, ...]):
     b + o_i and b + o_j (o = col_offsets[t]), paired by D_d[b + o_i] where
     d = o_j - o_i and D_d[b] pairs beams b and b + d. Returns the flat grid
     index of b + d for each d used, (d values, beams), and per codebook over
-    (upper-triangle pairs, t): which d; the flat index of b + o_i, with the
-    beams last; and the weights conj(a_ip) * a_jq / (ports * r) of the
-    polarization products D_d[p, q], a_i = (1, cophase), (pairs, t, i2, 4).
+    (upper-triangle pairs, t): the flat index of D_d[p, q][b + o_i] in the
+    products laid out as (4 polarization pairs pq, d values, beams), shape
+    (pairs, t, 4, beams); and the weights conj(a_ip) * a_jq / (ports * r) of
+    the polarization products D_d[p, q], a_i = (1, cophase), (pairs, t, i2, 4).
     """
     if len({(cb.cfg, cb.grid.shape) for cb in cbs}) != 1:
         raise ValueError("Type I codebooks must share one panel and beam grid")
@@ -374,98 +383,105 @@ def _gram_plan(cbs: tuple[Codebook, ...]):
         steps.append(cb.col_offsets[:, ju].swapaxes(0, 1) - o_i)
         c_i, c_j = cb.cophase[..., iu], cb.cophase[..., ju]  # (t, i2, pairs)
         weights = np.stack([np.ones_like(c_i), c_j, c_i.conj(), c_i.conj() * c_j], axis=-1)
-        tables.append((moved(o_i), weights.transpose(2, 0, 1, 3) / (cb.cfg.num_ports * r)))
+        tables.append((moved(o_i)[:, :, None], weights.transpose(2, 0, 1, 3) / (cb.cfg.num_ports * r)))
     diffs, which = np.unique(np.concatenate([d.reshape(-1, 2) for d in steps]), axis=0,
                              return_inverse=True)
     which = np.split(which, np.cumsum([d.size // 2 for d in steps])[:-1])
-    return moved(diffs), [(w.reshape(d.shape[:2]), *t) for w, d, t in zip(which, steps, tables)]
+    pq = np.arange(4)[:, None] * len(diffs)
+    return moved(diffs), [((pq + w.reshape(*d.shape[:2], 1, 1)) * n_l * n_m + base, weights)
+                          for w, d, (base, weights) in zip(which, steps, tables)]
 
 
 def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook],
-                  table: CqiTable) -> CsiReport:
-    num_sb, num_rx, num_tx = h.shape
+                  table: CqiTable) -> tuple[np.ndarray, ...]:
+    """(throughput, rank, CQI, entry) arrays per slot of h (slots, subbands,
+    rx, tx): the reported precoder is codebooks[rank].w_stack[entry]."""
+    num_slots, num_sb, num_rx, num_tx = h.shape
     ranks = [rank for rank in sorted(codebooks) if rank <= min(num_rx, num_tx)]
     if not ranks:
         raise ValueError("no codebook rank is usable for this channel size")
     shifts, plans = _gram_plan(tuple(codebooks[rank] for rank in ranks))
-    # x[p, :, b] = H_p v_b for polarization p and grid beam b: (2, rx, beams, subbands).
+    # x[s, p, :, b] = H_p v_b for slot s, polarization p and grid beam b:
+    # (slots, 2, rx, beams, subbands).
     grid = codebooks[ranks[0]].grid
-    x = grid.reshape(shifts.shape[1], -1) @ h.reshape(num_sb, num_rx, 2, -1).transpose(2, 1, 3, 0)
-    # prod[p, q, d, b] = sum over rx of conj(x[p, :, b]) * x[q, :, b + d],
+    x = grid.reshape(shifts.shape[1], -1) @ h.reshape(*h.shape[:3], 2, -1).transpose(0, 3, 2, 4, 1)
+    # prod[s, p, q, d, b] = sum over rx of conj(x[s, p, :, b]) * x[s, q, :, b + d],
     # accumulated one rx at a time in place.
-    x_conj = x.conj()[:, None, :, None]
-    prod = x_conj[:, :, 0] * x[None, :, 0, shifts]
+    x_conj = x.conj()[:, :, None, :, None]
+    prod = x_conj[:, :, :, 0] * x[:, None, :, 0, shifts]
     for r in range(1, num_rx):
-        prod += x_conj[:, :, r] * x[None, :, r, shifts]
-    prod = prod.reshape(4, *prod.shape[2:])
+        prod += x_conj[:, :, :, r] * x[:, None, :, r, shifts]
+    prod = prod.reshape(num_slots, -1, num_sb)
     candidates = []
-    for rank, (which, base, weights) in zip(ranks, plans):
-        gathered = prod[np.arange(4)[:, None], which[:, :, None, None], base[:, :, None, :]]
-        gram = weights @ gathered.reshape(*gathered.shape[:3], -1)  # (pairs, t, i2, beams * subbands)
-        sinr = _mmse_sinr(gram, noise_var).reshape(-1, *gram.shape[1:3], *prod.shape[2:])
-        eff = _effective_sinr(np.moveaxis(sinr, 0, -1))  # (t, i2, beams)
-        candidates.append((rank, eff.transpose(2, 0, 1).ravel()))  # in entry order
-    tp, rank, e, cqi = _choose(candidates, table)
-    pmi = codebooks[rank].pmi_of(e)
-    report_pmi = TypeIPmi(pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband * num_sb)
-    return CsiReport(ri=rank, pmi=report_pmi, cqi=cqi, predicted_throughput=tp)
+    for rank, (gather, weights) in zip(ranks, plans):
+        # Gathered products (slots, pairs, t, 4, beams * subbands) to Grams (..., i2, ...).
+        gram = weights @ np.take(prod, gather, axis=1).reshape(num_slots, *gather.shape[:3], -1)
+        sinr = _mmse_sinr(np.moveaxis(gram, 1, 0), noise_var)
+        sinr = sinr.reshape(*sinr.shape[:-1], -1, num_sb)  # (rank, slots, t, i2, beams, subbands)
+        eff = _effective_sinr(np.moveaxis(sinr, 0, -1))  # (slots, t, i2, beams)
+        candidates.append((rank, eff.transpose(0, 3, 1, 2).reshape(num_slots, -1)))  # in entry order
+    tp, rank, entry, cqi = _choose(candidates, table)
+    return tp, rank, cqi, entry
 
 
 def _quantize_type2(c: np.ndarray, n_psk: int):
-    """Quantize beam-basis target coefficients c (layers, subbands, 2B) to
-    wideband amplitude (layers, 2B), subband amplitude bit and co-phase
-    (layers, subbands, 2B) indices. Per layer: the wideband amplitude is each
-    coefficient's mean magnitude over subbands, scaled by the strongest and
-    rounded to the 8-level alphabet; the subband bit is above/below that mean;
-    phases are exact max-correlation PSK indices after rotating each subband
-    so the strongest coefficient is real-positive. An all-zero layer gets
-    wideband indices [7, 0, ...]."""
-    wb_mag = np.abs(c).mean(axis=1)  # (layers, 2B)
-    peak = wb_mag.max(axis=1, keepdims=True)
-    ref = np.argmax(wb_mag, axis=1)[:, None, None]
-    c = c * np.exp(-1j * np.angle(np.take_along_axis(c, ref, axis=2)))
+    """Quantize beam-basis target coefficients c (..., layers, subbands, 2B)
+    to wideband amplitude (..., layers, 2B), subband amplitude bit and
+    co-phase (..., layers, subbands, 2B) indices. Per layer: the wideband
+    amplitude is each coefficient's mean magnitude over subbands, scaled by
+    the strongest and rounded to the 8-level alphabet; the subband bit is
+    above/below that mean; phases are exact max-correlation PSK indices after
+    rotating each subband so the strongest coefficient is real-positive. An
+    all-zero layer gets wideband indices [7, 0, ...]."""
+    wb_mag = np.abs(c).mean(axis=-2)  # (..., layers, 2B)
+    peak = wb_mag.max(axis=-1, keepdims=True)
+    ref = np.argmax(wb_mag, axis=-1)[..., None, None]
+    c = c * np.exp(-1j * np.angle(np.take_along_axis(c, ref, axis=-1)))
     rel = wb_mag / np.where(peak > 0.0, peak, 1.0)
     wb_idx = np.argmin(np.abs(rel[..., None] - TYPE2_WB_AMPLITUDES), axis=-1)
-    wb_idx[peak[:, 0] == 0.0, 0] = len(TYPE2_WB_AMPLITUDES) - 1
-    sb_bits = (np.abs(c) >= wb_mag[:, None, :]).astype(int)
-    amp = TYPE2_WB_AMPLITUDES[wb_idx][:, None, :] * TYPE2_SB_AMPLITUDES[sb_bits]
+    wb_idx[peak[..., 0] == 0.0, 0] = len(TYPE2_WB_AMPLITUDES) - 1
+    sb_bits = (np.abs(c) >= wb_mag[..., None, :]).astype(int)
+    amp = TYPE2_WB_AMPLITUDES[wb_idx][..., None, :] * TYPE2_SB_AMPLITUDES[sb_bits]
     return wb_idx, sb_bits, quantize_phases(c, amp, n_psk)
 
 
 def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
-                  table: CqiTable) -> CsiReport:
-    num_sb, num_rx, num_tx = h.shape
+                  table: CqiTable) -> tuple:
+    """(throughput, rank, CQI, unit, indices) per slot of h (slots, subbands,
+    rx, tx): the reported precoder is unit[s, ..., :rank] / sqrt(rank), unit
+    being the unit columns (slots, subbands, ports, layers), and indices holds
+    every layer's PMI arrays in TypeIIPmi field order."""
+    num_slots, num_sb, num_rx, num_tx = h.shape
     cfg, t2 = space.cfg, space.t2
     if num_tx != cfg.num_ports:
         raise ValueError(f"channel has {num_tx} tx ports but the panel has {cfg.num_ports}")
     p_pol = num_tx // 2
-    h_pol = h.reshape(num_sb, num_rx, 2, p_pol)
+    h_pol = h.reshape(num_slots, num_sb, num_rx, 2, p_pol)
 
     # Stage 1: the (rotation, beam subset) pair maximizing sum_b ||H_p v_b||^2,
     # the power each polarization's channel H_p sends through the chosen
     # beams, summed over subbands and polarizations; np.argmax keeps the
     # first of tied pairs in (q1, q2, i12) order.
-    proj = np.einsum("krpe,qsbe->qskrpb", h_pol, space.beams) / math.sqrt(p_pol)
-    gains = np.sum(np.abs(proj) ** 2, axis=(2, 3, 4))  # (o1, o2, n1*n2)
-    scores = np.sum(gains[:, :, space.combos], axis=-1)  # (o1, o2, combinations)
-    q1, q2, i12 = (int(i) for i in np.unravel_index(np.argmax(scores), scores.shape))
-    beams = space.beams[q1, q2, space.combos[i12]]
+    proj = np.einsum("xkrpe,qsbe->xqskrpb", h_pol, space.beams) / math.sqrt(p_pol)
+    gains = np.sum(np.abs(proj) ** 2, axis=(3, 4, 5))  # (slots, o1, o2, n1*n2)
+    scores = np.sum(gains[..., space.combos], axis=-1)  # (slots, o1, o2, combinations)
+    q1, q2, i12 = np.unravel_index(np.argmax(scores.reshape(num_slots, -1), axis=-1), scores.shape[1:])
+    beams = space.beams[q1[:, None], q2[:, None], space.combos[i12]]  # (slots, B, n1*n2)
 
     # Stage 2: quantize the dominant right-singular vectors of every layer in
     # the selected beam basis at once; rank n is rated by the first n unit
-    # columns, and only the reported rank becomes a PMI.
-    vh = np.linalg.svd(h)[2]  # (subbands, num_tx, num_tx)
+    # columns.
+    vh = np.linalg.svd(h)[2]  # (slots, subbands, num_tx, num_tx)
     max_layers = min(TYPE2_MAX_RANK, num_rx, num_tx)
-    target = vh[:, :max_layers, :].conj().reshape(num_sb, max_layers, 2, p_pol)
-    c = np.einsum("klpe,be->lkpb", target, beams.conj()).reshape(max_layers, num_sb, -1) / p_pol
+    target = vh[..., :max_layers, :].conj().reshape(num_slots, num_sb, max_layers, 2, p_pol)
+    c = np.einsum("xklpe,xbe->xlkpb", target, beams.conj()).reshape(
+        num_slots, max_layers, num_sb, -1) / p_pol
     wb_idx, sb_bits, phases = _quantize_type2(c, t2.n_psk)
-    unit = _type2_columns(space, (q1, q2), i12, wb_idx, sb_bits, phases)
-    candidates = ((n, _precoded_sinr(h, unit[..., :n] / math.sqrt(n), noise_var))
+    unit = _type2_columns(space, beams, wb_idx, sb_bits, phases)
+    candidates = ((n, _precoded_sinr(h, unit[..., :n] / math.sqrt(n), noise_var)[:, None])
                   for n in range(1, max_layers + 1))
-    tp, n, _, cqi = _choose(candidates, table)
-    pmi = TypeIIPmi(i11=(q1, q2), i12=i12, wideband_amplitudes=_tuples(wb_idx[:n]),
-                    subband_cophase=_tuples(phases[:n]), subband_amplitude=_tuples(sb_bits[:n]))
-    return CsiReport(ri=n, pmi=pmi, cqi=cqi, predicted_throughput=tp)
+    tp, rank, _, cqi = _choose(candidates, table)
+    return tp, rank, cqi, unit, (np.stack([q1, q2], axis=-1), i12, wb_idx, phases, sb_bits)
 
 
 def _tuples(a: np.ndarray) -> tuple:
@@ -492,11 +508,17 @@ def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
         h = h[None]
     if h.ndim != 3 or h.size == 0:
         raise ValueError(f"slot view must be (subbands, rx, tx), got shape {h.shape}")
-    if not np.all(np.isfinite(h)):  # LAPACK may never return on inf
-        raise ValueError("h must be finite, got a nan or inf entry")
+    _check_finite(h)
     _check_noise_var(noise_var)
     if isinstance(codebooks, Type2CodebookSpace):
-        return _select_type2(h, noise_var, codebooks, table)
-    if not codebooks:
-        raise ValueError("no codebooks supplied")
-    return _select_type1(h, noise_var, dict(codebooks), table)
+        tp, ri, cqi, _, indices = _select_type2(h[None], noise_var, codebooks, table)
+        i11, i12, *layers = (a[0] for a in indices)
+        pmi = TypeIIPmi(_tuples(i11), int(i12), *(_tuples(a[:ri[0]]) for a in layers))
+    else:
+        if not codebooks:
+            raise ValueError("no codebooks supplied")
+        codebooks = dict(codebooks)
+        tp, ri, cqi, entry = _select_type1(h[None], noise_var, codebooks, table)
+        pmi = codebooks[int(ri[0])].pmi_of(int(entry[0]))
+        pmi = TypeIPmi(pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband * h.shape[0])
+    return CsiReport(ri=int(ri[0]), pmi=pmi, cqi=int(cqi[0]), predicted_throughput=float(tp[0]))

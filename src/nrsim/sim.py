@@ -30,9 +30,10 @@ from .codebook import (
     build_type1_codebook,
     build_type2_structure,
     oversampling_factors,
-    realize_type2_precoder,
+    realize_type2_precoder,  # not called here: bench/spans.py traces it as sim.realize_type2_precoder
 )
-from .csi import CqiTable, _logdet_capacity, _precoded_sinr, select_csi
+from .csi import CqiTable, _check_finite, _logdet_capacity, _precoded_sinr, _select_type1, _select_type2
+from .csi import select_csi  # not called here: bench/spans.py traces it as sim.select_csi
 from .overhead import expected_overhead, type1_overhead_bits, type2_overhead_bits
 
 __all__ = [
@@ -65,6 +66,11 @@ _SNR_LIMIT_DB = 1000.0
 # temporaries, so the per-slot capacities are the only array of that scoring
 # that grows with the slot count.
 _SVD_BLOCK = 16
+
+# Bytes the largest intermediate of a CSI selection block may take. At 13
+# subbands and 4 rx a block is 3 slots of 8-port Type I and 1 of 16-port, and
+# 39 of 8-port Type II and 9 of 16-port: the block sets the working memory.
+_SELECT_BYTES = 2 << 20
 
 
 class CodebookMode(enum.Enum):
@@ -202,27 +208,36 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
         max_rank = min(4, num_rx, num_tx)
         selector = {r: _built(build_type1_codebook, antenna, r, ov) for r in range(1, max_rank + 1)}
         bits = lambda r: type1_overhead_bits(antenna, ov, r, num_sb).total_bits
-        precoder = lambda rep: selector[rep.ri].matrix_for(rep.pmi)[None]
+        # Largest intermediate: the top rank's gather, 32 bytes per (Gram entry, entry, subband).
+        select, slot_bytes = _select_type1, max_rank * (max_rank + 1) // 2 * len(selector[max_rank]) * 32
+        precoder = lambda entry, idx, r: selector[r].w_stack[entry[idx]][:, None]
     else:
         selector = _built(build_type2_structure, antenna, scenario.type2, ov)
         bits = lambda r: type2_overhead_bits(antenna, ov, scenario.type2, r, num_sb).total_bits
-        precoder = lambda rep: realize_type2_precoder(selector, rep.pmi)
+        # Largest intermediate: the beam projections or the 2 x 4B x 2B phase search, per subband.
+        select, slot_bytes = _select_type2, max(
+            selector.beams[..., 0].size * num_rx * 2, 16 * scenario.type2.num_beams ** 2) * 16
+        precoder = lambda unit, idx, r: unit[idx, ..., :r] / math.sqrt(r)
 
-    # Select on every scored slot, then score each reported rank's slots in
-    # one pass on the channel the report is applied to, feedback_delay later.
-    # CQI-0 slots schedule nothing: throughput 0 without counting a failure.
-    reports = [select_csi(h[s], noise_var, selector, table) for s in range(scored)]
-    ri = np.array([rep.ri for rep in reports])
-    cqi = np.array([rep.cqi for rep in reports])
+    # Select a block of scored slots at a time, then score each rank the block
+    # reports in one pass on the channel the report is applied to, feedback_delay
+    # later, with the precoders taken from the selection arrays. CQI-0 slots
+    # schedule nothing: throughput 0 without counting a failure.
+    block = max(1, _SELECT_BYTES // (slot_bytes * num_sb))
+    ri, cqi = np.zeros(scored, dtype=int), np.zeros(scored, dtype=int)
     tp, failed = np.zeros(scored), 0
-    for rank in set(ri[cqi > 0].tolist()):  # np.unique would import numpy.ma
-        idx = np.flatnonzero((ri == rank) & (cqi > 0))
-        w = np.stack([precoder(reports[s]) for s in idx])
-        with np.errstate(divide="ignore"):
-            eff_db = 10.0 * np.log10(_precoded_sinr(h[idx + delay], w, noise_var))
-        ok = eff_db >= np.asarray(table.sinr_threshold_db)[cqi[idx] - 1] - _THRESHOLD_SLACK_DB
-        tp[idx[ok]] = rank * table.efficiency(cqi[idx[ok]])
-        failed += int(idx.size - np.count_nonzero(ok))
+    for start in range(0, scored, block):
+        s = slice(start, min(start + block, scored))
+        _check_finite(h[s])
+        _, ri[s], cqi[s], source, *_ = select(h[s], noise_var, selector, table)
+        for rank in set(ri[s][cqi[s] > 0].tolist()):  # np.unique would import numpy.ma
+            idx = start + np.flatnonzero((ri[s] == rank) & (cqi[s] > 0))
+            w = precoder(source, idx - start, rank)
+            with np.errstate(divide="ignore"):
+                eff_db = 10.0 * np.log10(_precoded_sinr(h[idx + delay], w, noise_var))
+            ok = eff_db >= np.asarray(table.sinr_threshold_db)[cqi[idx] - 1] - _THRESHOLD_SLACK_DB
+            tp[idx[ok]] = rank * table.efficiency(cqi[idx[ok]])
+            failed += int(idx.size - np.count_nonzero(ok))
     return _aggregate(snr_db, tp, ri, cqi, failed, bits, bandwidth_hz)
 
 

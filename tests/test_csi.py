@@ -33,7 +33,7 @@ from nrsim import (
 )
 from nrsim.codebook import TYPE2_MAX_RANK, TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES, TypeIPmi
 from nrsim.csi import (CsiReport, _choose, _effective_sinr, _logdet_capacity, _mmse_sinr,
-                       _precoded_sinr, _quantize_type2)
+                       _precoded_sinr, _quantize_type2, _select_type1, _select_type2)
 
 
 def _rand_h(rng, num_rx, num_tx):
@@ -96,6 +96,19 @@ class TestCapacity:
     def test_nan_noise_rejected(self):
         with pytest.raises(ValueError, match="noise_var"):
             mimo_capacity((1.0,), math.nan)
+
+    @pytest.mark.parametrize("snr_db", [-60.0, -175.0])
+    def test_low_snr_keeps_relative_precision(self, snr_db):
+        """Far below 0 dB, where 1 + x rounds away most or all of x =
+        sigma^2/nv, the capacity matches its series x/ln2 * (1 - x/2 + x^2/3)
+        to 1e-14 relative and stays positive."""
+        nv = 10.0 ** (-snr_db / 10.0)
+        for sigma in (0.3, 1.0, 2.5):
+            x = sigma * sigma / nv
+            want = x / math.log(2.0) * (1.0 - x / 2.0 + x * x / 3.0)
+            got = mimo_capacity((sigma,), nv)
+            assert got > 0.0
+            assert abs(got - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("sigma", [(math.nan, 1.0), (math.inf,), (1.0, -math.inf)])
     def test_non_finite_singular_values_rejected(self, sigma):
@@ -730,6 +743,50 @@ class TestSelectCsiType2:
                 best = np.max(np.abs(cols.conj() @ v1[k]))
                 got = abs(np.vdot(w[k, :, 0], v1[k])) * math.sqrt(pmi.rank)
                 assert got == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["type1", "type2"])
+@pytest.mark.parametrize("n1, n2", [(2, 1), (4, 1), (4, 2)])
+def test_block_selection_matches_select_csi(n1, n2, family):
+    """Selecting a block of slots at once gives each slot select_csi's
+    report for that slot alone, exactly: RI, PMI, CQI and predicted
+    throughput, on 1-4 rx and 1-13 subbands from -10 to 30 dB. Type II's
+    unit columns, cut to the reported rank, are realize_type2_precoder of
+    the reported PMI."""
+    cfg = AntennaConfig(n1, n2)
+    ov = oversampling_factors(cfg)
+    if family == "type1":
+        selector = {r: build_type1_codebook(cfg, r, ov) for r in (1, 2, 3, 4)}
+    else:
+        selector = build_type2_structure(cfg, Type2Config(min(4, n1 * n2), 8), ov)
+    table = CqiTable.default()
+    rng = np.random.default_rng(100 * n1 + 10 * n2 + (family == "type2"))
+    ranks = set()
+    for num_rx in (1, 2, 3, 4):
+        for snr_db in (-10.0, 0.0, 15.0, 30.0):
+            num_sb = int(rng.integers(1, 14))
+            h = np.stack([[_rand_h(rng, num_rx, cfg.num_ports) for _ in range(num_sb)]
+                          for _ in range(5)])
+            nv = 10.0 ** (-snr_db / 10.0)
+            if family == "type1":
+                tp, ri, cqi, entry = _select_type1(h, nv, selector, table)
+            else:
+                tp, ri, cqi, unit, indices = _select_type2(h, nv, selector, table)
+            for s in range(len(h)):
+                report = select_csi(h[s], nv, selector, table)
+                assert (ri[s], cqi[s], tp[s]) == (report.ri, report.cqi, report.predicted_throughput)
+                if family == "type1":
+                    assert entry[s] == selector[report.ri].index_of_pmi(report.pmi)
+                else:
+                    i11, i12, *layers = (a[s] for a in indices)
+                    assert (tuple(i11), i12) == (report.pmi.i11, report.pmi.i12)
+                    for got, field in zip(layers, ("wideband_amplitudes", "subband_cophase",
+                                                   "subband_amplitude")):
+                        assert np.array_equal(got[:ri[s]], getattr(report.pmi, field))
+                    assert np.array_equal(unit[s, ..., :ri[s]] / math.sqrt(ri[s]),
+                                          realize_type2_precoder(selector, report.pmi))
+                ranks.add(report.ri)
+    assert ranks == ({1, 2, 3, 4} if family == "type1" else {1, 2})
 
 
 def _quantize_type2_layer_reference(c, n_psk):

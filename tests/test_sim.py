@@ -391,6 +391,58 @@ class TestScoringOracle:
         assert seen_failed > 0 and seen_cqi0 > 0
 
 
+def _panel_config(n1, n2, mode, slots, snr=(10.0,), num_rx=4, subbands=13):
+    antenna = AntennaConfig(n1, n2)
+    channel = ChannelConfig(num_tx_ports=antenna.num_ports, num_rx_ports=num_rx,
+                            doppler_hz=50.0, num_subbands=subbands)
+    scenario = Scenario(antenna=antenna, channel=channel,
+                        type2=Type2Config(num_beams=min(4, n1 * n2)))
+    return SweepConfig(scenario=scenario, snr_points_db=snr, num_slots=slots,
+                       codebook_mode=mode, seed=5)
+
+
+class TestSelectionBlocks:
+    """A point selects its scored slots one block at a time, as many as keep
+    the largest selection intermediate within sim._SELECT_BYTES."""
+
+    @pytest.mark.parametrize("mode", [CodebookMode.TYPE1, CodebookMode.TYPE2])
+    @pytest.mark.parametrize("n1, n2", [(2, 1), (4, 1), (4, 2)])
+    def test_block_size_leaves_points_unchanged(self, n1, n2, mode, monkeypatch):
+        """One-slot blocks and whole-point blocks give identical points."""
+        cfg = _panel_config(n1, n2, mode, slots=25, snr=(-5.0, 10.0, 30.0), subbands=5)
+        points = []
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(sim, "_SELECT_BYTES", budget)
+            points.append([sim._run_point(cfg, i) for i in range(len(cfg.snr_points_db))])
+        assert points[0] == points[1]
+        assert sum(pt.slots_failed for pt in points[0]) > 0
+
+    @pytest.mark.parametrize("n1, n2, mode, subbands", [(4, 2, CodebookMode.TYPE1, 4),
+                                                        (4, 1, CodebookMode.TYPE2, 13)])
+    def test_working_memory_independent_of_slots(self, n1, n2, mode, subbands):
+        """Beyond its channel array, a 16-port Type I point and an 8-port
+        Type II point (4 rx) peak at the same memory at 40 and 400 slots:
+        within 0.5 MB, the selection arrays of one block, which stay alive
+        while the next block is selected. Each peak is under 5 x
+        _SELECT_BYTES: a block's largest intermediate is within the budget,
+        and its other temporaries add the rest. (Per-slot selection kept
+        every slot's report: 8-port Type II peaked about 7.5 MB higher at 400
+        slots than at 40.)"""
+        sim._run_point(_panel_config(n1, n2, mode, 2, subbands=subbands), 0)  # builds the codebooks
+        peaks = []
+        for slots in (40, 400):
+            cfg = _panel_config(n1, n2, mode, slots, subbands=subbands)
+            tracemalloc.start()
+            try:
+                sim._run_point(cfg, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - slots * subbands * 4 * 2 * n1 * n2 * 16)
+        assert abs(peaks[1] - peaks[0]) < 0.5e6
+        assert max(peaks) < 5 * sim._SELECT_BYTES
+
+
 class TestCompareModes:
     def test_self_comparison_ties(self):
         cfg = _mini_config(slots=30)
