@@ -2,9 +2,10 @@
 """Print SHA-256 digests of the CSVs of a fixed set of short sweeps.
 
 Runs `nrsim sweep --codebook type1,type2,svd --slots 80` from this
-checkout's `src/` at seeds 2026 and 7, on the default 4x1 panel and on a
-4x2 panel (`[antenna] n2 = 2`), each once with NRSIM_THREADS=1 and once with
-the default worker count. Prints one `sha256  seed panel workers file` line
+checkout's `src/` at seeds 2026 and 7, on the default 4x1 panel, on a 4x2
+panel (`[antenna] n2 = 2`) and on a 2x2 panel (`[antenna] n1 = 2`, `n2 = 2`:
+8 ports, both grid axes oversampled), each once with NRSIM_THREADS=1 and once
+with the default worker count. Prints one `sha256  seed panel workers file` line
 per CSV, each followed by one `sha256  seed panel workers file mode` line per
 mode over that mode's rows, in file order without the header. Running it in
 two checkouts and diffing the output shows whether a change keeps the
@@ -24,7 +25,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SEEDS = (2026, 7)
-PANELS = {"4x1": "", "4x2": "[antenna]\nn2 = 2\n"}
+PANELS = {"4x1": "", "4x2": "[antenna]\nn2 = 2\n", "2x2": "[antenna]\nn1 = 2\nn2 = 2\n"}
 WORKERS = ("1", "default")
 CSVS = ("sweep.csv", "ri_hist.csv", "cqi_hist.csv")
 MODES = ("type1", "type2", "svd")

@@ -8,6 +8,7 @@ Both families share the oversampled 2-D DFT grid built here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -272,12 +273,15 @@ def _i13_variants(rank: int, cfg: AntennaConfig, ov: Oversampling):
     return variants[:4]
 
 
+@functools.cache
 def build_type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Codebook:
     """Enumerate the Type I codebook for one rank.
 
     Rank 1: W = [v; phi*v]/sqrt(P) over the full oversampled grid and four
     co-phases. Ranks 2-4: beam pairs (v, v') on the orthogonal subgrid chosen
     by i13, columns carrying +/-phi polarization co-phasing, two co-phases.
+    Built once per process: equal arguments return the same codebook, whose
+    tables are read-only.
     """
     if rank not in (1, 2, 3, 4):
         raise ValueError(f"rank must be in 1..4, got {rank}")
@@ -347,7 +351,10 @@ class Type2CodebookSpace:
         self.beams.flags.writeable = self.combos.flags.writeable = False
 
 
+@functools.cache
 def build_type2_structure(cfg: AntennaConfig, t2: Type2Config, ov: Oversampling) -> Type2CodebookSpace:
+    """The Type II structure, built once per process: equal arguments return
+    the same read-only structure."""
     return Type2CodebookSpace(cfg, t2, ov)
 
 

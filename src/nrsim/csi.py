@@ -208,34 +208,49 @@ def _logdet_capacity(h: np.ndarray, noise_var: float) -> np.ndarray:
     return capacity
 
 
-def _mmse_sinr(upper, noise_var: float) -> np.ndarray:
-    """Per-layer linear-MMSE SINR_i = 1/[(I + G/nv)^-1]_ii - 1, clamped at 0
-    against roundoff, for Hermitian r x r Grams G given by their upper
-    triangle: upper[n] is G[i, j] for the n-th (i, j) of np.triu_indices(r),
-    the batch on its trailing axes. Returns (r, *batch). Works on A = G +
-    nv*I: closed form for r = 2, else one Gauss-Jordan sweep per index (no
-    pivot search, A being positive definite), which turns A into -A^-1 (at
-    r = 1, -1/a00); only the upper triangle is kept, and entries no later
-    step reads are not updated."""
+def _sweep(upper, noise_var: float, keep=()) -> list:
+    """Gauss-Jordan sweep of A = G + nv*I for Hermitian r x r Grams G given
+    by their upper triangle: upper[n] is G[i, j] for the n-th (i, j) of
+    np.triu_indices(r), the batch on its trailing axes. One sweep per index,
+    with no pivot search (A being positive definite), turns A into -A^-1;
+    each step forms the ratio a_kj / a_kk before any product, and uses no
+    determinant. Returns the r x r nested list holding -A^-1 on the diagonal
+    and at the upper-triangle (i, j) in keep; entries no later step reads
+    and keep does not name are not updated."""
     r = (math.isqrt(8 * len(upper) + 1) - 1) // 2
     a = [[None] * r for _ in range(r)]
     for (i, j), g in zip(((i, j) for i in range(r) for j in range(i, r)), upper):
         a[i][j] = g.real + noise_var if i == j else g
-    if r == 2:
-        det = a[0][0] * a[1][1] - (a[0][1].real ** 2 + a[0][1].imag ** 2)
-        inv_diag = [a[1][1] / det, a[0][0] / det]
-    else:
-        for k in range(r):
-            p = 1.0 / a[k][k]
-            row = {j: (a[k][j] if j > k else np.conj(a[j][k])) * p for j in range(r) if j != k}
-            for i in row:
-                col = a[i][k] if i < k else np.conj(a[k][i])
-                a[i][i] = a[i][i] - (col * row[i]).real
-                for j in range(max(i, k) + 1, r):
+    for k in range(r):
+        p = 1.0 / a[k][k]
+        row = {j: (a[k][j] if j > k else np.conj(a[j][k])) * p for j in range(r) if j != k}
+        for i in row:
+            col = a[i][k] if i < k else np.conj(a[k][i])
+            a[i][i] = a[i][i] - (col * row[i]).real
+            for j in range(i + 1, r):
+                if j > k or (j < k and (i, j) in keep):
                     a[i][j] = a[i][j] - col * row[j]
-            for j in range(k + 1, r):
+        for j in range(r):
+            if j > k:
                 a[k][j] = row[j]
-            a[k][k] = -p
+            elif (j, k) in keep:
+                a[j][k] = a[j][k] * p
+        a[k][k] = -p
+    return a
+
+
+def _mmse_sinr(upper, noise_var: float) -> np.ndarray:
+    """Per-layer linear-MMSE SINR_i = 1/[(I + G/nv)^-1]_ii - 1, clamped at 0
+    against roundoff, for Hermitian r x r Grams G given by their upper
+    triangle as in _sweep. Returns (r, *batch). Works on A = G + nv*I:
+    closed form for r = 2, else _sweep's diagonal (at r = 1, -1/a00)."""
+    r = (math.isqrt(8 * len(upper) + 1) - 1) // 2
+    if r == 2:
+        a00, a01, a11 = upper[0].real + noise_var, upper[1], upper[2].real + noise_var
+        det = a00 * a11 - (a01.real ** 2 + a01.imag ** 2)
+        inv_diag = [a11 / det, a00 / det]
+    else:
+        a = _sweep(upper, noise_var)
         inv_diag = [-a[i][i] for i in range(r)]
     return np.maximum(1.0 / (noise_var * np.array(inv_diag)) - 1.0, 0.0)
 
@@ -354,18 +369,52 @@ def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
     return np.take_along_axis(idx, best, axis=-2)[..., 0, :]
 
 
+def _pair_plan(cb: Codebook):
+    """How a rank-4 codebook's entries rate from one inverse per beam pair.
+
+    Each entry must have two columns [v; c v] and [v; -c v] on one beam and
+    two [v'; c' v'] and [v'; -c' v'] on another, |c| = |c'| = 1. With a = H_1 v
+    and b = H_2 v per polarization block, the pair's effective channel is
+    [a b a' b'] U / sqrt(2 * ports) for a unitary U whose column on beam v is
+    (1, c) / sqrt(2), so [(I + G^H G/nv)^-1]_ii = nv * u_i^H Y^-1 u_i for
+    Y = M / (2 * ports) + nv*I, M the Gram of (a, b, a', b'): every i13 and
+    i2 value on a beam pair shares one Y^-1. Returns the grid offsets of the
+    distinct beam pairs (pairs, 2 beams, 2), the pair of each i13 value (t,),
+    the distinct co-phases c (C,), and per entry column (t, i2, 4) its beam
+    times C plus the index of its co-phase.
+    """
+    offsets, cophase = cb.col_offsets, cb.cophase  # (t, 4, 2), (t, i2, 4)
+    beam = np.any(offsets != offsets[:, :1], axis=-1)  # (t, 4): off the first column's beam
+    order = np.argsort(beam, axis=1, kind="stable")
+    cols = np.take_along_axis(offsets, order[..., None], axis=1)
+    c = np.take_along_axis(cophase, order[:, None, :], axis=2)
+    if not (np.all(beam.sum(axis=1) == 2) and np.all(cols[:, 2] == cols[:, 3])
+            and np.all(c[..., 0::2] == -c[..., 1::2]) and np.all(np.abs(cophase) == 1.0)):
+        raise ValueError("rank-4 Type I entries must be [v; c v], [v; -c v] column pairs "
+                         "with |c| = 1 on two beams")
+    pairs, pair_of_t = np.unique(cols[:, 0::2], axis=0, return_inverse=True)
+    cvals, c_idx = np.unique(cophase, return_inverse=True)
+    columns = beam[:, None, :] * len(cvals) + c_idx.reshape(cophase.shape)
+    return pairs, pair_of_t.reshape(-1), cvals, columns
+
+
 @functools.lru_cache(maxsize=16)
 def _gram_plan(cbs: tuple[Codebook, ...]):
-    """How each codebook's entry Grams gather from shared beam products.
+    """How each codebook's entries rate from shared beam products D_d[p, q],
+    where D_d[p, q][b] = (H_p v_b)^H H_q v_{b+d}, laid out as (4
+    polarization pairs pq, d values, beams). Returns the flat grid index of
+    b + d for each d used, (d values, beams), and a plan per codebook.
 
-    Columns i <= j of the entry with base beam b and i13 value t use beams
-    b + o_i and b + o_j (o = col_offsets[t]), paired by D_d[b + o_i] where
-    d = o_j - o_i and D_d[b] pairs beams b and b + d. Returns the flat grid
-    index of b + d for each d used, (d values, beams), and per codebook over
-    (upper-triangle pairs, t): the flat index of D_d[p, q][b + o_i] in the
-    products laid out as (4 polarization pairs pq, d values, beams), shape
-    (pairs, t, 4, beams); and the weights conj(a_ip) * a_jq / (ports * r) of
+    Ranks 1-3: columns i <= j of the entry with base beam b and i13 value t
+    use beams b + o_i and b + o_j (o = col_offsets[t]), paired by
+    D_d[b + o_i] where d = o_j - o_i. The plan is the flat index of
+    D_d[p, q][b + o_i] in the products over (upper-triangle pairs, t), shape
+    (pairs, t, 4, beams), and the weights conj(a_ip) * a_jq / (ports * r) of
     the polarization products D_d[p, q], a_i = (1, cophase), (pairs, t, i2, 4).
+
+    Rank 4 (_pair_plan): the plan is the flat index of the 10 upper entries
+    of M per distinct beam pair, shape (10, pairs, beams), then _pair_plan's
+    pair of each i13 value, co-phases and entry columns.
     """
     if len({(cb.cfg, cb.grid.shape) for cb in cbs}) != 1:
         raise ValueError("Type I codebooks must share one panel and beam grid")
@@ -375,21 +424,53 @@ def _gram_plan(cbs: tuple[Codebook, ...]):
     def moved(offset):  # flat grid index of every beam moved by offset (..., 2)
         return (l + offset[..., :1]) % n_l * n_m + (m + offset[..., 1:]) % n_m
 
-    steps, tables = [], []
+    # Per codebook: pq, o_i and d = o_j - o_i of each product it reads, and the rest of its plan.
+    reads, rest = [], []
     for cb in cbs:
         r = cb.col_offsets.shape[1]
+        if r == 4:
+            pairs, *more = _pair_plan(cb)
+            iu, ju = np.triu_indices(4)  # (a, b, a', b'): polarization n % 2 of beam n // 2
+            o_i, o_j = pairs[:, iu // 2].swapaxes(0, 1), pairs[:, ju // 2].swapaxes(0, 1)
+            reads.append(((2 * (iu % 2) + ju % 2)[:, None], o_i, o_j - o_i))  # (10, pairs, ...)
+            rest.append(more)
+            continue
         iu, ju = np.triu_indices(r)
-        o_i = cb.col_offsets[:, iu].swapaxes(0, 1)  # (pairs, t, 2)
-        steps.append(cb.col_offsets[:, ju].swapaxes(0, 1) - o_i)
+        o_i = cb.col_offsets[:, iu].swapaxes(0, 1)[:, :, None]  # (pairs, t, 1, 2)
+        reads.append((np.arange(4), o_i, cb.col_offsets[:, ju].swapaxes(0, 1)[:, :, None] - o_i))
         c_i, c_j = cb.cophase[..., iu], cb.cophase[..., ju]  # (t, i2, pairs)
         weights = np.stack([np.ones_like(c_i), c_j, c_i.conj(), c_i.conj() * c_j], axis=-1)
-        tables.append((moved(o_i)[:, :, None], weights.transpose(2, 0, 1, 3) / (cb.cfg.num_ports * r)))
-    diffs, which = np.unique(np.concatenate([d.reshape(-1, 2) for d in steps]), axis=0,
+        rest.append([weights.transpose(2, 0, 1, 3) / (cb.cfg.num_ports * r)])
+    diffs, which = np.unique(np.concatenate([d.reshape(-1, 2) for _, _, d in reads]), axis=0,
                              return_inverse=True)
-    which = np.split(which, np.cumsum([d.size // 2 for d in steps])[:-1])
-    pq = np.arange(4)[:, None] * len(diffs)
-    return moved(diffs), [((pq + w.reshape(*d.shape[:2], 1, 1)) * n_l * n_m + base, weights)
-                          for w, d, (base, weights) in zip(which, steps, tables)]
+    which = np.split(which.reshape(-1), np.cumsum([d.size // 2 for _, _, d in reads])[:-1])
+    return moved(diffs), [((pq * len(diffs) + w.reshape(d.shape[:-1]))[..., None] * n_l * n_m
+                           + moved(o_i), *more)
+                          for (pq, o_i, d), w, more in zip(reads, which, rest)]
+
+
+def _rate_pairs(prod: np.ndarray, plan, noise_var: float, num_ports: int) -> np.ndarray:
+    """Effective SINRs (slots, t, i2, beams) of a rank-4 codebook's entries
+    from the beam products prod (slots, products, subbands) and its
+    _gram_plan plan: one inverse per (slot, beam pair, base beam, subband)
+    by _sweep, then each column's nv * [A^-1]_ii = nv * (Z_00 + Z_11 +
+    2 Re(c Z_01)) / 2 on its beam's 2 x 2 block of Z = Y^-1."""
+    gather, pair_of_t, cvals, columns = plan
+    num_slots, _, num_sb = prod.shape
+    m = np.take(prod, gather, axis=1).reshape(num_slots, *gather.shape[:2], -1, num_sb)
+    # Sweeping M + nv_m*I, nv_m = 2 * ports * nv, gives Y^-1 / (2 * ports) with
+    # no rounding (a power-of-two scale) and without scaling M.
+    nv_m = 2 * num_ports * noise_var
+    a = _sweep(np.moveaxis(m, 1, 0), nv_m, keep=((0, 1), (2, 3)))  # -Z / (2 * ports)
+    f = np.stack([np.stack([a[0][0] + a[1][1], a[0][1].real, a[0][1].imag]),
+                  np.stack([a[2][2] + a[3][3], a[2][3].real, a[2][3].imag])])
+    weights = -nv_m * np.stack([np.full(cvals.shape, 0.5), cvals.real, -cvals.imag], axis=-1)
+    nv_inv_diag = weights @ f.reshape(2, 3, -1)  # (beam of the pair, co-phase, ...)
+    # log2(1 + SINR) with SINR = max(1 / (nv * [A^-1]_ii) - 1, 0), summed over subbands.
+    rates = np.log2(np.maximum(1.0 / nv_inv_diag, 1.0)).reshape(
+        -1, num_slots, *gather.shape[1:], num_sb).sum(axis=-1)
+    total = rates[columns, :, pair_of_t[:, None, None]].sum(axis=2)  # (t, i2, slots, beams)
+    return np.exp2(total / (4 * num_sb)).transpose(2, 0, 1, 3) - 1.0
 
 
 def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook],
@@ -413,12 +494,16 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
         prod += x_conj[:, :, :, r] * x[:, None, :, r, shifts]
     prod = prod.reshape(num_slots, -1, num_sb)
     candidates = []
-    for rank, (gather, weights) in zip(ranks, plans):
-        # Gathered products (slots, pairs, t, 4, beams * subbands) to Grams (..., i2, ...).
-        gram = weights @ np.take(prod, gather, axis=1).reshape(num_slots, *gather.shape[:3], -1)
-        sinr = _mmse_sinr(np.moveaxis(gram, 1, 0), noise_var)
-        sinr = sinr.reshape(*sinr.shape[:-1], -1, num_sb)  # (rank, slots, t, i2, beams, subbands)
-        eff = _effective_sinr(np.moveaxis(sinr, 0, -1))  # (slots, t, i2, beams)
+    for rank, plan in zip(ranks, plans):
+        if rank == 4:
+            eff = _rate_pairs(prod, plan, noise_var, num_tx)  # (slots, t, i2, beams)
+        else:
+            # Gathered products (slots, pairs, t, 4, beams * subbands) to Grams (..., i2, ...).
+            gather, weights = plan
+            gram = weights @ np.take(prod, gather, axis=1).reshape(num_slots, *gather.shape[:3], -1)
+            sinr = _mmse_sinr(np.moveaxis(gram, 1, 0), noise_var)
+            sinr = sinr.reshape(*sinr.shape[:-1], -1, num_sb)  # (rank, slots, t, i2, beams, subbands)
+            eff = _effective_sinr(np.moveaxis(sinr, 0, -1))  # (slots, t, i2, beams)
         candidates.append((rank, eff.transpose(0, 3, 1, 2).reshape(num_slots, -1)))  # in entry order
     tp, rank, entry, cqi = _choose(candidates, table)
     return tp, rank, cqi, entry

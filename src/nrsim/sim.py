@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import ctypes
 import enum
-import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -67,9 +66,10 @@ _SNR_LIMIT_DB = 1000.0
 # that grows with the slot count.
 _SVD_BLOCK = 16
 
-# Bytes the largest intermediate of a CSI selection block may take. At 13
-# subbands and 4 rx a block is 3 slots of 8-port Type I and 1 of 16-port, and
-# 39 of 8-port Type II and 9 of 16-port: the block sets the working memory.
+# Bytes the largest intermediate of a CSI selection block may take (Type I's
+# rank-3 beam-product gather, Type II's beam projections or phase search). At
+# 13 subbands and 4 rx a block is 6 slots of 8-port Type I and 1 of 16-port,
+# and 39 of 8-port Type II and 9 of 16-port: the block sets the working memory.
 _SELECT_BYTES = 2 << 20
 
 
@@ -178,11 +178,18 @@ def _aggregate(snr_db: float, tp: np.ndarray, ri: np.ndarray, cqi: np.ndarray,
     )
 
 
-@functools.cache
-def _built(build, *args):
-    """build(*args), once per process: a codebook structure depends only on
-    its frozen arguments, and its arrays are read-only, so points share it."""
-    return build(*args)
+def _codebooks(cfg: SweepConfig):
+    """The mode's codebook structures: a Type I codebook per usable rank, the
+    Type II structure, or None for the SVD bound. The builders keep them per
+    process, so points share them and forked pool workers inherit them."""
+    antenna, num_rx = cfg.scenario.antenna, cfg.scenario.channel.num_rx_ports
+    if cfg.codebook_mode is CodebookMode.SVD_IDEAL:
+        return None
+    ov = oversampling_factors(antenna)
+    if cfg.codebook_mode is CodebookMode.TYPE1:
+        return {r: build_type1_codebook(antenna, r, ov)
+                for r in range(1, min(4, num_rx, antenna.num_ports) + 1)}
+    return build_type2_structure(antenna, cfg.scenario.type2, ov)
 
 
 def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
@@ -204,15 +211,15 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
                           np.zeros(scored, dtype=int), 0, lambda r: 0, bandwidth_hz)
 
     ov = oversampling_factors(antenna)
+    selector = _codebooks(cfg)
     if cfg.codebook_mode is CodebookMode.TYPE1:
-        max_rank = min(4, num_rx, num_tx)
-        selector = {r: _built(build_type1_codebook, antenna, r, ov) for r in range(1, max_rank + 1)}
         bits = lambda r: type1_overhead_bits(antenna, ov, r, num_sb).total_bits
-        # Largest intermediate: the top rank's gather, 32 bytes per (Gram entry, entry, subband).
-        select, slot_bytes = _select_type1, max_rank * (max_rank + 1) // 2 * len(selector[max_rank]) * 32
+        # Largest intermediate: the gather of the top rank below 4 (rank 4 rates
+        # from one inverse per beam pair), 32 bytes per (Gram entry, entry, subband).
+        r3 = min(3, max(selector))
+        select, slot_bytes = _select_type1, r3 * (r3 + 1) // 2 * len(selector[r3]) * 32
         precoder = lambda entry, idx, r: selector[r].w_stack[entry[idx]][:, None]
     else:
-        selector = _built(build_type2_structure, antenna, scenario.type2, ov)
         bits = lambda r: type2_overhead_bits(antenna, ov, scenario.type2, r, num_sb).total_bits
         # Largest intermediate: the beam projections or the 2 x 4B x 2B phase search, per subband.
         select, slot_bytes = _select_type2, max(
@@ -275,6 +282,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every SNR point of one sweep; deterministic per (config, seed)."""
     n = len(cfg.snr_points_db)
     workers = _worker_count(n)
+    _codebooks(cfg)  # built here, before the pool, so forked workers inherit them
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
             points = list(pool.map(_run_point, [cfg] * n, range(n)))

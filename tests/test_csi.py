@@ -31,9 +31,11 @@ from nrsim import (
     select_csi,
     svd_precode,
 )
-from nrsim.codebook import TYPE2_MAX_RANK, TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES, TypeIPmi
+import nrsim.csi as csi
+from nrsim.codebook import (TYPE2_MAX_RANK, TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES, Codebook,
+                            TypeIPmi)
 from nrsim.csi import (CsiReport, _choose, _effective_sinr, _logdet_capacity, _mmse_sinr,
-                       _precoded_sinr, _quantize_type2, _select_type1, _select_type2)
+                       _precoded_sinr, _quantize_type2, _select_type1, _select_type2, _sweep)
 
 
 def _rand_h(rng, num_rx, num_tx):
@@ -555,6 +557,99 @@ class TestSelectCsi:
         cbs = {1: build_type1_codebook(cfg, 1, ov)}
         with pytest.raises(ValueError):
             select_csi(np.eye(4, dtype=complex), 0.0, cbs, CqiTable.default())
+
+
+def _rank4_eff(monkeypatch, h, noise_var, cb):
+    """Rank-4 effective SINRs (slots, entries) as _select_type1 rates them,
+    read from the candidates it hands to _choose."""
+    seen = []
+
+    def choose(candidates, table):
+        candidates = list(candidates)
+        seen.extend(candidates)
+        return _choose(candidates, table)
+
+    monkeypatch.setattr(csi, "_choose", choose)
+    _select_type1(h, noise_var, {4: cb}, CqiTable.default())
+    monkeypatch.undo()
+    ((rank, eff),) = seen
+    assert rank == 4
+    return eff
+
+
+class TestRank4PairRating:
+    """Rank 4 rates every entry of a beam pair from one inverse of the 4 x 4
+    polarization Gram of its two beams (csi._pair_plan)."""
+
+    @pytest.mark.parametrize("layout", [(2, 1), (4, 1), (2, 2), (3, 2), (4, 2)])
+    def test_matches_layer_sinr_oracle(self, layout, monkeypatch):
+        """Every entry's effective SINR equals effective_sinr of
+        layer_sinr_mmse of its materialized precoder, to 1e-12 relative, from
+        -10 to 40 dB; (4, 2) takes the fallback rank-3/4 offsets."""
+        cfg = AntennaConfig(*layout)
+        cb = build_type1_codebook(cfg, 4, oversampling_factors(cfg))
+        rng = np.random.default_rng(30 + layout[0] * layout[1])
+        for snr_db in range(-10, 45, 10):
+            nv = 10.0 ** (-snr_db / 10.0)
+            h = np.stack([_rand_h(rng, 4, cfg.num_ports) for _ in range(2)])
+            got = _rank4_eff(monkeypatch, h[None], nv, cb)[0]
+            want = [effective_sinr([layer_sinr_mmse(h_k, w, nv) for h_k in h]) for w in cb.w_stack]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_scaled_channel_keeps_its_rating(self, monkeypatch):
+        """A channel scaled by 1e150 at 1e300 times the noise rates like the
+        unscaled one, without overflow: the inverse takes no determinant."""
+        cfg = AntennaConfig(4, 2)
+        cb = build_type1_codebook(cfg, 4, oversampling_factors(cfg))
+        h = np.stack([_rand_h(np.random.default_rng(31), 4, 16) for _ in range(3)])[None]
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _rank4_eff(monkeypatch, h * 1e150, 0.01 * 1e300, cb)
+        np.testing.assert_allclose(got, _rank4_eff(monkeypatch, h, 0.01, cb), rtol=1e-12)
+
+    def test_sweep_keeps_the_named_inverse_entries(self):
+        """_sweep leaves -A^-1 on the diagonal and at each kept entry."""
+        rng = np.random.default_rng(32)
+        g = _rand_h(rng, 50 * 6, 4).reshape(50, 6, 4)
+        gram = g.conj().swapaxes(-1, -2) @ g
+        iu, ju = np.triu_indices(4)
+        a = _sweep(np.moveaxis(gram[:, iu, ju], -1, 0), 0.1, keep=((0, 1), (2, 3), (0, 3)))
+        inv = np.linalg.inv(gram + 0.1 * np.eye(4))
+        for i, j in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3), (0, 3)]:
+            np.testing.assert_allclose(-a[i][j], inv[:, i, j], rtol=1e-12, atol=1e-15)
+
+    def test_broken_cophase_table_rejected(self):
+        """The shared inverse holds only when each beam carries a +c/-c
+        column pair; a table without that shape is refused."""
+        cfg = AntennaConfig(4, 1)
+        ov = oversampling_factors(cfg)
+        cb = build_type1_codebook(cfg, 4, ov)
+        cophase = np.array(cb.cophase)
+        cophase[0, 0, 2] = cophase[0, 0, 0]  # first beam's columns now +c and +c
+        broken = Codebook(cfg, np.array(cb.grid), np.array(cb.col_offsets), cophase)
+        h = np.stack([_rand_h(np.random.default_rng(33), 4, 8)])
+        with pytest.raises(ValueError, match="column pairs"):
+            select_csi(h, 0.1, {1: build_type1_codebook(cfg, 1, ov), 4: broken},
+                       CqiTable.default())
+
+    def test_rank1_channel_at_100_db_reports_rank_1(self):
+        """Rank 4 of a rank-1 channel has no second stream to report."""
+        cfg = AntennaConfig(4, 1)
+        ov = oversampling_factors(cfg)
+        cbs = {r: build_type1_codebook(cfg, r, ov) for r in (1, 2, 3, 4)}
+        rng = np.random.default_rng(3)
+        h = np.outer(_rand_h(rng, 4, 1), _rand_h(rng, 1, 8))[None] / math.sqrt(8)
+        assert select_csi(h, 1e-10, cbs, CqiTable.default()).ri == 1
+
+    @pytest.mark.xfail(strict=True, reason="the MMSE sweep loses nv against O(1) Gram entries "
+                                           "from about 200 dB, and ranks 2-4 rate as CQI 15")
+    def test_rank1_channel_at_200_db_reports_rank_1(self):
+        cfg = AntennaConfig(4, 1)
+        ov = oversampling_factors(cfg)
+        cbs = {r: build_type1_codebook(cfg, r, ov) for r in (1, 2, 3, 4)}
+        rng = np.random.default_rng(3)
+        h = np.outer(_rand_h(rng, 4, 1), _rand_h(rng, 1, 8))[None] / math.sqrt(8)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert select_csi(h, 1e-20, cbs, CqiTable.default()).ri == 1
 
 
 def _selectors_4x1():

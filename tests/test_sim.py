@@ -279,22 +279,41 @@ class TestRunSweep:
         assert [res.points for res in seq_cmp.results] == [res.points for res in par_cmp.results]
 
     def test_codebooks_built_once_per_process(self, monkeypatch):
-        builds = []
+        """The builders return one structure per distinct arguments, and
+        run_sweep builds its mode's structures before it starts a pool, so
+        forked workers inherit them: points, and later sweeps of the same
+        panel, build nothing."""
+        antenna = AntennaConfig(2, 1)
+        ov = oversampling_factors(antenna)
+        assert build_type1_codebook(antenna, 2, ov) is build_type1_codebook(AntennaConfig(2, 1), 2, ov)
+        assert (build_type2_structure(antenna, Type2Config(num_beams=2), ov)
+                is build_type2_structure(antenna, Type2Config(num_beams=2), ov))
+        builders = (build_type1_codebook, build_type2_structure)
+        misses = lambda: [b.cache_info().misses for b in builders]
+        at_pool = []
 
-        def counting(build):
-            def wrapper(*args):
-                builds.append((build.__name__, *args))
-                return build(*args)
-            return wrapper
+        class Pool:  # runs the points in this process, after noting the builds so far
+            def __init__(self, max_workers, initializer):
+                at_pool.append(misses())
 
-        for name in ("build_type1_codebook", "build_type2_structure"):
-            monkeypatch.setattr(sim, name, counting(getattr(sim, name)))
-        monkeypatch.setenv("NRSIM_THREADS", "1")
-        for mode in (CodebookMode.TYPE1, CodebookMode.TYPE2):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        for mode, built in ((CodebookMode.TYPE1, [2, 0]), (CodebookMode.TYPE2, [0, 1])):
+            for b in builders:
+                b.cache_clear()
             run_sweep(_mini_config(mode=mode, snr=(0.0, 10.0, 20.0), slots=5))
-            run_sweep(_mini_config(mode=mode, snr=(5.0,), slots=5))
-        assert sorted(b[0] for b in builds) == ["build_type1_codebook"] * 2 + ["build_type2_structure"]
-        assert len(set(builds)) == len(builds)
+            assert at_pool.pop() == built == misses()
+            run_sweep(_mini_config(mode=mode, snr=(5.0,), slots=5))  # one point: no pool
+            assert (at_pool, misses()) == ([], built)
 
     def test_thread_env_validation(self, monkeypatch):
         monkeypatch.setenv("NRSIM_THREADS", "two")
