@@ -183,11 +183,11 @@ def _logdet_capacity(h: np.ndarray, noise_var: float) -> np.ndarray:
     """mimo_capacity of the singular values of channels h (..., rx, tx),
     shape (...), without an SVD: log2 det(I + G/nv) for the Hermitian Gram G
     on the smaller side, summed as log2 of the LDL^H pivots of I + G/nv.
-    Like _mmse_sinr's sweep, the elimination runs in plain ufuncs over the
-    batch with no pivot search, the matrix being positive definite, and no
-    LAPACK call (np.linalg.slogdet of the same Grams was slower and took more
-    memory). Each pivot is at least 1 in exact arithmetic and is clamped
-    there against roundoff."""
+    Like _sweep, the elimination runs in plain ufuncs over the batch with no
+    pivot search, the matrix being positive definite, and no LAPACK call
+    (np.linalg.slogdet of the same Grams was slower and took more memory).
+    Each pivot is at least 1 in exact arithmetic and is clamped there
+    against roundoff."""
     if h.shape[-2] > h.shape[-1]:
         h = h.swapaxes(-2, -1)  # the Gram of H^T is conj(H^H H): same eigenvalues
     r = h.shape[-2]
@@ -239,29 +239,15 @@ def _sweep(upper, noise_var: float, keep=()) -> list:
     return a
 
 
-def _mmse_sinr(upper, noise_var: float) -> np.ndarray:
-    """Per-layer linear-MMSE SINR_i = 1/[(I + G/nv)^-1]_ii - 1, clamped at 0
-    against roundoff, for Hermitian r x r Grams G given by their upper
-    triangle as in _sweep. Returns (r, *batch). Works on A = G + nv*I:
-    closed form for r = 2, else _sweep's diagonal (at r = 1, -1/a00)."""
-    r = (math.isqrt(8 * len(upper) + 1) - 1) // 2
-    if r == 2:
-        a00, a01, a11 = upper[0].real + noise_var, upper[1], upper[2].real + noise_var
-        det = a00 * a11 - (a01.real ** 2 + a01.imag ** 2)
-        inv_diag = [a11 / det, a00 / det]
-    else:
-        a = _sweep(upper, noise_var)
-        inv_diag = [-a[i][i] for i in range(r)]
-    return np.maximum(1.0 / (noise_var * np.array(inv_diag)) - 1.0, 0.0)
-
-
-def _layer_sinr_batch(g: np.ndarray, noise_var: float) -> np.ndarray:
-    """Per-layer linear-MMSE SINR for effective channels g (..., rx, layers),
-    shape (..., layers)."""
+def _mmse_error(g: np.ndarray, noise_var: float) -> list:
+    """Per-layer linear-MMSE errors e_i = [(I + G/nv)^-1]_ii of effective
+    channels g (..., rx, layers), G = g^H g, one array (...) per layer: nv
+    times the diagonal of A^-1, A = G + nv*I, off _sweep's diagonal. The
+    layer's SINR is 1/e_i - 1."""
     r = g.shape[-1]
     gram = np.einsum("...ir,...is->rs...", g.conj(), g)
-    upper = [gram[i, j] for i in range(r) for j in range(i, r)]
-    return np.moveaxis(_mmse_sinr(upper, noise_var), 0, -1)
+    a = _sweep([gram[i, j] for i in range(r) for j in range(i, r)], noise_var)
+    return [-noise_var * a[i][i] for i in range(r)]
 
 
 def layer_sinr_mmse(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarray:
@@ -278,13 +264,19 @@ def layer_sinr_mmse(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarra
             raise ValueError(f"{name} must be finite, got a nan or inf entry")
     if h.shape[1] != w.shape[0]:
         raise ValueError(f"h has {h.shape[1]} columns but w has {w.shape[0]} rows")
-    return _layer_sinr_batch(h @ w, noise_var)
+    return np.maximum(1.0 / np.array(_mmse_error(h @ w, noise_var)) - 1.0, 0.0)
 
 
-def _effective_sinr(sinr: np.ndarray) -> np.ndarray:
-    """Capacity-domain average over the last two axes (subbands, layers):
-    eff = 2^(mean of log2(1+SINR)) - 1."""
-    return np.exp2(np.mean(np.log2(1.0 + sinr), axis=(-2, -1))) - 1.0
+def _effective_sinr(errors) -> np.ndarray:
+    """Capacity-domain average 2^(mean rate) - 1 of per-layer MMSE errors,
+    one C-contiguous array (..., subbands) per layer, with rate
+    log2(1 + SINR) = log2(max(1/e, 1)). Each layer is summed over its
+    subbands, then the layers are added in index order, so a value's bits do
+    not depend on the batch around it."""
+    total = 0.0
+    for e in errors:
+        total = total + np.log2(np.maximum(1.0 / e, 1.0)).sum(axis=-1)
+    return np.exp2(total / (len(errors) * errors[0].shape[-1])) - 1.0
 
 
 def effective_sinr(per_layer_per_subband) -> float:
@@ -295,13 +287,14 @@ def effective_sinr(per_layer_per_subband) -> float:
         raise ValueError("effective_sinr needs at least one SINR value")
     if not np.all(arr >= 0):  # also refuses nan
         raise ValueError("SINR values must be nonnegative, not nan")
-    return float(_effective_sinr(arr.reshape(1, -1)))
+    with np.errstate(divide="ignore"):  # an inf SINR is an error of 0 and a rate of inf
+        return float(_effective_sinr([1.0 / (1.0 + arr.reshape(-1))]))
 
 
 def _precoded_sinr(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarray:
     """Effective SINR of precoders w (..., subbands or 1, tx, layers) on
     channels h (..., subbands, rx, tx), over the leading batch axes."""
-    return _effective_sinr(_layer_sinr_batch(np.einsum("...kij,...kjr->...kir", h, w), noise_var))
+    return _effective_sinr(_mmse_error(np.einsum("...kij,...kjr->...kir", h, w), noise_var))
 
 
 def _choose(candidates, table: CqiTable) -> tuple[np.ndarray, ...]:
@@ -466,7 +459,7 @@ def _rate_pairs(prod: np.ndarray, plan, noise_var: float, num_ports: int) -> np.
                   np.stack([a[2][2] + a[3][3], a[2][3].real, a[2][3].imag])])
     weights = -nv_m * np.stack([np.full(cvals.shape, 0.5), cvals.real, -cvals.imag], axis=-1)
     nv_inv_diag = weights @ f.reshape(2, 3, -1)  # (beam of the pair, co-phase, ...)
-    # log2(1 + SINR) with SINR = max(1 / (nv * [A^-1]_ii) - 1, 0), summed over subbands.
+    # _effective_sinr's rate log2(max(1/e, 1)), summed over subbands, then columns in order.
     rates = np.log2(np.maximum(1.0 / nv_inv_diag, 1.0)).reshape(
         -1, num_slots, *gather.shape[1:], num_sb).sum(axis=-1)
     total = rates[columns, :, pair_of_t[:, None, None]].sum(axis=2)  # (t, i2, slots, beams)
@@ -478,6 +471,9 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
     """(throughput, rank, CQI, entry) arrays per slot of h (slots, subbands,
     rx, tx): the reported precoder is codebooks[rank].w_stack[entry]."""
     num_slots, num_sb, num_rx, num_tx = h.shape
+    num_ports = next(iter(codebooks.values())).cfg.num_ports
+    if num_tx != num_ports:
+        raise ValueError(f"channel has {num_tx} tx ports but the panel has {num_ports}")
     ranks = [rank for rank in sorted(codebooks) if rank <= min(num_rx, num_tx)]
     if not ranks:
         raise ValueError("no codebook rank is usable for this channel size")
@@ -501,9 +497,9 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
             # Gathered products (slots, pairs, t, 4, beams * subbands) to Grams (..., i2, ...).
             gather, weights = plan
             gram = weights @ np.take(prod, gather, axis=1).reshape(num_slots, *gather.shape[:3], -1)
-            sinr = _mmse_sinr(np.moveaxis(gram, 1, 0), noise_var)
-            sinr = sinr.reshape(*sinr.shape[:-1], -1, num_sb)  # (rank, slots, t, i2, beams, subbands)
-            eff = _effective_sinr(np.moveaxis(sinr, 0, -1))  # (slots, t, i2, beams)
+            gram = gram.reshape(*gram.shape[:-1], -1, num_sb)  # (..., i2, beams, subbands)
+            a = _sweep(np.moveaxis(gram, 1, 0), noise_var)
+            eff = _effective_sinr([-noise_var * a[i][i] for i in range(rank)])
         candidates.append((rank, eff.transpose(0, 3, 1, 2).reshape(num_slots, -1)))  # in entry order
     tp, rank, entry, cqi = _choose(candidates, table)
     return tp, rank, cqi, entry

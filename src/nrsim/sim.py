@@ -55,8 +55,8 @@ __all__ = [
 # channel bit for bit).
 _THRESHOLD_SLACK_DB = 1e-9
 
-# Beyond this many dB from 0 the noise power or the MMSE determinant
-# overflows, and a point would report inf or a spurious top CQI.
+# Beyond this many dB from 0 the noise power nears the ends of the float
+# range, and a point would report inf or a spurious top CQI.
 _SNR_LIMIT_DB = 1000.0
 
 

@@ -34,8 +34,8 @@ from nrsim import (
 import nrsim.csi as csi
 from nrsim.codebook import (TYPE2_MAX_RANK, TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES, Codebook,
                             TypeIPmi)
-from nrsim.csi import (CsiReport, _choose, _effective_sinr, _logdet_capacity, _mmse_sinr,
-                       _precoded_sinr, _quantize_type2, _select_type1, _select_type2, _sweep)
+from nrsim.csi import (CsiReport, _choose, _logdet_capacity, _mmse_error, _precoded_sinr,
+                       _quantize_type2, _select_type1, _select_type2, _sweep)
 
 
 def _rand_h(rng, num_rx, num_tx):
@@ -153,7 +153,7 @@ def _mmse_sinr_explicit(g, noise_var):
 
 def _layer_sinr_inv(g, noise_var):
     """Per-layer MMSE SINR of effective channels g (..., rx, layers) through
-    np.linalg.inv: the formula the closed-form and sweep helper replaced."""
+    np.linalg.inv: the formula the sweep helper replaced."""
     r = g.shape[-1]
     gram = np.einsum("...ir,...is->...rs", g.conj(), g)
     diag = np.einsum("...ii->...i", np.linalg.inv(np.eye(r) + gram / noise_var)).real
@@ -163,13 +163,14 @@ def _layer_sinr_inv(g, noise_var):
 def _select_type1_einsum_inv(h, noise_var, codebooks, table):
     """Type I selection as it was before the beam-Gram search: every entry's
     effective channel H @ W formed explicitly, its SINRs through
-    np.linalg.inv, rated by the shared rule."""
+    np.linalg.inv, their capacity-domain mean over (subbands, layers) rated
+    by the shared rule."""
     num_sb, num_rx, num_tx = h.shape
     ranks = [rank for rank in sorted(codebooks) if rank <= min(num_rx, num_tx)]
-    candidates = (
-        (rank, _effective_sinr(_layer_sinr_inv(
-            np.einsum("kij,ejr->ekir", h, codebooks[rank].w_stack), noise_var)))
-        for rank in ranks)
+    sinrs = ((rank, _layer_sinr_inv(np.einsum("kij,ejr->ekir", h, codebooks[rank].w_stack),
+                                     noise_var)) for rank in ranks)
+    candidates = ((rank, np.exp2(np.mean(np.log2(1.0 + sinr), axis=(-2, -1))) - 1.0)
+                  for rank, sinr in sinrs)
     tp, rank, e, cqi = _choose(candidates, table)
     pmi = codebooks[rank].pmi_of(e)
     report_pmi = TypeIPmi(pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband * num_sb)
@@ -179,15 +180,13 @@ def _select_type1_einsum_inv(h, noise_var, codebooks, table):
 class TestLayerSinr:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_helper_matches_inverse(self, rank):
-        """The closed-form (r <= 2) and sweep (r = 3, 4) MMSE SINRs match
-        np.linalg.inv on Hermitian positive-definite Grams from -10 to 40 dB."""
+        """The sweep's MMSE errors e give SINRs 1/e - 1 that match
+        np.linalg.inv on random effective channels from -10 to 40 dB."""
         rng = np.random.default_rng(20 + rank)
-        iu, ju = np.triu_indices(rank)
         for snr_db in range(-10, 45, 5):
             nv = 10.0 ** (-snr_db / 10.0)
             g = _rand_h(rng, 500 * (rank + 2), rank).reshape(500, rank + 2, rank)
-            gram = g.conj().swapaxes(-1, -2) @ g
-            got = _mmse_sinr(np.moveaxis(gram[:, iu, ju], -1, 0), nv)
+            got = np.maximum(1.0 / np.array(_mmse_error(g, nv)) - 1.0, 0.0)
             assert got.shape == (rank, 500)
             np.testing.assert_allclose(got.T, _layer_sinr_inv(g, nv), rtol=1e-12, atol=0.0)
 
@@ -249,6 +248,10 @@ class TestEffectiveSinr:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="nan"):
             effective_sinr([math.nan, 1.0])
+
+    def test_inf_sinr_gives_inf_quietly(self):
+        with np.errstate(all="raise"):
+            assert effective_sinr([math.inf, 1.0]) == math.inf
 
 
 class TestCqiTable:
@@ -558,10 +561,21 @@ class TestSelectCsi:
         with pytest.raises(ValueError):
             select_csi(np.eye(4, dtype=complex), 0.0, cbs, CqiTable.default())
 
+    @pytest.mark.parametrize("num_tx", [4, 6, 16])
+    def test_port_mismatch_rejected(self, num_tx):
+        """A channel whose tx count is not the codebooks' port count is
+        refused naming both counts, as Type II refuses it."""
+        cfg = AntennaConfig(4, 1)
+        ov = oversampling_factors(cfg)
+        cbs = {r: build_type1_codebook(cfg, r, ov) for r in (1, 2, 3, 4)}
+        h = _rand_h(np.random.default_rng(11), 4, num_tx)
+        with pytest.raises(ValueError, match=f"^channel has {num_tx} tx ports but the panel has 8"):
+            select_csi(h, 1.0, cbs, CqiTable.default())
 
-def _rank4_eff(monkeypatch, h, noise_var, cb):
-    """Rank-4 effective SINRs (slots, entries) as _select_type1 rates them,
-    read from the candidates it hands to _choose."""
+
+def _ratings(monkeypatch, selector, h, noise_var):
+    """Every candidate rating (rank, effective SINRs (slots, candidates))
+    that selecting the block h hands to _choose, Type I or Type II."""
     seen = []
 
     def choose(candidates, table):
@@ -570,9 +584,15 @@ def _rank4_eff(monkeypatch, h, noise_var, cb):
         return _choose(candidates, table)
 
     monkeypatch.setattr(csi, "_choose", choose)
-    _select_type1(h, noise_var, {4: cb}, CqiTable.default())
+    select = _select_type1 if isinstance(selector, dict) else _select_type2
+    select(h, noise_var, selector, CqiTable.default())
     monkeypatch.undo()
-    ((rank, eff),) = seen
+    return seen
+
+
+def _rank4_eff(monkeypatch, h, noise_var, cb):
+    """Rank-4 effective SINRs (slots, entries) as _select_type1 rates them."""
+    ((rank, eff),) = _ratings(monkeypatch, {4: cb}, h, noise_var)
     assert rank == 4
     return eff
 
@@ -882,6 +902,77 @@ def test_block_selection_matches_select_csi(n1, n2, family):
                                           realize_type2_precoder(selector, report.pmi))
                 ranks.add(report.ri)
     assert ranks == ({1, 2, 3, 4} if family == "type1" else {1, 2})
+
+
+def _selector(cfg, family):
+    """The Type I codebooks of ranks 1-4, or the 4-beam, 8-PSK Type II
+    structure, of panel cfg."""
+    ov = oversampling_factors(cfg)
+    if family == "type1":
+        return {r: build_type1_codebook(cfg, r, ov) for r in (1, 2, 3, 4)}
+    return build_type2_structure(cfg, Type2Config(4, 8), ov)
+
+
+class TestBatchIndependence:
+    """A slot's effective SINR has the same bits whichever batch it is rated
+    in: every layer is summed over its contiguous subband axis, then the
+    layers are added in index order."""
+
+    @pytest.mark.parametrize("num_sb", [1, 3, 13, 52])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_precoded_sinr_matches_slots_alone(self, rank, num_sb):
+        """_precoded_sinr of a 40-slot batch equals each slot rated alone,
+        exactly, for per-subband and wideband precoders at 0 and 20 dB."""
+        rng = np.random.default_rng(40 + 10 * rank + num_sb)
+        h = _rand_h(rng, 40 * num_sb * 4, 8).reshape(40, num_sb, 4, 8)
+        for w_sb in (num_sb, 1):
+            w = _rand_h(rng, 40 * w_sb * 8, rank).reshape(40, w_sb, 8, rank) / math.sqrt(8 * rank)
+            for nv in (1.0, 0.01):
+                batch = _precoded_sinr(h, w, nv)
+                alone = [_precoded_sinr(h[k:k + 1], w[k:k + 1], nv)[0] for k in range(len(h))]
+                assert np.array_equal(batch, alone), (w_sb, nv)
+
+    @pytest.mark.parametrize("family", ["type1", "type2"])
+    @pytest.mark.parametrize("n1, n2", [(4, 1), (2, 2), (4, 2)])
+    def test_selection_ratings_match_slots_alone(self, n1, n2, family, monkeypatch):
+        """Every Type I entry's and every Type II rank's rating of a 6-slot
+        block equals that slot's rating alone, exactly, on 2 and 4 rx, 3
+        and 13 subbands, at 0 and 20 dB."""
+        cfg = AntennaConfig(n1, n2)
+        selector = _selector(cfg, family)
+        rng = np.random.default_rng(50 + 10 * n1 + n2)
+        for num_rx, num_sb, snr_db in itertools.product((2, 4), (3, 13), (0.0, 20.0)):
+            h = _rand_h(rng, 6 * num_sb * num_rx, cfg.num_ports).reshape(
+                6, num_sb, num_rx, cfg.num_ports)
+            nv = 10.0 ** (-snr_db / 10.0)
+            block = _ratings(monkeypatch, selector, h, nv)
+            for k in range(len(h)):
+                alone = _ratings(monkeypatch, selector, h[k:k + 1], nv)
+                assert [r for r, _ in block] == [r for r, _ in alone]
+                for (rank, got), (_, want) in zip(block, alone):
+                    assert np.array_equal(got[k], want[0]), (num_rx, num_sb, snr_db, rank, k)
+
+
+@pytest.mark.parametrize("family", ["type1", "type2"])
+@pytest.mark.parametrize("n1, n2", [(4, 1), (4, 2)])
+def test_large_scale_channel_keeps_its_report(n1, n2, family):
+    """A channel scaled by 1e100 at 1e200 times the noise variance reports
+    the unscaled channel's (RI, CQI), with no floating-point exception: the
+    MMSE errors come from a sweep that takes no determinant."""
+    cfg = AntennaConfig(n1, n2)
+    selector = _selector(cfg, family)
+    table = CqiTable.default()
+    rng = np.random.default_rng(60 + n2)
+    ranks = set()
+    for nv in (10.0, 0.1):
+        for _ in range(10):
+            h = np.stack([_rand_h(rng, 4, cfg.num_ports) for _ in range(3)])
+            want = select_csi(h, nv, selector, table)
+            with np.errstate(all="raise"):
+                got = select_csi(h * 1e100, nv * 1e200, selector, table)
+            assert (got.ri, got.cqi) == (want.ri, want.cqi)
+            ranks.add(want.ri)
+    assert 2 in ranks
 
 
 def _quantize_type2_layer_reference(c, n_psk):
