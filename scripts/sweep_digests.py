@@ -7,9 +7,12 @@ panel (`[antenna] n2 = 2`) and on a 2x2 panel (`[antenna] n1 = 2`, `n2 = 2`:
 8 ports, both grid axes oversampled), each once with NRSIM_THREADS=1 and once
 with the default worker count. Prints one `sha256  seed panel workers file` line
 per CSV, each followed by one `sha256  seed panel workers file mode` line per
-mode over that mode's rows, in file order without the header. Running it in
-two checkouts and diffing the output shows whether a change keeps the
-simulated curves byte-identical, and if not, which modes' rows moved.
+mode over that mode's rows, in file order without the header. Then, on each
+panel, runs `nrsim overhead --out` for Type I ranks 1-4 and Type II layers
+1-2, at 1 and 13 subbands, and prints one `sha256  panel overhead codebook
+rank subbands` line per `overhead.csv`. Running it in two checkouts and
+diffing the output shows whether a change keeps the simulated curves and the
+report sizes byte-identical, and if not, which modes' rows moved.
 
 Example:
     python3 scripts/sweep_digests.py > digests.txt
@@ -29,6 +32,8 @@ PANELS = {"4x1": "", "4x2": "[antenna]\nn2 = 2\n", "2x2": "[antenna]\nn1 = 2\nn2
 WORKERS = ("1", "default")
 CSVS = ("sweep.csv", "ri_hist.csv", "cqi_hist.csv")
 MODES = ("type1", "type2", "svd")
+OVERHEAD_RANKS = {"type1": (1, 2, 3, 4), "type2": (1, 2)}
+OVERHEAD_SUBBANDS = (1, 13)
 
 
 def sha256(data: bytes) -> str:
@@ -55,6 +60,16 @@ def main() -> int:
                 for mode in MODES:
                     mode_rows = b"".join(r for r in rows if r.split(b",")[1] == mode.encode())
                     print(f"{sha256(mode_rows)}  {seed} {panel} {workers} {name} {mode}", flush=True)
+        for panel, (codebook, ranks), subbands in itertools.product(
+                PANELS, OVERHEAD_RANKS.items(), OVERHEAD_SUBBANDS):
+            for rank in ranks:
+                out = Path(tmp) / f"overhead-{panel}-{codebook}-{rank}-{subbands}"
+                subprocess.run([sys.executable, "-m", "nrsim", "overhead", "--config",
+                                f"{tmp}/{panel}.ini", "--codebook", codebook, "--rank", str(rank),
+                                "--subbands", str(subbands), "--out", str(out)],
+                               env=env, check=True, stdout=subprocess.DEVNULL)
+                data = (out / "overhead.csv").read_bytes()
+                print(f"{sha256(data)}  {panel} overhead {codebook} {rank} {subbands}", flush=True)
     return 0
 
 

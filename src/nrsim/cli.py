@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelConfig, _j0, generate_channel, load_pdp_file
-from .codebook import AntennaConfig, Type2Config, build_type1_codebook, oversampling_factors
+from .codebook import (AntennaConfig, Type2Config, build_type1_codebook, build_type2_structure,
+                       oversampling_factors)
 from .csi import CqiTable
 from .overhead import type1_overhead_bits, type2_overhead_bits
 from .sim import (
@@ -266,9 +267,10 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     antenna = _antenna(cfg)
     ov = oversampling_factors(antenna)
     if args.codebook == "type2":
-        breakdown = type2_overhead_bits(antenna, ov, _type2(cfg), args.rank, args.subbands)
+        space = build_type2_structure(antenna, _type2(cfg), ov)
+        breakdown = type2_overhead_bits(space, args.rank, args.subbands)
     else:
-        breakdown = type1_overhead_bits(antenna, ov, args.rank, args.subbands)
+        breakdown = type1_overhead_bits(build_type1_codebook(antenna, args.rank, ov), args.subbands)
     rows = [*breakdown.per_index_bits.items(), ("total", breakdown.total_bits)]
     width = max(len(key) for key, _ in rows)
     for key, bits in rows:

@@ -341,8 +341,8 @@ def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
     a = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     if z.shape != a.shape:
         raise ValueError(f"coefficient/amplitude shape mismatch: {z.shape} vs {a.shape}")
-    if n_psk < 1:
-        raise ValueError(f"n_psk must be >= 1, got {n_psk}")
+    if not isinstance(n_psk, (int, np.integer)) or isinstance(n_psk, bool) or n_psk < 1:
+        raise ValueError(f"n_psk must be an integer >= 1, got {n_psk!r}")
     if np.any(a < 0):
         raise ValueError("amplitudes must be nonnegative")
     if z.shape[-1] == 0:
@@ -474,6 +474,9 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
     num_ports = next(iter(codebooks.values())).cfg.num_ports
     if num_tx != num_ports:
         raise ValueError(f"channel has {num_tx} tx ports but the panel has {num_ports}")
+    for key, cb in codebooks.items():
+        if key != cb.col_offsets.shape[1]:
+            raise ValueError(f"codebooks[{key}] is a rank-{cb.col_offsets.shape[1]} codebook")
     ranks = [rank for rank in sorted(codebooks) if rank <= min(num_rx, num_tx)]
     if not ranks:
         raise ValueError("no codebook rank is usable for this channel size")

@@ -194,7 +194,7 @@ def _codebooks(cfg: SweepConfig):
 
 def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     scenario = cfg.scenario
-    antenna, table, ch_cfg = scenario.antenna, scenario.cqi_table, scenario.channel
+    table, ch_cfg = scenario.cqi_table, scenario.channel
     snr_db = cfg.snr_points_db[point_idx]
     noise_var = 10.0 ** (-snr_db / 10.0)
     h = generate_channel(ch_cfg, cfg.num_slots, _derive_point_seed(cfg.seed, point_idx)).h
@@ -210,17 +210,16 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
         return _aggregate(snr_db, capacity, np.full(scored, min(num_rx, num_tx)),
                           np.zeros(scored, dtype=int), 0, lambda r: 0, bandwidth_hz)
 
-    ov = oversampling_factors(antenna)
     selector = _codebooks(cfg)
     if cfg.codebook_mode is CodebookMode.TYPE1:
-        bits = lambda r: type1_overhead_bits(antenna, ov, r, num_sb).total_bits
+        bits = lambda r: type1_overhead_bits(selector[r], num_sb).total_bits
         # Largest intermediate: the gather of the top rank below 4 (rank 4 rates
         # from one inverse per beam pair), 32 bytes per (Gram entry, entry, subband).
         r3 = min(3, max(selector))
         select, slot_bytes = _select_type1, r3 * (r3 + 1) // 2 * len(selector[r3]) * 32
         precoder = lambda entry, idx, r: selector[r].w_stack[entry[idx]][:, None]
     else:
-        bits = lambda r: type2_overhead_bits(antenna, ov, scenario.type2, r, num_sb).total_bits
+        bits = lambda r: type2_overhead_bits(selector, r, num_sb).total_bits
         # Largest intermediate: the beam projections or the 2 x 4B x 2B phase search, per subband.
         select, slot_bytes = _select_type2, max(
             selector.beams[..., 0].size * num_rx * 2, 16 * scenario.type2.num_beams ** 2) * 16
@@ -263,12 +262,13 @@ def _init_worker() -> None:
     """Keep a pool worker's per-slot numpy temporaries in the heap: fix
     glibc's mmap threshold at 32 MiB and trim only above 1 GiB. A forked
     worker inherits the caller's threshold, and at its low start value the
-    worker maps and unmaps the per-slot temporaries (about 9 MB on a 16-port
-    Type I slot) every slot: on the compare_8x4 benchmark the two workers
-    take about 46k minor page faults per run without these settings and 15k
-    with them. Only nrsim's own pool workers change: the caller's process,
-    and so the one-worker path (NRSIM_THREADS=1), keeps its settings. Does
-    nothing where mallopt does not exist."""
+    worker maps and unmaps the per-slot temporaries (tracemalloc peak 7.2 MB
+    on a 16-port Type I slot) every slot: on the compare_8x4 benchmark the
+    two workers of one compare_modes call take about 32k minor page faults
+    (getrusage of the children) without these settings and 11k with them.
+    Only nrsim's own pool workers change: the caller's process, and so the
+    one-worker path (NRSIM_THREADS=1), keeps its settings. Does nothing
+    where mallopt does not exist."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):

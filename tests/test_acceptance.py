@@ -69,11 +69,13 @@ def test_overhead_worked_examples():
     start = time.perf_counter()
     cfg8 = AntennaConfig(4, 1)
     ov8 = oversampling_factors(cfg8)
-    assert type1_overhead_bits(cfg8, ov8, 1, 1).total_bits == 6
-    assert type1_overhead_bits(cfg8, ov8, 2, 1).total_bits == 7
-    assert type2_overhead_bits(cfg8, ov8, Type2Config(4, 8), 1, 1).total_bits == 60
+    assert type1_overhead_bits(build_type1_codebook(cfg8, 1, ov8), 1).total_bits == 6
+    assert type1_overhead_bits(build_type1_codebook(cfg8, 2, ov8), 1).total_bits == 7
+    space8 = build_type2_structure(cfg8, Type2Config(4, 8), ov8)
+    assert type2_overhead_bits(space8, 1, 1).total_bits == 60
     cfg4 = AntennaConfig(2, 1)
-    assert type2_overhead_bits(cfg4, oversampling_factors(cfg4), Type2Config(2, 4), 1, 1).total_bits == 27
+    space4 = build_type2_structure(cfg4, Type2Config(2, 4), oversampling_factors(cfg4))
+    assert type2_overhead_bits(space4, 1, 1).total_bits == 27
     assert abs(expected_overhead([0.5, 0.5], [6, 8]) - 7.0) <= 1e-12
     assert abs(expected_overhead([0.25, 0.75], [4, 8]) - 7.0) <= 1e-12
     elapsed = time.perf_counter() - start
@@ -281,9 +283,10 @@ def test_overhead_internal_consistency(tradeoff_run):
             ranks = sorted(pt.ri_histogram)
             probs = [pt.ri_histogram[r] for r in ranks]
             if res.mode is CodebookMode.TYPE1:
-                bits = [type1_overhead_bits(antenna, ov, r, num_sb).total_bits for r in ranks]
-            else:
-                bits = [type2_overhead_bits(antenna, ov, Type2Config(4, 8), r, num_sb).total_bits
+                bits = [type1_overhead_bits(build_type1_codebook(antenna, r, ov), num_sb).total_bits
                         for r in ranks]
+            else:
+                space = build_type2_structure(antenna, Type2Config(4, 8), ov)
+                bits = [type2_overhead_bits(space, r, num_sb).total_bits for r in ranks]
             assert pt.mean_overhead_bits == expected_overhead(probs, bits)
     print("PASS reported mean overhead equals the expectation over the rank histogram")

@@ -233,7 +233,7 @@ class TestType1Codebook:
         with pytest.raises(ValueError):
             cb.pmi_of(-1)
 
-    @pytest.mark.parametrize("rank", [0, 5])
+    @pytest.mark.parametrize("rank", [0, 5, -1])
     def test_invalid_rank(self, rank):
         cfg, ov = _panel(4, 1)
         with pytest.raises(ValueError):

@@ -396,6 +396,15 @@ class TestQuantizePhases:
         v8 = _phase_objective(fine, target, amps, 8)
         assert v8 >= v4 - 1e-12
 
+    @pytest.mark.parametrize("n_psk", [2.5, 4.0, True, None])
+    def test_non_integer_n_psk_rejected(self, n_psk):
+        with pytest.raises(ValueError, match="n_psk must be an integer"):
+            quantize_phases([1 + 1j, 1 - 1j], [1.0, 1.0], n_psk)
+
+    def test_numpy_integer_n_psk_accepted(self):
+        got = quantize_phases([1 + 1j, 1 - 1j], [1.0, 1.0], np.int64(4))
+        assert np.array_equal(got, quantize_phases([1 + 1j, 1 - 1j], [1.0, 1.0], 4))
+
 
 def _brute_force_type1(h, noise_var, codebooks, table):
     """Independent double-loop evaluator mirroring the selection contract:
@@ -571,6 +580,16 @@ class TestSelectCsi:
         h = _rand_h(np.random.default_rng(11), 4, num_tx)
         with pytest.raises(ValueError, match=f"^channel has {num_tx} tx ports but the panel has 8"):
             select_csi(h, 1.0, cbs, CqiTable.default())
+
+    @pytest.mark.parametrize("key, rank", [(2, 3), (1, 4), (4, 1), (3, 2)])
+    def test_key_differing_from_codebook_rank_rejected(self, key, rank):
+        """A codebook filed under another rank would be rated and charged as
+        that rank (or fail inside the search); it is refused naming both."""
+        cfg = AntennaConfig(4, 1)
+        cbs = {key: build_type1_codebook(cfg, rank, oversampling_factors(cfg))}
+        h = _rand_h(np.random.default_rng(12), 4, 8)
+        with pytest.raises(ValueError, match=rf"^codebooks\[{key}\] is a rank-{rank} codebook$"):
+            select_csi(h, 0.01, cbs, CqiTable.default())
 
 
 def _ratings(monkeypatch, selector, h, noise_var):

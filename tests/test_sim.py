@@ -256,10 +256,11 @@ class TestRunSweep:
                 ranks = sorted(pt.ri_histogram)
                 probs = [pt.ri_histogram[r] for r in ranks]
                 if mode is CodebookMode.TYPE1:
-                    bits = [type1_overhead_bits(antenna, ov, r, 3).total_bits for r in ranks]
-                else:
-                    bits = [type2_overhead_bits(antenna, ov, Type2Config(num_beams=2), r, 3).total_bits
+                    bits = [type1_overhead_bits(build_type1_codebook(antenna, r, ov), 3).total_bits
                             for r in ranks]
+                else:
+                    space = build_type2_structure(antenna, Type2Config(num_beams=2), ov)
+                    bits = [type2_overhead_bits(space, r, 3).total_bits for r in ranks]
                 assert pt.mean_overhead_bits == expected_overhead(probs, bits)
 
     def test_parallel_matches_sequential(self, monkeypatch):
