@@ -58,6 +58,11 @@ class TestType1:
         assert wide13.per_index_bits["i2"] == 13 * wideband.per_index_bits["i2"]
         assert wide13.total_bits == wideband.total_bits + 12 * wideband.per_index_bits["i2"]
 
+    @pytest.mark.parametrize("rank", [0, 5, -1])
+    def test_rank_out_of_range(self, rank):
+        with pytest.raises(ValueError, match="rank"):
+            _type1((4, 1), rank, 1)
+
 
 class TestType2:
     def test_worked_example_b4(self):
@@ -90,6 +95,10 @@ class TestType2:
     def test_layers_out_of_range(self, layers):
         with pytest.raises(ValueError):
             _type2((4, 1), Type2Config(num_beams=4, n_psk=8), layers, 1)
+
+    def test_beams_exceeding_grid(self):
+        with pytest.raises(ValueError):
+            _type2((2, 1), Type2Config(num_beams=4, n_psk=8), 1, 1)
 
     def test_type2_costs_more_than_type1_on_8_ports(self):
         t2 = Type2Config(num_beams=4, n_psk=8)
