@@ -14,10 +14,16 @@ rank subbands` line per `overhead.csv`. Running it in two checkouts and
 diffing the output shows whether a change keeps the simulated curves and the
 report sizes byte-identical, and if not, which modes' rows moved.
 
+With `--keep DIR`, every CSV is also kept under DIR (new or empty), in one
+subdirectory per run named like its digest line: `seed-panel-workers/` and
+`overhead-panel-codebook-rank-subbands/`. `diff -r` of two checkouts' DIRs
+then shows every changed value, not just which digest moved.
+
 Example:
-    python3 scripts/sweep_digests.py > digests.txt
+    python3 scripts/sweep_digests.py --keep digests-csv > digests.txt
 """
 
+import argparse
 import hashlib
 import itertools
 import os
@@ -40,7 +46,20 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--keep", type=Path, metavar="DIR", help="also keep every CSV under DIR")
+    keep = p.parse_args(argv).keep
+    if keep is not None and keep.exists() and (not keep.is_dir() or any(keep.iterdir())):
+        p.error(f"--keep {keep}: not a new or empty directory")
+
+    def read(run: Path, name: str) -> bytes:
+        data = (run / name).read_bytes()
+        if keep is not None:
+            (keep / run.name).mkdir(parents=True, exist_ok=True)
+            (keep / run.name / name).write_bytes(data)
+        return data
+
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "NRSIM_THREADS"} | {"PYTHONPATH": pythonpath}
     with tempfile.TemporaryDirectory() as tmp:
@@ -54,7 +73,7 @@ def main() -> int:
                            env=env if workers == "default" else {**env, "NRSIM_THREADS": workers},
                            check=True, stdout=subprocess.DEVNULL)
             for name in CSVS:
-                data = (out / name).read_bytes()
+                data = read(out, name)
                 print(f"{sha256(data)}  {seed} {panel} {workers} {name}", flush=True)
                 rows = data.splitlines(keepends=True)[1:]  # every CSV has mode as column 2
                 for mode in MODES:
@@ -68,7 +87,7 @@ def main() -> int:
                                 f"{tmp}/{panel}.ini", "--codebook", codebook, "--rank", str(rank),
                                 "--subbands", str(subbands), "--out", str(out)],
                                env=env, check=True, stdout=subprocess.DEVNULL)
-                data = (out / "overhead.csv").read_bytes()
+                data = read(out, "overhead.csv")
                 print(f"{sha256(data)}  {panel} overhead {codebook} {rank} {subbands}", flush=True)
     return 0
 

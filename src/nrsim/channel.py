@@ -2,7 +2,10 @@
 
 Each tap is an i.i.d. Rayleigh-faded matrix whose slot-to-slot correlation is
 the Jakes value rho = J0(2*pi*f_d*T_slot); the per-subband frequency response
-is the DFT of the tap matrices at the tap delays.
+is the DFT of the tap matrices at the tap delays. The taps are stored in the
+order the generator draws them, (slot, tap, rx, tx), and each slot's response
+is one BLAS product: the (subbands, taps) phase matrix times that slot's
+(taps, rx*tx) taps.
 """
 
 from __future__ import annotations
@@ -217,25 +220,25 @@ def _block_slots(taps: int, num_rx: int, num_tx: int) -> int:
 
 
 def _complex_normal(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill out, shape (n, rx, tx, taps), with CN(0, 1) draws taken in one
+    """Fill out, shape (n, taps, rx, tx), with CN(0, 1) draws taken in one
     call, in the stream order of one complex draw per slot: the slot's real
-    parts (taps, rx, tx), then its imaginary parts."""
-    n, num_rx, num_tx, taps = out.shape
-    g = rng.standard_normal((n, 2, taps, num_rx, num_tx)).transpose(0, 1, 3, 4, 2)
+    parts (taps, rx, tx), then its imaginary parts. Multiplying by 1/sqrt(2)
+    gives the bits of numpy's complex-by-real division by sqrt(2)."""
+    g = rng.standard_normal((out.shape[0], 2, *out.shape[1:]))
     out.real, out.imag = g[:, 0], g[:, 1]
-    out /= np.sqrt(2.0)
+    out *= 1.0 / np.sqrt(2.0)
 
 
 def _tap_blocks(rng: np.random.Generator, powers: np.ndarray, rho: float,
                 num_slots: int, num_rx: int, num_tx: int):
     """AR(1)-evolved tap matrices, every slot marginally CN(0, p_t) per
     entry, in blocks of _block_slots slots: yields (first slot, block
-    (slots, rx, tx, taps)). The block is a view of one buffer, which the
+    (slots, taps, rx, tx)). The block is a view of one buffer, which the
     next block overwrites."""
-    scale = np.sqrt(powers)
+    scale = np.sqrt(powers)[:, None, None]
     innov = np.sqrt(max(0.0, 1.0 - rho * rho)) * scale
     step = _block_slots(len(powers), num_rx, num_tx)
-    buf = np.empty((min(num_slots, step) + 1, num_rx, num_tx, len(powers)), dtype=complex)
+    buf = np.empty((min(num_slots, step) + 1, len(powers), num_rx, num_tx), dtype=complex)
     for start in range(0, num_slots, step):  # buf[0] holds the slot before the block
         block = buf[1:min(step, num_slots - start) + 1]
         _complex_normal(rng, block)
@@ -256,7 +259,9 @@ def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRe
     H(k) = sum_t A_t * exp(-j*2*pi*f_k*tau_t) with subband centers f_k placed
     symmetrically around the carrier and tau_t = normalized_delay * spread.
     h is filled one block of slots at a time, so no other array grows with
-    num_slots.
+    num_slots. Each slot's H is one BLAS product of the (subbands, taps)
+    phase matrix and the slot's (taps, rx*tx) taps, so where a block starts
+    cannot change a bit of h.
     """
     if num_slots < 1:
         raise ValueError(f"num_slots must be >= 1, got {num_slots}")
@@ -270,8 +275,10 @@ def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRe
     k = np.arange(cfg.num_subbands)
     freqs = (k - (cfg.num_subbands - 1) / 2.0) * cfg.subband_spacing_hz
     phase = np.exp(-2j * np.pi * np.outer(freqs, delays_s))  # (subbands, taps)
-    h = np.empty((num_slots, cfg.num_subbands, cfg.num_rx_ports, cfg.num_tx_ports), dtype=complex)
-    for start, taps in _tap_blocks(rng, powers, rho, num_slots, cfg.num_rx_ports,
-                                   cfg.num_tx_ports):
-        np.einsum("kt,sret->skre", phase, taps, out=h[start:start + len(taps)])
+    num_rx, num_tx = cfg.num_rx_ports, cfg.num_tx_ports
+    h = np.empty((num_slots, cfg.num_subbands, num_rx, num_tx), dtype=complex)
+    for start, taps in _tap_blocks(rng, powers, rho, num_slots, num_rx, num_tx):
+        n = len(taps)
+        np.matmul(phase, taps.reshape(n, len(powers), num_rx * num_tx),
+                  out=h[start:start + n].reshape(n, cfg.num_subbands, num_rx * num_tx))
     return ChannelRealization(h=h)

@@ -316,6 +316,11 @@ class Type2Config:
     n_psk: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("num_beams", "n_psk"):  # 4.0 in (4, 8) holds, so test the type first
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.num_beams not in (2, 3, 4):
             raise ValueError(f"num_beams must be in {{2,3,4}}, got {self.num_beams}")
         if self.n_psk not in (4, 8):

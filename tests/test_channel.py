@@ -24,10 +24,10 @@ def _bessel_j0_series(x: float) -> float:
     return total
 
 
-def _per_slot_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> np.ndarray:
-    """Reference generator: one complex draw (real parts, then imaginary
+def _per_slot_taps(cfg: ChannelConfig, num_slots: int, seed: int):
+    """Reference recursion: one complex draw (real parts, then imaginary
     parts) and one AR(1) step per slot into the whole (slots, taps, rx, tx)
-    tap trajectory, then one frequency-response einsum over it."""
+    tap trajectory. Returns the (subbands, taps) phase matrix and the taps."""
     rng = np.random.default_rng(seed)
     delays_s = np.asarray([d for d, _ in cfg.pdp]) * cfg.delay_spread_ns * 1e-9
     powers = np.asarray([p for _, p in cfg.pdp])
@@ -47,7 +47,32 @@ def _per_slot_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> np.ndarr
     taps[0] = scale * normal()
     for s in range(1, num_slots):
         taps[s] = rho * taps[s - 1] + innov * scale * normal()
-    return np.einsum("kt,stre->skre", phase, taps)
+    return phase, taps
+
+
+def _per_slot_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> np.ndarray:
+    """Reference generator: the per-slot recursion's taps, then one
+    frequency-response matmul per slot over the whole trajectory."""
+    phase, taps = _per_slot_taps(cfg, num_slots, seed)
+    n, t, r, e = taps.shape
+    return np.matmul(phase, taps.reshape(n, t, r * e)).reshape(n, len(phase), r, e)
+
+
+_BLOCK_BOUNDARY_CONFIGS = [
+    {"num_tx_ports": 8, "num_rx_ports": 4},
+    {"num_tx_ports": 1, "num_rx_ports": 1, "pdp": ((0.0, 1.0),), "num_subbands": 1},
+    {"num_tx_ports": 16, "num_rx_ports": 2, "num_subbands": 52},
+    {"num_tx_ports": 8, "num_rx_ports": 4, "doppler_hz": 0.0},
+    {"num_tx_ports": 8, "num_rx_ports": 4, "doppler_hz": 383.0,
+     "pdp": ((0.0, 0.6), (1.5, 0.4))},
+]
+
+
+def _boundary_slot_counts(cfg: ChannelConfig) -> list[int]:
+    """Trajectory lengths that end just before, on and just after block
+    boundaries."""
+    b = _block_slots(len(cfg.pdp), cfg.num_rx_ports, cfg.num_tx_ports)
+    return sorted({1, 2, 63, 64, 65, 131, 1000, b - 1, b, b + 1, 2 * b + 1} - {0})
 
 
 class TestCdlAPdp:
@@ -209,29 +234,58 @@ class TestGenerateChannel:
         rng = np.random.default_rng(123)
         powers = np.asarray([0.7, 0.3])
         _, taps = next(_tap_blocks(rng, powers, rho=0.9, num_slots=1, num_rx=100, num_tx=100))
-        measured = np.mean(np.abs(taps[0]) ** 2, axis=(0, 1))
+        measured = np.mean(np.abs(taps[0]) ** 2, axis=(1, 2))  # taps[0] is (taps, rx, tx)
         assert measured == pytest.approx(powers, rel=0.05)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"num_tx_ports": 8, "num_rx_ports": 4},
-        {"num_tx_ports": 1, "num_rx_ports": 1, "pdp": ((0.0, 1.0),), "num_subbands": 1},
-        {"num_tx_ports": 16, "num_rx_ports": 2, "num_subbands": 52},
-        {"num_tx_ports": 8, "num_rx_ports": 4, "doppler_hz": 0.0},
-        {"num_tx_ports": 8, "num_rx_ports": 4, "doppler_hz": 383.0,
-         "pdp": ((0.0, 0.6), (1.5, 0.4))},
-    ])
-    def test_blocks_match_per_slot_recursion(self, kwargs):
-        """Block generation equals the per-slot recursion bit for bit, for
-        trajectories that end just before, on and just after block
-        boundaries."""
+    @pytest.mark.parametrize("kwargs", _BLOCK_BOUNDARY_CONFIGS)
+    def test_tap_blocks_match_per_slot_recursion(self, kwargs):
+        """The tap blocks, concatenated, equal the per-slot recursion bit
+        for bit: the draws, their scaling and the AR(1) steps do not depend
+        on where a block starts."""
         cfg = ChannelConfig(**kwargs)
-        b = _block_slots(len(cfg.pdp), cfg.num_rx_ports, cfg.num_tx_ports)
-        counts = {1, 2, 63, 64, 65, 131, 1000, b - 1, b, b + 1, 2 * b + 1} - {0}
-        for num_slots in sorted(counts):
+        powers = np.asarray([p for _, p in cfg.pdp])
+        rho = _j0(2.0 * np.pi * cfg.doppler_hz * cfg.slot_duration_s)
+        for num_slots in _boundary_slot_counts(cfg):
+            for seed in (0, 17):
+                blocks = [taps.copy() for _, taps in _tap_blocks(
+                    np.random.default_rng(seed), powers / powers.sum(), rho, num_slots,
+                    cfg.num_rx_ports, cfg.num_tx_ports)]
+                expect = _per_slot_taps(cfg, num_slots, seed)[1]
+                assert np.array_equal(np.concatenate(blocks), expect), (num_slots, seed)
+
+    @pytest.mark.parametrize("kwargs", _BLOCK_BOUNDARY_CONFIGS)
+    def test_blocks_match_per_slot_recursion(self, kwargs):
+        """Block generation equals the per-slot recursion, with one matmul
+        per slot, bit for bit, for trajectories that end just before, on and
+        just after block boundaries."""
+        cfg = ChannelConfig(**kwargs)
+        for num_slots in _boundary_slot_counts(cfg):
             for seed in (0, 17):
                 h = generate_channel(cfg, num_slots, seed).h
                 assert h.flags.c_contiguous
                 assert np.array_equal(h, _per_slot_channel(cfg, num_slots, seed)), (num_slots, seed)
+
+    @pytest.mark.parametrize("kwargs", _BLOCK_BOUNDARY_CONFIGS)
+    def test_response_matches_textbook_sum(self, kwargs):
+        """h equals the textbook sum H(k) = sum_t phase[k, t] A_t, evaluated
+        by einsum, within the rounding of two length-T complex sums.
+
+        The real (imaginary) part of each entry is a real sum of 2T products,
+        so any evaluation order, with or without FMA, is within
+        gamma_2T * sum_t |phase[k, t]| |A_t| of the exact value per part
+        (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), with
+        gamma_n = n u / (1 - n u), u = 2^-53 and |phase| = 1. The modulus is
+        then within sqrt(2) times that, and the two evaluations differ by at
+        most twice it: about 1.4e-14 sum_t |A_t| at T = 23.
+        """
+        cfg = ChannelConfig(**kwargs)
+        phase, taps = _per_slot_taps(cfg, 131, 5)
+        textbook = np.einsum("kt,stre->skre", phase, taps)
+        n = 2 * len(cfg.pdp)
+        gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+        bound = 2.0 * math.sqrt(2.0) * gamma * np.sum(np.abs(taps), axis=1)[:, None]
+        h = generate_channel(cfg, 131, 5).h
+        assert np.all(np.abs(h - textbook) <= bound)
 
     @pytest.mark.parametrize("num_slots", [1000, 4000])
     def test_working_memory_independent_of_slots(self, num_slots):

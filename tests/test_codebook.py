@@ -315,6 +315,21 @@ class TestType2Structure:
         with pytest.raises(ValueError):
             Type2Config(**bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_psk", 4.0), ("n_psk", 8.0), ("num_beams", 2.0), ("num_beams", 4.0),
+        ("n_psk", True), ("num_beams", True), ("num_beams", np.float64(4.0)),
+    ])
+    def test_config_refuses_float_and_bool(self, field, value):
+        """A float or bool equal to an allowed value is refused by name, not
+        built and charged as the integer it equals."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            Type2Config(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = Type2Config(num_beams=np.int64(2), n_psk=np.int32(4))
+        assert cfg == Type2Config(num_beams=2, n_psk=4)
+        assert type(cfg.num_beams) is int and type(cfg.n_psk) is int
+
 
 def _nested(a):
     """Nested tuples of Python ints, the PMI report format."""

@@ -994,6 +994,29 @@ def test_large_scale_channel_keeps_its_report(n1, n2, family):
     assert 2 in ranks
 
 
+@pytest.mark.xfail(strict=True, reason="Type II ties: with B = n1*n2 every stage-1 rotation scores "
+                                       "the whole channel power, and quantize_phases' rotations "
+                                       "near 0 and 2*pi/N_PSK give equal correlation one PSK step "
+                                       "apart, so rounding picks the reported winner")
+def test_type2_report_survives_one_ulp():
+    """Moving every real part of h up one ulp leaves the Type II (RI, PMI,
+    CQI) unchanged: on the 4x1 panel with B = n1*n2 = 4, where both ties
+    show, and on the 4x2 panel, where the co-phase tie shows."""
+    table = CqiTable.default()
+    rng = np.random.default_rng(70)
+    changed = {}
+    for n1, n2 in ((4, 1), (4, 2)):
+        cfg = AntennaConfig(n1, n2)
+        space = build_type2_structure(cfg, Type2Config(4, 8), oversampling_factors(cfg))
+        changed[n1, n2] = 0
+        for _ in range(10):
+            h = np.stack([_rand_h(rng, 4, cfg.num_ports) for _ in range(3)])
+            want = select_csi(h, 1.0, space, table)
+            got = select_csi(np.nextafter(h.real, np.inf) + 1j * h.imag, 1.0, space, table)
+            changed[n1, n2] += (got.ri, got.pmi, got.cqi) != (want.ri, want.pmi, want.cqi)
+    assert changed == {(4, 1): 0, (4, 2): 0}
+
+
 def _quantize_type2_layer_reference(c, n_psk):
     """One layer's stage-2 quantization, c (subbands, 2B), written per layer:
     the reference that _quantize_type2's all-layers pass must equal."""
