@@ -11,7 +11,8 @@ medians and the win counts. For every end-to-end metric of this checkout's
 BENCHMARK.json it prints the parent's and this side's median and quartiles
 and the number of pairs this side won, then each side's incorrect runs and
 the share of SNR points that failed. The exit status is 1 if any run was
-incorrect.
+incorrect. With `--json PATH` it also writes every run's result, its metrics,
+`correct`, `failed` and `attempted`, in run order per side, to PATH.
 
 Example, from the root of this checkout:
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
@@ -57,6 +58,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, help="passed to bench/run.py (default: its own)")
     p.add_argument("--seed", type=int, help="passed to bench/run.py (default: its own)")
+    p.add_argument("--json", type=Path, metavar="PATH", help="also write each run's result to PATH")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
@@ -91,6 +93,11 @@ def main(argv=None) -> int:
         wins = sum((c < b) if lower else (c > b) for b, c in both)
         print(f"{name:<14} {pmed:14.6g} {pq1:10.6g} {pq3:10.6g} {cmed:14.6g} {cq1:10.6g} "
               f"{cq3:10.6g} {100.0 * (cmed / pmed - 1.0):+8.1f}% {wins:>4}/{len(both)}")
+    if args.json is not None:
+        keep = ("metrics", "correct", "failed", "attempted")
+        runs = {side: [{k: r.get(k) for k in keep} for r in results[side]] for side in sides}
+        args.json.write_text(json.dumps({"workload": args.workload, "seed": args.seed, **runs},
+                                        indent=1) + "\n", encoding="utf-8")
     incorrect = 0
     for side in sides:
         bad = sum(not r["correct"] for r in results[side])

@@ -3,9 +3,10 @@ a feedback delay, score each reported rank's slots in one pass through the
 link abstraction, and aggregate RI/CQI/overhead statistics per SNR point.
 
 SNR is referenced to unit average channel power with unit-power symbols, so
-noise_var = 10^(-snr_db/10). Points run in parallel with independent derived
-seeds; results are deterministic for a given config regardless of the worker
-count.
+noise_var = 10^(-snr_db/10). Points have independent derived seeds. A
+comparison queues every (config, point) of its configs on one process pool,
+and a lone sweep is a one-config comparison; results are deterministic for a
+given config regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import enum
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -252,9 +255,12 @@ def _worker_count(num_tasks: int) -> int:
     env = os.environ.get("NRSIM_THREADS", "").strip()
     if env:
         try:
-            limit = min(limit, max(1, int(env)))
+            threads = int(env)
         except ValueError:
             raise ValueError(f"NRSIM_THREADS must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise ValueError(f"NRSIM_THREADS must be >= 1, got {env!r}")
+        limit = min(limit, threads)
     return max(1, min(limit, num_tasks))
 
 
@@ -264,8 +270,9 @@ def _init_worker() -> None:
     worker inherits the caller's threshold, and at its low start value the
     worker maps and unmaps the per-slot temporaries (tracemalloc peak 7.2 MB
     on a 16-port Type I slot) every slot: on the compare_8x4 benchmark the
-    two workers of one compare_modes call take about 32k minor page faults
-    (getrusage of the children) without these settings and 11k with them.
+    two workers of one compare_modes call, which run the points of all three
+    modes, take about 32k minor page faults (getrusage of the children)
+    without these settings and 11k with them.
     Only nrsim's own pool workers change: the caller's process, and so the
     one-worker path (NRSIM_THREADS=1), keeps its settings. Does nothing
     where mallopt does not exist."""
@@ -278,17 +285,53 @@ def _init_worker() -> None:
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
+# The comparison open in this context: each config's iterator of point
+# results, in config order. run_sweep takes the first.
+_open_sweeps: ContextVar[list | None] = ContextVar("nrsim_open_sweeps", default=None)
+
+
+def _queue(pool, cfg: SweepConfig):
+    """cfg's point results in order: submitted to the pool now and read as
+    they are needed, or without a pool run in this process as they are
+    needed."""
+    indices = range(len(cfg.snr_points_db))
+    if pool is None:
+        return (_run_point(cfg, i) for i in indices)
+    futures = [pool.submit(_run_point, cfg, i) for i in indices]
+    return (f.result() for f in futures)
+
+
+@contextmanager
+def _comparison(cfgs):
+    """Open a comparison of cfgs for run_sweep to collect, one config per
+    call, in order. Every config's codebook structures are built first, so
+    forked workers inherit them. Then one pool of _worker_count(configs x
+    points) processes gets every (config, point) task, in config order and
+    then point order; at one worker each config's points run in this
+    process inside its own run_sweep call. Closing the comparison cancels
+    the points still queued and shuts the pool down."""
+    for cfg in cfgs:
+        _codebooks(cfg)
+    workers = _worker_count(sum(len(cfg.snr_points_db) for cfg in cfgs))
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) if workers > 1 else None
+    sweeps = []
+    token = _open_sweeps.set(sweeps)
+    try:
+        sweeps.extend(_queue(pool, cfg) for cfg in cfgs)
+        yield
+    finally:
+        _open_sweeps.reset(token)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Run every SNR point of one sweep; deterministic per (config, seed)."""
-    n = len(cfg.snr_points_db)
-    workers = _worker_count(n)
-    _codebooks(cfg)  # built here, before the pool, so forked workers inherit them
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
-            points = list(pool.map(_run_point, [cfg] * n, range(n)))
-    else:
-        points = [_run_point(cfg, i) for i in range(n)]
-    return SweepResult(mode=cfg.codebook_mode, points=tuple(points))
+    """Run every SNR point of one sweep; deterministic per (config, seed).
+    Inside compare_modes it collects the points its comparison queued for
+    cfg; otherwise it runs as a comparison of cfg alone."""
+    with nullcontext() if _open_sweeps.get() else _comparison([cfg]):
+        points = tuple(_open_sweeps.get().pop(0))
+    return SweepResult(mode=cfg.codebook_mode, points=points)
 
 
 @dataclass(frozen=True)
@@ -326,7 +369,8 @@ def compare_modes(cfgs) -> ModeComparison:
         get = attrgetter(field)
         if any(get(other) != get(ref) for other in cfgs[1:]):
             raise ValueError(f"configs disagree on {field}")
-    results = tuple(run_sweep(c) for c in cfgs)
+    with _comparison(cfgs):
+        results = tuple(run_sweep(c) for c in cfgs)
     rows = []
     for i, snr_db in enumerate(ref.snr_points_db):
         tps = tuple(res.points[i].mean_throughput for res in results)

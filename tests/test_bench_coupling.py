@@ -10,6 +10,7 @@ and the tracer's `select_csi` wrapper unpacks `h.shape` as (subbands, rx, tx).
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,25 @@ def test_channel_generated_once_per_mode_and_point(monkeypatch):
     wl = workloads.WORKLOADS["compare_8x4"]
     assert summary["calls"]["channel.generate_channel"] == len(wl.modes) * len(wl.snr_db)
     assert summary["h_bytes"] == 3 * wl.subbands * wl.rx * wl.tx * 16
+
+
+def test_channel_spans_carry_their_mode(monkeypatch):
+    """At one worker each config's points run inside its own run_sweep call,
+    so the traced per-mode times stay true: every generate_channel span is a
+    child of its mode's run_sweep span and carries that mode, each mode has
+    one per point, and every mode's sweep time is positive."""
+    monkeypatch.setenv("NRSIM_THREADS", "1")
+    wl = workloads.WORKLOADS["compare_8x4"]
+    tracer = spans.Tracer()
+    tracer.install(nrsim)
+    try:
+        nrsim.compare_modes(workloads.build_configs(nrsim, wl, workloads.REFERENCE_SEED, 3))
+    finally:
+        tracer.uninstall()
+    by_id = {span[0]: span for span in tracer.spans}
+    channel = [span for span in tracer.spans if span[2] == "channel.generate_channel"]
+    for _, parent, _, _, _, _, mode in channel:
+        assert by_id[parent][2] == "sim.run_sweep" and by_id[parent][6] == mode
+    assert Counter(span[6] for span in channel) == {mode: len(wl.snr_db) for mode in wl.modes}
+    sweep_s = tracer.summary()["sweep_s_by_mode"]
+    assert sorted(sweep_s) == sorted(wl.modes) and all(t > 0 for t in sweep_s.values())

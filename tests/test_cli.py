@@ -410,11 +410,13 @@ def test_type2_beams_beyond_panel_refused_before_manifest(tmp_path, capsys):
     (["--snr=3000"], {}, "snr_points_db must be finite and within +/-1000 dB"),
     (["--snr=-10:1e-7:40"], {}, "sweep.snr has more than 10000 points"),
     ([], {"NRSIM_THREADS": "abc"}, "NRSIM_THREADS must be an integer, got 'abc'"),
+    ([], {"NRSIM_THREADS": "0"}, "NRSIM_THREADS must be >= 1, got '0'"),
+    ([], {"NRSIM_THREADS": "-1"}, "NRSIM_THREADS must be >= 1, got '-1'"),
 ])
 def test_sweep_input_refused_before_manifest(tmp_path, capsys, monkeypatch, argv, env, message):
     """A negative seed, an SNR point past +/-1000 dB, an SNR grid of more
-    than 10000 points and a malformed NRSIM_THREADS exit 2 promptly, naming
-    their source, before manifest.json is written."""
+    than 10000 points and a malformed or nonpositive NRSIM_THREADS exit 2
+    promptly, naming their source, before manifest.json is written."""
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     out = tmp_path / "out"

@@ -2,10 +2,12 @@
 
 import csv
 import math
+import multiprocessing
 import tracemalloc
 import types
 import warnings
 from collections import Counter
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +41,15 @@ from nrsim import (
     write_sweep_csv,
 )
 from nrsim.csi import _logdet_capacity
+from nrsim.sim import _run_point
+
+
+def _failing_point(cfg, point_idx):
+    """sim._run_point, except that the Type I sweep's second point raises;
+    module-level, so that it pickles to pool workers."""
+    if cfg.codebook_mode is CodebookMode.TYPE1 and point_idx == 1:
+        raise RuntimeError("type1 point 1 failed")
+    return _run_point(cfg, point_idx)
 
 
 def _mini_scenario(num_rx=2, doppler=5.0, subbands=3):
@@ -281,9 +292,9 @@ class TestRunSweep:
 
     def test_codebooks_built_once_per_process(self, monkeypatch):
         """The builders return one structure per distinct arguments, and
-        run_sweep builds its mode's structures before it starts a pool, so
-        forked workers inherit them: points, and later sweeps of the same
-        panel, build nothing."""
+        run_sweep and compare_modes build every config's structures before
+        they start a pool, so forked workers inherit them: points, and later
+        sweeps of the same panel, build nothing."""
         antenna = AntennaConfig(2, 1)
         ov = oversampling_factors(antenna)
         assert build_type1_codebook(antenna, 2, ov) is build_type1_codebook(AntennaConfig(2, 1), 2, ov)
@@ -293,18 +304,17 @@ class TestRunSweep:
         misses = lambda: [b.cache_info().misses for b in builders]
         at_pool = []
 
-        class Pool:  # runs the points in this process, after noting the builds so far
+        class Pool:  # runs each point here as it is submitted, after noting the builds so far
             def __init__(self, max_workers, initializer):
                 at_pool.append(misses())
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *args):
-                return map(fn, *args)
+            def shutdown(self, cancel_futures):
+                pass
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
@@ -315,11 +325,53 @@ class TestRunSweep:
             assert at_pool.pop() == built == misses()
             run_sweep(_mini_config(mode=mode, snr=(5.0,), slots=5))  # one point: no pool
             assert (at_pool, misses()) == ([], built)
+        for b in builders:
+            b.cache_clear()
+        compare_modes([_mini_config(mode=mode, snr=(0.0, 10.0), slots=5) for mode in CodebookMode])
+        assert at_pool == [[2, 1]] and misses() == [2, 1]
+
+    def test_one_pool_per_comparison(self, monkeypatch):
+        """compare_modes runs the points of all its configs on one pool,
+        which it shuts down, leaving no child process, before it returns."""
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("NRSIM_THREADS", raising=False)
+        cmp = compare_modes([_mini_config(mode=mode, slots=5) for mode in CodebookMode])
+        assert started == [2]
+        assert multiprocessing.active_children() == []
+        assert [res.mode for res in cmp.results] == list(CodebookMode)
+
+    def test_failed_point_reraised_without_leftover_workers(self, monkeypatch):
+        """A point that raises in a pool worker fails compare_modes with
+        its error, and the pool is still shut down, leaving no child
+        process."""
+        monkeypatch.setattr(sim, "_run_point", _failing_point)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("NRSIM_THREADS", raising=False)
+        cfgs = [_mini_config(mode=mode, snr=(0.0, 10.0, 20.0), slots=5) for mode in CodebookMode]
+        with pytest.raises(RuntimeError, match="type1 point 1 failed"):
+            compare_modes(cfgs)
+        assert multiprocessing.active_children() == []
 
     def test_thread_env_validation(self, monkeypatch):
         monkeypatch.setenv("NRSIM_THREADS", "two")
         with pytest.raises(ValueError, match="NRSIM_THREADS"):
             run_sweep(_mini_config(slots=5))
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_env_below_one_refused(self, monkeypatch, threads):
+        monkeypatch.setenv("NRSIM_THREADS", threads)
+        with pytest.raises(ValueError, match=f"NRSIM_THREADS must be >= 1, got '{threads}'"):
+            sim._worker_count(4)
+        with pytest.raises(ValueError, match="NRSIM_THREADS"):
+            compare_modes([_mini_config(slots=5)])
 
     def test_worker_initializer_fixes_heap_thresholds(self, monkeypatch):
         calls = []
