@@ -2,8 +2,10 @@
 effective-SINR link abstraction, CQI mapping, and RI/PMI/CQI selection.
 
 Selection maximizes predicted throughput (rank times the spectral efficiency
-of the mapped CQI). Type I is searched exhaustively; Type II uses a two-stage
-projection-and-quantization construction.
+of the mapped CQI). The Type I search is exact: the highest rank is rated
+first, and a lower rank only in the slots where it can still reach the best
+throughput found, so a skipped rank is one that can neither win nor tie.
+Type II uses a two-stage projection-and-quantization construction.
 """
 
 from __future__ import annotations
@@ -297,17 +299,23 @@ def _precoded_sinr(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarray
     return _effective_sinr(_mmse_error(np.einsum("...kij,...kjr->...kir", h, w), noise_var))
 
 
+def _cqi(eff: np.ndarray, table: CqiTable) -> np.ndarray:
+    """CQI of each effective SINR in eff: the largest whose threshold is at
+    or below it, 0 where the SINR is <= 0 or nan. Nondecreasing in eff."""
+    cqi = np.zeros(eff.shape, dtype=int)
+    positive = eff > 0
+    cqi[positive] = np.searchsorted(table.sinr_threshold_db, 10.0 * np.log10(eff[positive]),
+                                    side="right")
+    return cqi
+
+
 def _choose(candidates, table: CqiTable) -> tuple[np.ndarray, ...]:
     """(throughput, rank, index, cqi) of the best candidate per slot, for
     candidates (rank, effective SINRs (slots..., that rank's candidates)) in
     ascending rank. The first best is kept: lower rank, then lower index."""
     best = None
     for rank, eff in candidates:
-        eff = np.atleast_1d(eff)
-        cqi = np.zeros(eff.shape, dtype=int)
-        positive = eff > 0
-        cqi[positive] = np.searchsorted(table.sinr_threshold_db, 10.0 * np.log10(eff[positive]),
-                                        side="right")
+        cqi = _cqi(np.atleast_1d(eff), table)
         throughput = rank * table.efficiency(cqi)
         i = np.argmax(throughput, axis=-1)[..., None]
         found = (np.take_along_axis(throughput, i, axis=-1)[..., 0], np.full(i.shape[:-1], rank),
@@ -396,7 +404,8 @@ def _gram_plan(cbs: tuple[Codebook, ...]):
     """How each codebook's entries rate from shared beam products D_d[p, q],
     where D_d[p, q][b] = (H_p v_b)^H H_q v_{b+d}, laid out as (4
     polarization pairs pq, d values, beams). Returns the flat grid index of
-    b + d for each d used, (d values, beams), and a plan per codebook.
+    b + d for each d used, (d values, beams), one row per d modulo the grid,
+    and a plan per codebook.
 
     Ranks 1-3: columns i <= j of the entry with base beam b and i13 value t
     use beams b + o_i and b + o_j (o = col_offsets[t]), paired by
@@ -434,8 +443,9 @@ def _gram_plan(cbs: tuple[Codebook, ...]):
         c_i, c_j = cb.cophase[..., iu], cb.cophase[..., ju]  # (t, i2, pairs)
         weights = np.stack([np.ones_like(c_i), c_j, c_i.conj(), c_i.conj() * c_j], axis=-1)
         rest.append([weights.transpose(2, 0, 1, 3) / (cb.cfg.num_ports * r)])
-    diffs, which = np.unique(np.concatenate([d.reshape(-1, 2) for _, _, d in reads]), axis=0,
-                             return_inverse=True)
+    # Differences equal modulo the grid move every beam alike: one product plane each.
+    diffs, which = np.unique(np.concatenate([d.reshape(-1, 2) for _, _, d in reads]) % (n_l, n_m),
+                             axis=0, return_inverse=True)
     which = np.split(which.reshape(-1), np.cumsum([d.size // 2 for _, _, d in reads])[:-1])
     return moved(diffs), [((pq * len(diffs) + w.reshape(d.shape[:-1]))[..., None] * n_l * n_m
                            + moved(o_i), *more)
@@ -492,19 +502,34 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
     for r in range(1, num_rx):
         prod += x_conj[:, :, :, r] * x[:, None, :, r, shifts]
     prod = prod.reshape(num_slots, -1, num_sb)
-    candidates = []
-    for rank, plan in zip(ranks, plans):
+
+    def rate(p, rank, plan):  # effective SINRs (slots, entries) of products p, in entry order
         if rank == 4:
-            eff = _rate_pairs(prod, plan, noise_var, num_tx)  # (slots, t, i2, beams)
+            eff = _rate_pairs(p, plan, noise_var, num_tx)  # (slots, t, i2, beams)
         else:
             # Gathered products (slots, pairs, t, 4, beams * subbands) to Grams (..., i2, ...).
             gather, weights = plan
-            gram = weights @ np.take(prod, gather, axis=1).reshape(num_slots, *gather.shape[:3], -1)
+            gram = weights @ np.take(p, gather, axis=1).reshape(len(p), *gather.shape[:3], -1)
             gram = gram.reshape(*gram.shape[:-1], -1, num_sb)  # (..., i2, beams, subbands)
             a = _sweep(np.moveaxis(gram, 1, 0), noise_var)
             eff = _effective_sinr([-noise_var * a[i][i] for i in range(rank)])
-        candidates.append((rank, eff.transpose(0, 3, 1, 2).reshape(num_slots, -1)))  # in entry order
-    tp, rank, entry, cqi = _choose(candidates, table)
+        return eff.transpose(0, 3, 1, 2).reshape(len(p), -1)
+
+    # Highest rank first. Rank r reaches at most r times the top efficiency;
+    # in a slot where a higher rank already beats that, r can neither win nor
+    # tie, so it is not rated there and its candidates read 0.
+    candidates, best = [], np.zeros(num_slots)  # best throughput rated so far per slot
+    for rank, plan in zip(ranks[::-1], plans[::-1]):
+        live = best <= rank * table.spectral_efficiency[-1]
+        if live.all():
+            eff = rate(prod, rank, plan)
+        else:
+            eff = np.zeros((num_slots, len(codebooks[rank])))
+            if live.any():
+                eff[live] = rate(prod[live], rank, plan)
+        candidates.append((rank, eff))
+        best = np.maximum(best, rank * table.efficiency(_cqi(eff.max(axis=-1), table)))
+    tp, rank, entry, cqi = _choose(candidates[::-1], table)
     return tp, rank, cqi, entry
 
 
@@ -578,8 +603,9 @@ def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
 
     h is the slot view (num_subbands, num_rx, num_tx); a bare 2-D matrix is
     treated as a single subband. codebooks is either a mapping rank ->
-    Codebook (Type I, exhaustive search; ranks above min(num_rx, num_tx) are
-    skipped) or a Type2CodebookSpace (two-stage construction).
+    Codebook (Type I, exact search; ranks above min(num_rx, num_tx) are
+    skipped, and so is a rank that cannot reach the best throughput of the
+    ranks above it) or a Type2CodebookSpace (two-stage construction).
 
     Every candidate precoder is rated the same way: its effective SINR maps
     to the largest CQI whose threshold is at or below it (0 where the SINR is

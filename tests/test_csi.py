@@ -32,8 +32,8 @@ from nrsim import (
     svd_precode,
 )
 import nrsim.csi as csi
-from nrsim.codebook import (TYPE2_MAX_RANK, TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES, Codebook,
-                            TypeIPmi)
+from nrsim.codebook import (_OVERSAMPLING, TYPE2_MAX_RANK, TYPE2_SB_AMPLITUDES,
+                            TYPE2_WB_AMPLITUDES, Codebook, TypeIPmi)
 from nrsim.csi import (CsiReport, _choose, _logdet_capacity, _mmse_error, _precoded_sinr,
                        _quantize_type2, _select_type1, _select_type2, _sweep)
 
@@ -593,20 +593,21 @@ class TestSelectCsi:
 
 
 def _ratings(monkeypatch, selector, h, noise_var):
-    """Every candidate rating (rank, effective SINRs (slots, candidates))
-    that selecting the block h hands to _choose, Type I or Type II."""
+    """The candidate ratings [(rank, effective SINRs (slots, candidates))],
+    in ascending rank, of the _choose call that picks the reports when
+    selecting the block h, Type I or Type II. A Type I rank that cannot win
+    a slot is not rated there and reads 0 in that slot."""
     seen = []
 
     def choose(candidates, table):
-        candidates = list(candidates)
-        seen.extend(candidates)
-        return _choose(candidates, table)
+        seen.append(list(candidates))
+        return _choose(seen[-1], table)
 
     monkeypatch.setattr(csi, "_choose", choose)
     select = _select_type1 if isinstance(selector, dict) else _select_type2
     select(h, noise_var, selector, CqiTable.default())
     monkeypatch.undo()
-    return seen
+    return seen[-1]
 
 
 def _rank4_eff(monkeypatch, h, noise_var, cb):
@@ -689,6 +690,92 @@ class TestRank4PairRating:
         h = np.outer(_rand_h(rng, 4, 1), _rand_h(rng, 1, 8))[None] / math.sqrt(8)
         with np.errstate(divide="ignore", invalid="ignore"):
             assert select_csi(h, 1e-20, cbs, CqiTable.default()).ri == 1
+
+
+class TestRankBound:
+    """Type I rates its highest rank first and a lower rank r only in the
+    slots where the best throughput so far is at most r times the top
+    spectral efficiency; elsewhere r can neither win nor tie."""
+
+    @pytest.mark.parametrize("n1, n2", [(4, 1), (2, 2), (4, 2)])
+    def test_matches_merge_of_single_rank_selections(self, n1, n2, monkeypatch):
+        """The pruned selection equals, exactly, the merge of one selection
+        per rank that keeps a higher rank only where its throughput is
+        strictly greater: tp, rank, CQI and entry, on 2 and 4 rx from -10 to
+        40 dB. Slots of one block are scaled apart by up to 30 dB, so some
+        blocks rate a rank in some slots and skip it in others."""
+        cfg = AntennaConfig(n1, n2)
+        cbs = _selector(cfg, "type1")
+        table = CqiTable.default()
+        rng = np.random.default_rng(70 + 10 * n1 + n2)
+        mixed = set()
+        for num_rx, snr_db in itertools.product((2, 4), range(-10, 45, 10)):
+            ranks = [r for r in sorted(cbs) if r <= num_rx]
+            gain = 10.0 ** (rng.uniform(-15.0, 15.0, size=(8, 1, 1, 1)) / 20.0)
+            h = gain * _rand_h(rng, 8 * 3 * num_rx, cfg.num_ports).reshape(
+                8, 3, num_rx, cfg.num_ports)
+            nv = 10.0 ** (-snr_db / 10.0)
+            want = _select_type1(h, nv, {ranks[0]: cbs[ranks[0]]}, table)
+            for r in ranks[1:]:
+                found = _select_type1(h, nv, {r: cbs[r]}, table)
+                want = tuple(np.where(found[0] > want[0], new, old)
+                             for new, old in zip(found, want))
+            got = _select_type1(h, nv, {r: cbs[r] for r in ranks}, table)
+            for name, g, w in zip(("tp", "rank", "cqi", "entry"), got, want):
+                assert np.array_equal(g, w), (num_rx, snr_db, name)
+            for rank, eff in _ratings(monkeypatch, {r: cbs[r] for r in ranks}, h, nv):
+                skipped = np.all(eff == 0.0, axis=-1)
+                if 0 < skipped.sum() < len(h):
+                    mixed.add(rank)
+        assert mixed == {1, 2, 3}  # the live-slot path ran for every lower rank
+
+    def test_tie_at_the_bound_keeps_the_lower_rank(self, monkeypatch):
+        """With efficiencies (1, 2), rank 2 at CQI 1 reaches exactly what
+        rank 1 reaches at CQI 2. Rank 1 is still rated there, and the tie
+        goes to it."""
+        cfg = AntennaConfig(2, 1)
+        cbs = {r: cb for r, cb in _selector(cfg, "type1").items() if r <= 2}
+        h = _rand_h(np.random.default_rng(81), 2, 4)[None, None]
+        peak = {r: _ratings(monkeypatch, {r: cbs[r]}, h, 0.1)[0][1].max() for r in cbs}
+        assert peak[2] < peak[1]
+        table = CqiTable((1.0, 2.0), (-100.0, 5.0 * math.log10(peak[1] * peak[2])))
+        tp, rank, cqi, _ = _select_type1(h, 0.1, cbs, table)
+        assert (tp[0], rank[0], cqi[0]) == (2.0, 1, 2)
+
+    def test_ranks_1_to_3_rate_no_slot_at_30_db_4x2(self, monkeypatch):
+        """On the 16-port panel at 30 dB rank 4 beats anything ranks 1-3
+        can reach in every slot: only rank 4 is swept, and ranks 1-3 read 0."""
+        cfg = AntennaConfig(4, 2)
+        cbs = _selector(cfg, "type1")
+        h = _rand_h(np.random.default_rng(80), 10 * 4 * 4, 16).reshape(10, 4, 4, 16)
+        ratings = _ratings(monkeypatch, cbs, h, 10.0 ** -3.0)
+        assert [rank for rank, _ in ratings] == [1, 2, 3, 4]
+        for rank, eff in ratings[:3]:
+            assert np.all(eff == 0.0), rank
+        assert np.all(ratings[3][1] > 0.0)
+        sweeps = []
+
+        def sweep(upper, *args, **kwargs):
+            sweeps.append(len(upper))
+            return _sweep(upper, *args, **kwargs)
+
+        monkeypatch.setattr(csi, "_sweep", sweep)
+        _select_type1(h, 10.0 ** -3.0, cbs, CqiTable.default())
+        assert sweeps == [10]  # rank 4's 4 x 4 pair inverses alone
+
+
+@pytest.mark.parametrize("layout", sorted(_OVERSAMPLING))
+def test_gram_plan_shift_rows_are_distinct(layout):
+    """Every beam-product plane is formed once: no two shift rows of
+    _gram_plan move the beams alike. Offset differences equal modulo the
+    grid share a row, so 2x1, 4x1, 2x2 and 4x2 need 2, 4, 4 and 5."""
+    cfg = AntennaConfig(*layout)
+    cbs = _selector(cfg, "type1")
+    shifts, _ = csi._gram_plan(tuple(cbs[r] for r in sorted(cbs)))
+    assert len(np.unique(shifts, axis=0)) == len(shifts)
+    counts = {(2, 1): 2, (4, 1): 4, (2, 2): 4, (4, 2): 5}
+    if layout in counts:
+        assert len(shifts) == counts[layout]
 
 
 def _selectors_4x1():
