@@ -478,8 +478,9 @@ def _rate_pairs(prod: np.ndarray, plan, noise_var: float, num_ports: int) -> np.
 
 def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook],
                   table: CqiTable) -> tuple[np.ndarray, ...]:
-    """(throughput, rank, CQI, entry) arrays per slot of h (slots, subbands,
-    rx, tx): the reported precoder is codebooks[rank].w_stack[entry]."""
+    """(throughput, rank, CQI, w, indices) per slot of h (slots, subbands, rx,
+    tx): w (slots, 1, ports, top rank) is the reported precoder, 0 past rank,
+    and indices its PMI arrays (i11, i12, i13, i2) in TypeIPmi field order."""
     num_slots, num_sb, num_rx, num_tx = h.shape
     num_ports = next(iter(codebooks.values())).cfg.num_ports
     if num_tx != num_ports:
@@ -530,7 +531,13 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
         candidates.append((rank, eff))
         best = np.maximum(best, rank * table.efficiency(_cqi(eff.max(axis=-1), table)))
     tp, rank, entry, cqi = _choose(candidates[::-1], table)
-    return tp, rank, cqi, entry
+    w = np.zeros((num_slots, 1, num_tx, ranks[-1]), dtype=complex)
+    indices = np.zeros((4, num_slots), dtype=int)
+    for r in set(rank.tolist()):
+        s = rank == r
+        w[s, 0, :, :r] = codebooks[r].w_stack[entry[s]]
+        indices[:, s] = np.unravel_index(entry[s], codebooks[r].matrices.shape[:4])
+    return tp, rank, cqi, w, tuple(indices)
 
 
 def _quantize_type2(c: np.ndarray, n_psk: int):
@@ -556,9 +563,9 @@ def _quantize_type2(c: np.ndarray, n_psk: int):
 
 def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
                   table: CqiTable) -> tuple:
-    """(throughput, rank, CQI, unit, indices) per slot of h (slots, subbands,
-    rx, tx): the reported precoder is unit[s, ..., :rank] / sqrt(rank), unit
-    being the unit columns (slots, subbands, ports, layers), and indices holds
+    """(throughput, rank, CQI, w, indices) per slot of h (slots, subbands, rx,
+    tx): w (slots, subbands, ports, layers) is the reported precoder, its
+    first rank unit columns / sqrt(rank) and 0 past them, and indices holds
     every layer's PMI arrays in TypeIIPmi field order."""
     num_slots, num_sb, num_rx, num_tx = h.shape
     cfg, t2 = space.cfg, space.t2
@@ -590,7 +597,9 @@ def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
     candidates = ((n, _precoded_sinr(h, unit[..., :n] / math.sqrt(n), noise_var)[:, None])
                   for n in range(1, max_layers + 1))
     tp, rank, _, cqi = _choose(candidates, table)
-    return tp, rank, cqi, unit, (np.stack([q1, q2], axis=-1), i12, wb_idx, phases, sb_bits)
+    ri = rank[:, None, None, None]
+    w = np.where(np.arange(max_layers) < ri, unit, 0) / np.sqrt(ri)
+    return tp, rank, cqi, w, (np.stack([q1, q2], axis=-1), i12, wb_idx, phases, sb_bits)
 
 
 def _tuples(a: np.ndarray) -> tuple:
@@ -611,7 +620,8 @@ def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
     to the largest CQI whose threshold is at or below it (0 where the SINR is
     <= 0), and the rating is rank times that CQI's spectral efficiency. The
     first best candidate is reported, so ties prefer the lower rank, then the
-    lower entry index (Type I entries run in lexicographic PMI order).
+    lower entry index (Type I entries run in lexicographic PMI order). The PMI
+    tuple is built from the index arrays of the sweep's block selection.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim == 2:
@@ -627,8 +637,7 @@ def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
     else:
         if not codebooks:
             raise ValueError("no codebooks supplied")
-        codebooks = dict(codebooks)
-        tp, ri, cqi, entry = _select_type1(h[None], noise_var, codebooks, table)
-        pmi = codebooks[int(ri[0])].pmi_of(int(entry[0]))
-        pmi = TypeIPmi(pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband * h.shape[0])
+        tp, ri, cqi, _, indices = _select_type1(h[None], noise_var, dict(codebooks), table)
+        i11, i12, i13, i2 = (int(a[0]) for a in indices)
+        pmi = TypeIPmi(i11, i12, i13, (i2,) * h.shape[0])
     return CsiReport(ri=int(ri[0]), pmi=pmi, cqi=int(cqi[0]), predicted_throughput=float(tp[0]))

@@ -73,6 +73,8 @@ _SVD_BLOCK = 16
 # rank-3 beam-product gather, Type II's beam projections or phase search). At
 # 13 subbands and 4 rx a block is 6 slots of 8-port Type I and 1 of 16-port,
 # and 39 of 8-port Type II and 9 of 16-port: the block sets the working memory.
+# The reported precoders w add little: Type I's, (slots, 1, ports, top rank)
+# complex, are 0.5 KiB per 8-port slot; Type II's replace its unit columns.
 _SELECT_BYTES = 2 << 20
 
 
@@ -182,22 +184,32 @@ def _aggregate(snr_db: float, tp: np.ndarray, ri: np.ndarray, cqi: np.ndarray,
 
 
 def _codebooks(cfg: SweepConfig):
-    """The mode's codebook structures: a Type I codebook per usable rank, the
-    Type II structure, or None for the SVD bound. The builders keep them per
-    process, so points share them and forked pool workers inherit them."""
-    antenna, num_rx = cfg.scenario.antenna, cfg.scenario.channel.num_rx_ports
+    """(select(h, noise_var, table), slot_bytes, bits(rank)): the mode's block
+    selection, its largest intermediate per slot and subband, and its report
+    size; None for the SVD bound. Codebooks are built once per process."""
+    antenna, channel = cfg.scenario.antenna, cfg.scenario.channel
     if cfg.codebook_mode is CodebookMode.SVD_IDEAL:
         return None
     ov = oversampling_factors(antenna)
     if cfg.codebook_mode is CodebookMode.TYPE1:
-        return {r: build_type1_codebook(antenna, r, ov)
-                for r in range(1, min(4, num_rx, antenna.num_ports) + 1)}
-    return build_type2_structure(antenna, cfg.scenario.type2, ov)
+        cbs = {r: build_type1_codebook(antenna, r, ov)
+               for r in range(1, min(4, channel.num_rx_ports, antenna.num_ports) + 1)}
+        # Largest intermediate: the gather of the top rank below 4 (rank 4 rates
+        # from one inverse per beam pair), 32 bytes per (Gram entry, entry, subband).
+        r3 = min(3, max(cbs))
+        return (lambda h, noise_var, table: _select_type1(h, noise_var, cbs, table),
+                r3 * (r3 + 1) // 2 * len(cbs[r3]) * 32,
+                lambda r: type1_overhead_bits(cbs[r], channel.num_subbands).total_bits)
+    space = build_type2_structure(antenna, cfg.scenario.type2, ov)
+    # Largest intermediate: the beam projections or the 2 x 4B x 2B phase search, per subband.
+    slot_bytes = max(space.beams[..., 0].size * channel.num_rx_ports * 2,
+                     16 * cfg.scenario.type2.num_beams ** 2) * 16
+    return (lambda h, noise_var, table: _select_type2(h, noise_var, space, table), slot_bytes,
+            lambda r: type2_overhead_bits(space, r, channel.num_subbands).total_bits)
 
 
 def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
-    scenario = cfg.scenario
-    table, ch_cfg = scenario.cqi_table, scenario.channel
+    table, ch_cfg = cfg.scenario.cqi_table, cfg.scenario.channel
     snr_db = cfg.snr_points_db[point_idx]
     noise_var = 10.0 ** (-snr_db / 10.0)
     h = generate_channel(ch_cfg, cfg.num_slots, _derive_point_seed(cfg.seed, point_idx)).h
@@ -205,32 +217,17 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     bandwidth_hz = num_sb * ch_cfg.subband_spacing_hz
     delay = cfg.feedback_delay_slots
     scored = cfg.num_slots - delay
-    num_rx, num_tx = ch_cfg.num_rx_ports, ch_cfg.num_tx_ports
 
     if cfg.codebook_mode is CodebookMode.SVD_IDEAL:
         capacity = np.concatenate([_logdet_capacity(h[s:s + _SVD_BLOCK], noise_var).mean(axis=-1)
                                    for s in range(delay, cfg.num_slots, _SVD_BLOCK)])
-        return _aggregate(snr_db, capacity, np.full(scored, min(num_rx, num_tx)),
+        return _aggregate(snr_db, capacity, np.full(scored, min(h.shape[2:])),
                           np.zeros(scored, dtype=int), 0, lambda r: 0, bandwidth_hz)
 
-    selector = _codebooks(cfg)
-    if cfg.codebook_mode is CodebookMode.TYPE1:
-        bits = lambda r: type1_overhead_bits(selector[r], num_sb).total_bits
-        # Largest intermediate: the gather of the top rank below 4 (rank 4 rates
-        # from one inverse per beam pair), 32 bytes per (Gram entry, entry, subband).
-        r3 = min(3, max(selector))
-        select, slot_bytes = _select_type1, r3 * (r3 + 1) // 2 * len(selector[r3]) * 32
-        precoder = lambda entry, idx, r: selector[r].w_stack[entry[idx]][:, None]
-    else:
-        bits = lambda r: type2_overhead_bits(selector, r, num_sb).total_bits
-        # Largest intermediate: the beam projections or the 2 x 4B x 2B phase search, per subband.
-        select, slot_bytes = _select_type2, max(
-            selector.beams[..., 0].size * num_rx * 2, 16 * scenario.type2.num_beams ** 2) * 16
-        precoder = lambda unit, idx, r: unit[idx, ..., :r] / math.sqrt(r)
-
+    select, slot_bytes, bits = _codebooks(cfg)
     # Select a block of scored slots at a time, then score each rank the block
     # reports in one pass on the channel the report is applied to, feedback_delay
-    # later, with the precoders taken from the selection arrays. CQI-0 slots
+    # later, with the precoders taken from the selection's w. CQI-0 slots
     # schedule nothing: throughput 0 without counting a failure.
     block = max(1, _SELECT_BYTES // (slot_bytes * num_sb))
     ri, cqi = np.zeros(scored, dtype=int), np.zeros(scored, dtype=int)
@@ -238,12 +235,12 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     for start in range(0, scored, block):
         s = slice(start, min(start + block, scored))
         _check_finite(h[s])
-        _, ri[s], cqi[s], source, *_ = select(h[s], noise_var, selector, table)
+        _, ri[s], cqi[s], w, _ = select(h[s], noise_var, table)
         for rank in set(ri[s][cqi[s] > 0].tolist()):  # np.unique would import numpy.ma
             idx = start + np.flatnonzero((ri[s] == rank) & (cqi[s] > 0))
-            w = precoder(source, idx - start, rank)
             with np.errstate(divide="ignore"):
-                eff_db = 10.0 * np.log10(_precoded_sinr(h[idx + delay], w, noise_var))
+                eff_db = 10.0 * np.log10(_precoded_sinr(h[idx + delay], w[idx - start, ..., :rank],
+                                                        noise_var))
             ok = eff_db >= np.asarray(table.sinr_threshold_db)[cqi[idx] - 1] - _THRESHOLD_SLACK_DB
             tp[idx[ok]] = rank * table.efficiency(cqi[idx[ok]])
             failed += int(idx.size - np.count_nonzero(ok))

@@ -701,27 +701,37 @@ class TestRankBound:
     def test_matches_merge_of_single_rank_selections(self, n1, n2, monkeypatch):
         """The pruned selection equals, exactly, the merge of one selection
         per rank that keeps a higher rank only where its throughput is
-        strictly greater: tp, rank, CQI and entry, on 2 and 4 rx from -10 to
-        40 dB. Slots of one block are scaled apart by up to 30 dB, so some
-        blocks rate a rank in some slots and skip it in others."""
+        strictly greater: tp, rank, CQI, every PMI index array and the
+        precoder w (a single rank's w zero-padded to the top rank), on 2 and
+        4 rx from -10 to 40 dB. Slots of one block are scaled apart by up to
+        30 dB, so some blocks rate a rank in some slots and skip it in
+        others."""
         cfg = AntennaConfig(n1, n2)
         cbs = _selector(cfg, "type1")
         table = CqiTable.default()
         rng = np.random.default_rng(70 + 10 * n1 + n2)
         mixed = set()
+
+        def select(h, nv, ranks, top):  # (tp, rank, cqi, w, i11, i12, i13, i2)
+            tp, rank, cqi, w, indices = _select_type1(h, nv, {r: cbs[r] for r in ranks}, table)
+            w = np.concatenate([w, np.zeros((*w.shape[:-1], top - w.shape[-1]))], axis=-1)
+            return (tp, rank, cqi, w, *indices)
+
         for num_rx, snr_db in itertools.product((2, 4), range(-10, 45, 10)):
             ranks = [r for r in sorted(cbs) if r <= num_rx]
             gain = 10.0 ** (rng.uniform(-15.0, 15.0, size=(8, 1, 1, 1)) / 20.0)
             h = gain * _rand_h(rng, 8 * 3 * num_rx, cfg.num_ports).reshape(
                 8, 3, num_rx, cfg.num_ports)
             nv = 10.0 ** (-snr_db / 10.0)
-            want = _select_type1(h, nv, {ranks[0]: cbs[ranks[0]]}, table)
+            want = select(h, nv, ranks[:1], ranks[-1])
             for r in ranks[1:]:
-                found = _select_type1(h, nv, {r: cbs[r]}, table)
-                want = tuple(np.where(found[0] > want[0], new, old)
+                found = select(h, nv, [r], ranks[-1])
+                better = found[0] > want[0]
+                want = tuple(np.where(better.reshape(-1, *[1] * (new.ndim - 1)), new, old)
                              for new, old in zip(found, want))
-            got = _select_type1(h, nv, {r: cbs[r] for r in ranks}, table)
-            for name, g, w in zip(("tp", "rank", "cqi", "entry"), got, want):
+            got = select(h, nv, ranks, ranks[-1])
+            for name, g, w in zip(("tp", "rank", "cqi", "w", "i11", "i12", "i13", "i2"), got, want,
+                                  strict=True):
                 assert np.array_equal(g, w), (num_rx, snr_db, name)
             for rank, eff in _ratings(monkeypatch, {r: cbs[r] for r in ranks}, h, nv):
                 skipped = np.all(eff == 0.0, axis=-1)
@@ -739,8 +749,11 @@ class TestRankBound:
         peak = {r: _ratings(monkeypatch, {r: cbs[r]}, h, 0.1)[0][1].max() for r in cbs}
         assert peak[2] < peak[1]
         table = CqiTable((1.0, 2.0), (-100.0, 5.0 * math.log10(peak[1] * peak[2])))
-        tp, rank, cqi, _ = _select_type1(h, 0.1, cbs, table)
+        tp, rank, cqi, w, indices = _select_type1(h, 0.1, cbs, table)
         assert (tp[0], rank[0], cqi[0]) == (2.0, 1, 2)
+        pmi = TypeIPmi(*(int(a[0]) for a in indices[:3]), (int(indices[3][0]),))
+        assert np.array_equal(w[0, 0, :, :1], cbs[1].matrix_for(pmi))
+        assert np.all(w[0, 0, :, 1:] == 0)
 
     def test_ranks_1_to_3_rate_no_slot_at_30_db_4x2(self, monkeypatch):
         """On the 16-port panel at 30 dB rank 4 beats anything ranks 1-3
@@ -971,9 +984,10 @@ class TestSelectCsiType2:
 def test_block_selection_matches_select_csi(n1, n2, family):
     """Selecting a block of slots at once gives each slot select_csi's
     report for that slot alone, exactly: RI, PMI, CQI and predicted
-    throughput, on 1-4 rx and 1-13 subbands from -10 to 30 dB. Type II's
-    unit columns, cut to the reported rank, are realize_type2_precoder of
-    the reported PMI."""
+    throughput, on 1-4 rx and 1-13 subbands from -10 to 30 dB. The block's
+    index arrays are the reported PMI's fields, and its precoder w, cut to
+    the reported rank, is the PMI's precoder (Type I's matrix_for on the one
+    wideband subband, Type II's realize_type2_precoder) and 0 past it."""
     cfg = AntennaConfig(n1, n2)
     ov = oversampling_factors(cfg)
     if family == "type1":
@@ -989,23 +1003,26 @@ def test_block_selection_matches_select_csi(n1, n2, family):
             h = np.stack([[_rand_h(rng, num_rx, cfg.num_ports) for _ in range(num_sb)]
                           for _ in range(5)])
             nv = 10.0 ** (-snr_db / 10.0)
-            if family == "type1":
-                tp, ri, cqi, entry = _select_type1(h, nv, selector, table)
-            else:
-                tp, ri, cqi, unit, indices = _select_type2(h, nv, selector, table)
+            select = _select_type1 if family == "type1" else _select_type2
+            tp, ri, cqi, w, indices = select(h, nv, selector, table)
             for s in range(len(h)):
                 report = select_csi(h[s], nv, selector, table)
+                pmi = report.pmi
                 assert (ri[s], cqi[s], tp[s]) == (report.ri, report.cqi, report.predicted_throughput)
                 if family == "type1":
-                    assert entry[s] == selector[report.ri].index_of_pmi(report.pmi)
+                    i11, i12, i13, i2 = (a[s] for a in indices)
+                    assert (i11, i12, i13, (i2,) * num_sb) == (pmi.i11, pmi.i12, pmi.i13,
+                                                              pmi.i2_per_subband)
+                    want = selector[report.ri].matrix_for(pmi)[None]
                 else:
                     i11, i12, *layers = (a[s] for a in indices)
-                    assert (tuple(i11), i12) == (report.pmi.i11, report.pmi.i12)
+                    assert (tuple(i11), i12) == (pmi.i11, pmi.i12)
                     for got, field in zip(layers, ("wideband_amplitudes", "subband_cophase",
                                                    "subband_amplitude")):
-                        assert np.array_equal(got[:ri[s]], getattr(report.pmi, field))
-                    assert np.array_equal(unit[s, ..., :ri[s]] / math.sqrt(ri[s]),
-                                          realize_type2_precoder(selector, report.pmi))
+                        assert np.array_equal(got[:ri[s]], getattr(pmi, field))
+                    want = realize_type2_precoder(selector, pmi)
+                assert np.array_equal(w[s, ..., :ri[s]], want)
+                assert np.all(w[s, ..., ri[s]:] == 0)
                 ranks.add(report.ri)
     assert ranks == ({1, 2, 3, 4} if family == "type1" else {1, 2})
 

@@ -405,11 +405,19 @@ class TestScoringOracle:
     recomputation from public names: the slot's report, applied by its
     precoder to the channel feedback_delay_slots later, pays rank x
     efficiency when the realized effective SINR reaches the reported CQI's
-    threshold (1e-9 dB slack); a CQI-0 slot pays 0 without failing."""
+    threshold (1e-9 dB slack); a CQI-0 slot pays 0 without failing.
+
+    Points are selected in 6-slot blocks and checked at feedback delays 0
+    (no slot fails: the report meets the channel it was chosen on), 1 and
+    7, which applies a report to a channel past the next block."""
 
     @pytest.mark.parametrize("mode, ranks", [(CodebookMode.TYPE1, {1, 2, 3, 4}),
                                              (CodebookMode.TYPE2, {1, 2})])
     def test_point_matches_per_slot_recomputation(self, mode, ranks, monkeypatch):
+        for delay in (0, 1, 7):
+            self._check_delay(mode, ranks, delay, monkeypatch)
+
+    def _check_delay(self, mode, ranks, delay, monkeypatch):
         channels = []
 
         def recording(*args):
@@ -419,8 +427,10 @@ class TestScoringOracle:
 
         monkeypatch.setenv("NRSIM_THREADS", "1")
         monkeypatch.setattr(sim, "generate_channel", recording)
-        cfg = _mini_config(mode=mode, snr=(-16.0, 0.0, 15.0, 30.0), slots=20, seed=1,
-                           num_rx=4, doppler=100.0)
+        cfg = _mini_config(mode=mode, snr=(-16.0, 0.0, 15.0, 30.0), slots=20, delay=delay,
+                           seed=1, num_rx=4, doppler=100.0)
+        num_sb = cfg.scenario.channel.num_subbands
+        monkeypatch.setattr(sim, "_SELECT_BYTES", 6 * sim._codebooks(cfg)[1] * num_sb)
         points = run_sweep(cfg).points
         antenna, table = cfg.scenario.antenna, cfg.scenario.cqi_table
         ov = oversampling_factors(antenna)
@@ -459,8 +469,8 @@ class TestScoringOracle:
             seen_ranks |= set(ris)
             seen_failed += failed
             seen_cqi0 += cqis[0]
-        assert seen_ranks == ranks
-        assert seen_failed > 0 and seen_cqi0 > 0
+        assert seen_ranks == ranks, delay
+        assert (seen_failed > 0) == (delay > 0) and seen_cqi0 > 0, delay
 
 
 def _panel_config(n1, n2, mode, slots, snr=(10.0,), num_rx=4, subbands=13):
