@@ -29,7 +29,7 @@ def main(argv=None):
     p.add_argument("--out", type=Path, default=None,
                    help="output image path (default: alongside the CSV)")
     p.add_argument("--mbps", action="store_true",
-                   help="plot Mbit/s instead of summed spectral efficiency")
+                   help="plot Mbit/s over the whole band instead of bit/s/Hz")
     args = p.parse_args(argv)
 
     curves = defaultdict(list)
@@ -48,7 +48,7 @@ def main(argv=None):
         ax.plot(xs, ys, STYLES.get(mode, "-"), label=mode, markersize=4)
     ax.set_xlabel("SNR (dB)")
     ax.set_ylabel("mean throughput (Mbit/s)" if args.mbps
-                  else "mean throughput (bit/s/Hz, summed over subbands)")
+                  else "mean throughput (bit/s/Hz)")
     ax.legend()
     ax.grid(True, alpha=0.3)
     fig.tight_layout()

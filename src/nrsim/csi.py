@@ -2,10 +2,10 @@
 effective-SINR link abstraction, CQI mapping, and RI/PMI/CQI selection.
 
 Selection maximizes predicted throughput (rank times the spectral efficiency
-of the mapped CQI). The Type I search is exact: the highest rank is rated
+of the mapped CQI). For both codebook families the highest rank is rated
 first, and a lower rank only in the slots where it can still reach the best
-throughput found, so a skipped rank is one that can neither win nor tie.
-Type II uses a two-stage projection-and-quantization construction.
+throughput found, so a skipped rank can neither win nor tie. The Type I
+search is exact; Type II uses a two-stage projection-and-quantization design.
 """
 
 from __future__ import annotations
@@ -309,21 +309,27 @@ def _cqi(eff: np.ndarray, table: CqiTable) -> np.ndarray:
     return cqi
 
 
-def _choose(candidates, table: CqiTable) -> tuple[np.ndarray, ...]:
-    """(throughput, rank, index, cqi) of the best candidate per slot, for
-    candidates (rank, effective SINRs (slots..., that rank's candidates)) in
-    ascending rank. The first best is kept: lower rank, then lower index."""
-    best = None
-    for rank, eff in candidates:
-        cqi = _cqi(np.atleast_1d(eff), table)
-        throughput = rank * table.efficiency(cqi)
-        i = np.argmax(throughput, axis=-1)[..., None]
-        found = (np.take_along_axis(throughput, i, axis=-1)[..., 0], np.full(i.shape[:-1], rank),
-                 i[..., 0], np.take_along_axis(cqi, i, axis=-1)[..., 0])
-        if best is not None:
-            found = tuple(np.where(found[0] > best[0], new, old) for new, old in zip(found, best))
-        best = found
-    return tuple(a[()] for a in best)  # one slot's values as numpy scalars
+def _choose(ranks, rate, num_slots: int, table: CqiTable) -> tuple[np.ndarray, ...]:
+    """(throughput, rank, index, cqi) of the best candidate per slot, rated
+    as rank x efficiency(CQI), for rate(rank, slots) giving the effective
+    SINRs (slots, that rank's candidates) of an index array of slots, or of
+    all for slice(None). Ranks go from the highest down, and rank r is rated
+    only where the best so far is at most r x the top efficiency, which is
+    all r can reach. A rating >= the best replaces it: ties go to the lower
+    rank, then to the lower index."""
+    tp = np.zeros(num_slots)
+    best_rank, index, cqi = (np.zeros(num_slots, dtype=int) for _ in range(3))
+    for rank in sorted(ranks, reverse=True):
+        live = np.flatnonzero(tp <= rank * table.spectral_efficiency[-1])
+        if live.size == 0:
+            continue
+        c = _cqi(rate(rank, slice(None) if live.size == num_slots else live), table)
+        i, c = np.argmax(c, axis=-1), c.max(axis=-1)  # the efficiency grows with the CQI
+        t = rank * table.efficiency(c)
+        won = t >= tp[live]
+        s = live[won]
+        tp[s], best_rank[s], index[s], cqi[s] = t[won], rank, i[won], c[won]
+    return tp, best_rank, index, cqi
 
 
 def map_cqi(eff_sinr: float, table: CqiTable) -> int:
@@ -331,7 +337,7 @@ def map_cqi(eff_sinr: float, table: CqiTable) -> int:
     below the lowest."""
     if not eff_sinr >= 0:  # also refuses nan
         raise ValueError(f"eff_sinr must be nonnegative, not nan, got {eff_sinr}")
-    return int(_choose([(1, np.asarray([eff_sinr], dtype=float))], table)[3])
+    return int(_cqi(np.asarray([eff_sinr], dtype=float), table)[0])
 
 
 def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
@@ -504,7 +510,8 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
         prod += x_conj[:, :, :, r] * x[:, None, :, r, shifts]
     prod = prod.reshape(num_slots, -1, num_sb)
 
-    def rate(p, rank, plan):  # effective SINRs (slots, entries) of products p, in entry order
+    def rate(rank, slots):  # effective SINRs (slots, entries), in entry order
+        p, plan = prod[slots], plans[ranks.index(rank)]
         if rank == 4:
             eff = _rate_pairs(p, plan, noise_var, num_tx)  # (slots, t, i2, beams)
         else:
@@ -516,21 +523,7 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
             eff = _effective_sinr([-noise_var * a[i][i] for i in range(rank)])
         return eff.transpose(0, 3, 1, 2).reshape(len(p), -1)
 
-    # Highest rank first. Rank r reaches at most r times the top efficiency;
-    # in a slot where a higher rank already beats that, r can neither win nor
-    # tie, so it is not rated there and its candidates read 0.
-    candidates, best = [], np.zeros(num_slots)  # best throughput rated so far per slot
-    for rank, plan in zip(ranks[::-1], plans[::-1]):
-        live = best <= rank * table.spectral_efficiency[-1]
-        if live.all():
-            eff = rate(prod, rank, plan)
-        else:
-            eff = np.zeros((num_slots, len(codebooks[rank])))
-            if live.any():
-                eff[live] = rate(prod[live], rank, plan)
-        candidates.append((rank, eff))
-        best = np.maximum(best, rank * table.efficiency(_cqi(eff.max(axis=-1), table)))
-    tp, rank, entry, cqi = _choose(candidates[::-1], table)
+    tp, rank, entry, cqi = _choose(ranks, rate, num_slots, table)
     w = np.zeros((num_slots, 1, num_tx, ranks[-1]), dtype=complex)
     indices = np.zeros((4, num_slots), dtype=int)
     for r in set(rank.tolist()):
@@ -594,9 +587,11 @@ def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
         num_slots, max_layers, num_sb, -1) / p_pol
     wb_idx, sb_bits, phases = _quantize_type2(c, t2.n_psk)
     unit = _type2_columns(space, beams, wb_idx, sb_bits, phases)
-    candidates = ((n, _precoded_sinr(h, unit[..., :n] / math.sqrt(n), noise_var)[:, None])
-                  for n in range(1, max_layers + 1))
-    tp, rank, _, cqi = _choose(candidates, table)
+
+    def rate(n, slots):  # effective SINRs (slots, 1)
+        return _precoded_sinr(h[slots], unit[slots, ..., :n] / math.sqrt(n), noise_var)[:, None]
+
+    tp, rank, _, cqi = _choose(range(1, max_layers + 1), rate, num_slots, table)
     ri = rank[:, None, None, None]
     w = np.where(np.arange(max_layers) < ri, unit, 0) / np.sqrt(ri)
     return tp, rank, cqi, w, (np.stack([q1, q2], axis=-1), i12, wb_idx, phases, sb_bits)
@@ -613,15 +608,15 @@ def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
     h is the slot view (num_subbands, num_rx, num_tx); a bare 2-D matrix is
     treated as a single subband. codebooks is either a mapping rank ->
     Codebook (Type I, exact search; ranks above min(num_rx, num_tx) are
-    skipped, and so is a rank that cannot reach the best throughput of the
-    ranks above it) or a Type2CodebookSpace (two-stage construction).
+    skipped) or a Type2CodebookSpace (two-stage construction).
 
     Every candidate precoder is rated the same way: its effective SINR maps
     to the largest CQI whose threshold is at or below it (0 where the SINR is
-    <= 0), and the rating is rank times that CQI's spectral efficiency. The
-    first best candidate is reported, so ties prefer the lower rank, then the
-    lower entry index (Type I entries run in lexicographic PMI order). The PMI
-    tuple is built from the index arrays of the sweep's block selection.
+    <= 0), and the rating is rank times that CQI's spectral efficiency. A
+    rank that cannot reach the best rating of the ranks above it is not
+    rated. Ties prefer the lower rank, then the lower entry index (Type I
+    entries run in lexicographic PMI order). The PMI tuple is built from the
+    index arrays of the sweep's block selection.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim == 2:

@@ -160,18 +160,34 @@ def _layer_sinr_inv(g, noise_var):
     return np.maximum(1.0 / diag - 1.0, 0.0)
 
 
+def _first_best(candidates, table):
+    """(throughput, rank, index, cqi) of one slot's best candidate, for
+    candidates (rank, effective SINRs of that rank's candidates) in
+    ascending rank: the selection rule without _choose's rank bound. Every
+    candidate is rated as rank x efficiency(map_cqi), and a later one
+    replaces the best only where strictly better, so the first best stays."""
+    best = None
+    for rank, eff in candidates:
+        for index, e in enumerate(np.ravel(eff).tolist()):
+            cqi = map_cqi(e, table)
+            tp = rank * table.efficiency(cqi)
+            if best is None or tp > best[0]:
+                best = (tp, rank, index, cqi)
+    return best
+
+
 def _select_type1_einsum_inv(h, noise_var, codebooks, table):
     """Type I selection as it was before the beam-Gram search: every entry's
     effective channel H @ W formed explicitly, its SINRs through
     np.linalg.inv, their capacity-domain mean over (subbands, layers) rated
-    by the shared rule."""
+    by the unpruned first-best rule."""
     num_sb, num_rx, num_tx = h.shape
     ranks = [rank for rank in sorted(codebooks) if rank <= min(num_rx, num_tx)]
     sinrs = ((rank, _layer_sinr_inv(np.einsum("kij,ejr->ekir", h, codebooks[rank].w_stack),
                                      noise_var)) for rank in ranks)
     candidates = ((rank, np.exp2(np.mean(np.log2(1.0 + sinr), axis=(-2, -1))) - 1.0)
                   for rank, sinr in sinrs)
-    tp, rank, e, cqi = _choose(candidates, table)
+    tp, rank, e, cqi = _first_best(candidates, table)
     pmi = codebooks[rank].pmi_of(e)
     report_pmi = TypeIPmi(pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband * num_sb)
     return CsiReport(ri=rank, pmi=report_pmi, cqi=cqi, predicted_throughput=tp)
@@ -330,6 +346,10 @@ class TestMapCqi:
         gap = 10.0 ** (2.0 / 10.0)
         for k, se in enumerate(tbl.spectral_efficiency, start=1):
             assert map_cqi(gap * (2.0 ** se - 1.0), tbl) == k
+
+    def test_inf_maps_to_top_cqi(self):
+        for tbl in (CqiTable.default(), _TWO_ROW):
+            assert map_cqi(math.inf, tbl) == len(tbl.spectral_efficiency)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="eff_sinr"):
@@ -594,20 +614,31 @@ class TestSelectCsi:
 
 def _ratings(monkeypatch, selector, h, noise_var):
     """The candidate ratings [(rank, effective SINRs (slots, candidates))],
-    in ascending rank, of the _choose call that picks the reports when
-    selecting the block h, Type I or Type II. A Type I rank that cannot win
-    a slot is not rated there and reads 0 in that slot."""
-    seen = []
+    in ascending rank, that _choose's rate callback returns when selecting
+    the block h, Type I or Type II, each scattered into zeros at the slots
+    it was asked for. A rank is rated only in the slots where it can still
+    win or tie and reads 0 in the others. The width is the rank's Type I
+    codebook size, or 1 for Type II, also for a rank rated in no slot."""
+    ratings = {}
 
-    def choose(candidates, table):
-        seen.append(list(candidates))
-        return _choose(seen[-1], table)
+    def choose(ranks, rate, num_slots, table):
+        ratings.clear()
+        for rank in ranks:
+            width = len(selector[rank]) if isinstance(selector, dict) else 1
+            ratings[rank] = np.zeros((num_slots, width))
+
+        def spy(rank, slots):
+            eff = rate(rank, slots)
+            ratings[rank][slots] = eff
+            return eff
+
+        return _choose(ranks, spy, num_slots, table)
 
     monkeypatch.setattr(csi, "_choose", choose)
     select = _select_type1 if isinstance(selector, dict) else _select_type2
     select(h, noise_var, selector, CqiTable.default())
     monkeypatch.undo()
-    return seen[-1]
+    return sorted(ratings.items())
 
 
 def _rank4_eff(monkeypatch, h, noise_var, cb):
@@ -693,9 +724,11 @@ class TestRank4PairRating:
 
 
 class TestRankBound:
-    """Type I rates its highest rank first and a lower rank r only in the
-    slots where the best throughput so far is at most r times the top
-    spectral efficiency; elsewhere r can neither win nor tie."""
+    """_choose rates Type I's highest rank first and a lower rank r only in
+    the slots where the best throughput so far is at most r times the top
+    spectral efficiency; elsewhere r can neither win nor tie. The ratings
+    are read through the _ratings spy on _choose's rate callback, where a
+    skipped slot reads 0."""
 
     @pytest.mark.parametrize("n1, n2", [(4, 1), (2, 2), (4, 2)])
     def test_matches_merge_of_single_rank_selections(self, n1, n2, monkeypatch):
@@ -775,6 +808,123 @@ class TestRankBound:
         monkeypatch.setattr(csi, "_sweep", sweep)
         _select_type1(h, 10.0 ** -3.0, cbs, CqiTable.default())
         assert sweeps == [10]  # rank 4's 4 x 4 pair inverses alone
+
+
+_TWO_ROW = CqiTable((1.0, 2.0), (0.0, 5.0))
+_CHOOSE_CASES = [(ranks, two_row) for two_row in (False, True)
+                 for ranks in ((1,), (1, 2), (2, 4), (1, 2, 3, 4))]
+_CHOOSE_IDS = ["-".join(map(str, ranks)) + ("-two-row" if two_row else "")
+               for ranks, two_row in _CHOOSE_CASES]
+
+
+def _tied_ratings(seed, ranks, table, num_slots):
+    """Random effective SINRs {rank: (slots, 1 to 5 candidates)} full of
+    exact ties: every value is 0, a CQI threshold, or one of 8 draws from
+    10 dB below the table to 10 dB above it, so rows repeat values, and
+    half the rows are capped by a value drawn for them, so ranks meet at
+    every level. The first 20 slots rate every candidate 0, so every rank
+    ties there."""
+    rng = np.random.default_rng(seed)
+    thr_db = np.asarray(table.sinr_threshold_db)
+    pool = np.concatenate([[0.0], 10.0 ** (thr_db / 10.0),
+                           10.0 ** (rng.uniform(thr_db[0] - 10.0, thr_db[-1] + 10.0, 8) / 10.0)])
+    ratings = {}
+    for rank in ranks:
+        cap = np.where(rng.random((num_slots, 1)) < 0.5, rng.choice(pool, (num_slots, 1)), np.inf)
+        ratings[rank] = np.minimum(rng.choice(pool, (num_slots, int(rng.integers(1, 6)))), cap)
+        ratings[rank][:20] = 0.0
+    return ratings
+
+
+def _peak(rank, eff, table):
+    """The best rating rank x efficiency(map_cqi) of each row of eff."""
+    return np.array([max(rank * table.efficiency(map_cqi(e, table)) for e in row)
+                     for row in eff.tolist()])
+
+
+class TestChoose:
+    """_choose against the selection rule written plainly (_first_best): every
+    candidate rated, ranks ascending, a later candidate kept only where
+    strictly better. The two-row table (efficiencies 1 and 2) makes rank r
+    at CQI 2 tie rank 2r at CQI 1, so rank 1 at its bound ties rank 2."""
+
+    @pytest.mark.parametrize("ranks, two_row", _CHOOSE_CASES, ids=_CHOOSE_IDS)
+    def test_matches_unpruned_first_best(self, ranks, two_row):
+        """Throughput, rank, index and CQI are equal, exactly, on random
+        ratings seeded with exact ties within and across ranks."""
+        table = _TWO_ROW if two_row else CqiTable.default()
+        ratings = _tied_ratings(sum(ranks) + 10 * two_row, ranks, table, 400)
+        got = _choose(ranks, lambda rank, slots: ratings[rank][slots], 400, table)
+        want = [_first_best([(r, ratings[r][s]) for r in sorted(ranks)], table)
+                for s in range(400)]
+        for name, g, w in zip(("tp", "rank", "index", "cqi"), got, zip(*want), strict=True):
+            assert np.array_equal(g, w), name
+        peak = {r: _peak(r, ratings[r], table) for r in ranks}
+        tied = [s for s, (tp, rank, _, _) in enumerate(want)
+                if any(peak[r][s] == tp for r in ranks if r > rank)]
+        assert len(tied) >= 20 * (len(ranks) > 1)  # a higher rank tied the winner
+        if two_row and len(ranks) > 1:  # a rank at its bound was rated, tied and won
+            assert any(want[s][0] == want[s][1] * 2.0 for s in tied)
+
+    @pytest.mark.parametrize("ranks, two_row", _CHOOSE_CASES, ids=_CHOOSE_IDS)
+    def test_rates_a_slot_exactly_when_it_can_reach_the_best(self, ranks, two_row):
+        """rate(rank, slots) is called highest rank first, for exactly the
+        slots where the best rating of the ranks above is at most rank x the
+        top efficiency: slice(None) when that is every slot, an index array
+        when it is some, and no call when it is none."""
+        table = _TWO_ROW if two_row else CqiTable.default()
+        ratings = _tied_ratings(sum(ranks) + 10 * two_row, ranks, table, 400)
+        calls = []
+
+        def rate(rank, slots):
+            calls.append((rank, slots))
+            return ratings[rank][slots]
+
+        _choose(ranks, rate, 400, table)
+        above, want = np.zeros(400), []
+        for rank in sorted(ranks, reverse=True):
+            live = above <= rank * table.spectral_efficiency[-1]
+            if live.any():
+                want.append((rank, slice(None) if live.all() else np.flatnonzero(live)))
+            above = np.maximum(above, _peak(rank, ratings[rank], table))
+        assert [r for r, _ in calls] == [r for r, _ in want]
+        for (rank, got), (_, slots) in zip(calls, want):
+            if isinstance(slots, slice):
+                assert got == slice(None), rank
+            else:
+                assert isinstance(got, np.ndarray) and np.array_equal(got, slots), rank
+        if len(ranks) > 1:  # the bound skipped a rank in some slots but not all
+            assert any(isinstance(slots, np.ndarray) for _, slots in calls)
+
+
+def test_type2_rank_bound_4x1(monkeypatch):
+    """Type II ranks go through the same bound: on the 4x1 panel with 4 rx
+    and 13 subbands, rank 1 is rated in none of 39 slots at 10 dB, where
+    rank 2 beats all that rank 1 can reach, and in every slot at -10 dB.
+    Each slot's report still equals the stage-2 oracle."""
+    space = _selector(AntennaConfig(4, 1), "type2")
+    table = CqiTable.default()
+    rng = np.random.default_rng(90)
+    for snr_db, want in ((10.0, [2]), (-10.0, [2, 1])):
+        h = _rand_h(rng, 39 * 13 * 4, 8).reshape(39, 13, 4, 8)
+        nv = 10.0 ** (-snr_db / 10.0)
+        calls = []
+
+        def choose(ranks, rate, num_slots, table):
+            def spy(rank, slots):
+                calls.append((rank, slots))
+                return rate(rank, slots)
+            return _choose(ranks, spy, num_slots, table)
+
+        monkeypatch.setattr(csi, "_choose", choose)
+        _select_type2(h, nv, space, table)
+        monkeypatch.undo()
+        assert [(rank, isinstance(slots, slice)) for rank, slots in calls] == [
+            (rank, True) for rank in want], snr_db
+        for h_k in h:
+            report = select_csi(h_k, nv, space, table)
+            assert report == _select_type2_stage2_reference(h_k, nv, space, table,
+                                                            report.pmi.i11, report.pmi.i12)
 
 
 @pytest.mark.parametrize("layout", sorted(_OVERSAMPLING))
@@ -1158,7 +1308,7 @@ def _select_type2_stage2_reference(h, noise_var, space, table, i11, i12):
             for n in range(1, len(quant) + 1)]
     rated = ((pmi.rank, _precoded_sinr(h, realize_type2_precoder(space, pmi), noise_var))
              for pmi in pmis)
-    tp, rank, _, cqi = _choose(rated, table)
+    tp, rank, _, cqi = _first_best(rated, table)
     return CsiReport(ri=rank, pmi=pmis[rank - 1], cqi=cqi, predicted_throughput=tp)
 
 
