@@ -10,14 +10,18 @@ per CSV, each followed by one `sha256  seed panel workers file mode` line per
 mode over that mode's rows, in file order without the header. Then, on each
 panel, runs `nrsim overhead --out` for Type I ranks 1-4 and Type II layers
 1-2, at 1 and 13 subbands, and prints one `sha256  panel overhead codebook
-rank subbands` line per `overhead.csv`. Running it in two checkouts and
-diffing the output shows whether a change keeps the simulated curves and the
-report sizes byte-identical, and if not, which modes' rows moved.
+rank subbands` line per `overhead.csv`. Last, on each panel, runs `nrsim
+codebook dump` for Type I ranks 1-4 and prints one `sha256  panel codebook
+type1 rank` line per dumped CSV: every entry's precoder as written by the
+reference materialization. Running it in two checkouts and diffing the
+output shows whether a change keeps the simulated curves, the report sizes
+and the codebook entries byte-identical, and if not, which modes' rows moved.
 
 With `--keep DIR`, every CSV is also kept under DIR (new or empty), in one
-subdirectory per run named like its digest line: `seed-panel-workers/` and
-`overhead-panel-codebook-rank-subbands/`. `diff -r` of two checkouts' DIRs
-then shows every changed value, not just which digest moved.
+subdirectory per run named like its digest line: `seed-panel-workers/`,
+`overhead-panel-codebook-rank-subbands/` and `codebook-panel-type1-rank/`.
+`diff -r` of two checkouts' DIRs then shows every changed value, not just
+which digest moved.
 
 Example:
     python3 scripts/sweep_digests.py --keep digests-csv > digests.txt
@@ -89,6 +93,13 @@ def main(argv=None) -> int:
                                env=env, check=True, stdout=subprocess.DEVNULL)
                 data = read(out, "overhead.csv")
                 print(f"{sha256(data)}  {panel} overhead {codebook} {rank} {subbands}", flush=True)
+        for panel, rank in itertools.product(PANELS, OVERHEAD_RANKS["type1"]):
+            out = Path(tmp) / f"codebook-{panel}-type1-{rank}"
+            subprocess.run([sys.executable, "-m", "nrsim", "codebook", "dump", "--config",
+                            f"{tmp}/{panel}.ini", "--rank", str(rank), "--out", str(out)],
+                           env=env, check=True, stdout=subprocess.DEVNULL)
+            data = read(out, f"codebook_type1_rank{rank}.csv")
+            print(f"{sha256(data)}  {panel} codebook type1 {rank}", flush=True)
     return 0
 
 

@@ -121,6 +121,12 @@ def _dft_grid(cfg: AntennaConfig, ov: Oversampling) -> np.ndarray:
     return (u1[:, None, :, None] * u2[None, :, None, :]).reshape(n_l, n_m, -1)
 
 
+def _is_int(value) -> bool:
+    """An integer index: a Python or numpy integer, not a bool (which numpy
+    would read as 1) and not a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TypeIPmi:
     """Type I PMI tuple. i2_per_subband holds the co-phase index per subband
@@ -158,53 +164,78 @@ class Codebook:
     rank), v the beam of grid (n1*o1, n2*o2, n1*n2) at (i11, i12) +
     col_offsets[i13, c], wrapping around the grid.
 
-    matrices[i11, i12, i13, i2] is the reference materialization of that
-    precoder, each entry divided by its own np.linalg.norm; shape (n1*o1,
-    n2*o2, i13 values, i2 values, ports, rank). w_stack is its (entries,
-    ports, rank) reshape, so entry e enumerates the PMIs lexicographically in
-    (i11, i12, i13, i2) and converts to and from them through that shape
-    (index_of_pmi and its inverse pmi_of).
+    The tables are the codebook. index_shape (n1*o1, n2*o2, i13 values, i2
+    values) is its PMI index space: entry e enumerates the PMIs
+    lexicographically in (i11, i12, i13, i2) and converts to and from them
+    through that shape (index_of_pmi and its inverse pmi_of). precoders(e)
+    builds the (entries, ports, rank) matrices of any entries, each divided
+    by its own np.linalg.norm.
+
+    matrices, shape index_shape + (ports, rank), and its (entries, ports,
+    rank) reshape w_stack are the reference materialization of every entry,
+    read-only and built only on first use.
     """
 
     def __init__(self, cfg: AntennaConfig, grid: np.ndarray, col_offsets: np.ndarray,
                  cophase: np.ndarray):
         self.cfg = cfg
         self.grid, self.col_offsets, self.cophase = grid, col_offsets, cophase
-        n_l, n_m = grid.shape[:2]
-        l = (np.arange(n_l)[:, None, None, None] + col_offsets[..., 0]) % n_l
-        m = (np.arange(n_m)[:, None, None] + col_offsets[..., 1]) % n_m
-        beams = grid[l, m][:, :, :, None]  # (i11, i12, i13, 1, column, n1*n2)
-        second = cophase[..., None] * beams  # (i11, i12, i13, i2, column, n1*n2)
-        cols = np.concatenate([np.broadcast_to(beams, second.shape), second], axis=-1)
-        # Each entry is divided by its own np.linalg.norm: a batched norm rounds
-        # some entries differently in the last bit.
-        stack = np.ascontiguousarray(np.swapaxes(cols, -1, -2)).reshape(
-            -1, cfg.num_ports, col_offsets.shape[1])
-        stack = stack / np.array([np.linalg.norm(w) for w in stack])[:, None, None]
-        self.matrices = stack.reshape(cols.shape[:4] + stack.shape[1:])
-        for table in (grid, col_offsets, cophase, self.matrices):
+        self.index_shape = grid.shape[:2] + cophase.shape[:2]
+        for table in (grid, col_offsets, cophase):
             table.flags.writeable = False
-        self.w_stack = self.matrices.reshape(-1, *self.matrices.shape[4:])
 
     def __len__(self) -> int:
-        return len(self.w_stack)
+        return math.prod(self.index_shape)
+
+    def precoders(self, entries) -> np.ndarray:
+        """The (len(entries), ports, rank) precoders of a 1-D array of entry
+        indices, in its order."""
+        entries = np.asarray(entries)
+        if entries.size and entries.dtype.kind not in "iu":  # numpy would read True as 1
+            raise ValueError(f"entries must be integers, got {entries.tolist()}")
+        i11, i12, i13, i2 = np.unravel_index(entries.astype(np.intp, copy=False), self.index_shape)
+        n_l, n_m = self.index_shape[:2]
+        offsets = self.col_offsets[i13]  # (entries, column, 2)
+        beams = self.grid[(i11[:, None] + offsets[..., 0]) % n_l,
+                          (i12[:, None] + offsets[..., 1]) % n_m]  # (entries, column, n1*n2)
+        cols = np.concatenate([beams, self.cophase[i13, i2][..., None] * beams], axis=-1)
+        # Each entry is divided by its own np.linalg.norm: a batched norm rounds
+        # some entries differently in the last bit.
+        stack = np.ascontiguousarray(np.swapaxes(cols, -1, -2))
+        return stack / np.array([np.linalg.norm(w) for w in stack])[:, None, None]
+
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        stack = self.precoders(np.arange(len(self)))
+        stack.flags.writeable = False
+        return stack.reshape(self.index_shape + stack.shape[1:])
+
+    @functools.cached_property
+    def w_stack(self) -> np.ndarray:
+        return self.matrices.reshape(-1, *self.matrices.shape[4:])
 
     def index_of_pmi(self, pmi: TypeIPmi) -> int:
         """Entry index for a reported PMI; entries are wideband, so every
         subband must carry the same co-phase index i2."""
+        for field, values in (("i11", (pmi.i11,)), ("i12", (pmi.i12,)), ("i13", (pmi.i13,)),
+                              ("i2_per_subband", pmi.i2_per_subband)):
+            if not all(map(_is_int, values)):
+                raise ValueError(f"{field} must be integer, got {getattr(pmi, field)!r}")
         if len(set(pmi.i2_per_subband)) != 1:
             raise ValueError(f"PMI {pmi} must carry one wideband i2 value")
         coords = (pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband[0])
         try:
-            return int(np.ravel_multi_index(coords, self.matrices.shape[:4]))
+            return int(np.ravel_multi_index(coords, self.index_shape))
         except ValueError:
             raise ValueError(f"PMI {pmi} is outside this codebook's index ranges") from None
 
     def pmi_of(self, e: int) -> TypeIPmi:
         """Wideband PMI of entry e; the inverse of index_of_pmi."""
+        if not _is_int(e):
+            raise ValueError(f"entry must be integer, got {e!r}")
         if not 0 <= e < len(self):
             raise ValueError(f"entry {e} out of range [0, {len(self)})")
-        i11, i12, i13, i2 = (int(i) for i in np.unravel_index(e, self.matrices.shape[:4]))
+        i11, i12, i13, i2 = (int(i) for i in np.unravel_index(e, self.index_shape))
         return TypeIPmi(i11, i12, i13, (i2,))
 
     def matrix_for(self, pmi: TypeIPmi) -> np.ndarray:
@@ -318,7 +349,7 @@ class Type2Config:
     def __post_init__(self) -> None:
         for name in ("num_beams", "n_psk"):  # 4.0 in (4, 8) holds, so test the type first
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.num_beams not in (2, 3, 4):
@@ -392,7 +423,7 @@ def realize_type2_precoder(space: Type2CodebookSpace, pmi: TypeIIPmi) -> np.ndar
     if not 1 <= rank <= TYPE2_MAX_RANK:
         raise ValueError(f"rank {rank} is outside the Type II range [1, {TYPE2_MAX_RANK}]")
     for field, values in (("i11", pmi.i11), ("i12", (pmi.i12,))):
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+        if not all(map(_is_int, values)):
             raise ValueError(f"{field} must be integer, got {getattr(pmi, field)!r}")
     o1, o2 = space.beams.shape[:2]
     q1, q2 = pmi.i11

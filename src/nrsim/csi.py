@@ -528,8 +528,8 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
     indices = np.zeros((4, num_slots), dtype=int)
     for r in set(rank.tolist()):
         s = rank == r
-        w[s, 0, :, :r] = codebooks[r].w_stack[entry[s]]
-        indices[:, s] = np.unravel_index(entry[s], codebooks[r].matrices.shape[:4])
+        w[s, 0, :, :r] = codebooks[r].precoders(entry[s])
+        indices[:, s] = np.unravel_index(entry[s], codebooks[r].index_shape)
     return tp, rank, cqi, w, tuple(indices)
 
 

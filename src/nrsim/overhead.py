@@ -43,10 +43,10 @@ def _bits(cardinality: int) -> int:
 def type1_overhead_bits(codebook: Codebook, num_subbands: int = 1) -> OverheadBreakdown:
     """Type I report size: beam indices i11/i12, beam-pair index i13 and the
     per-subband co-phase i2, each as wide as its axis of the codebook's PMI
-    index space matrices.shape[:4]."""
+    index space index_shape."""
     if num_subbands < 1:
         raise ValueError(f"num_subbands must be >= 1, got {num_subbands}")
-    per = dict(zip(("i11", "i12", "i13", "i2"), map(_bits, codebook.matrices.shape[:4])))
+    per = dict(zip(("i11", "i12", "i13", "i2"), map(_bits, codebook.index_shape)))
     per["i2"] *= num_subbands
     return OverheadBreakdown(per, sum(per.values()))
 

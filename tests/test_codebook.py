@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -232,6 +233,62 @@ class TestType1Codebook:
             cb.pmi_of(len(cb))
         with pytest.raises(ValueError):
             cb.pmi_of(-1)
+
+    def test_pmi_indices_must_be_integers(self):
+        """Bools (numpy would read True as 1) and floats are refused by field
+        name; numpy integers are accepted and give Python ints back."""
+        cfg, ov = _panel(2, 1)
+        cb = build_type1_codebook(cfg, 1, ov)
+        for field, pmi in (("i11", TypeIPmi(True, 0, 0, (0,))),
+                           ("i11", TypeIPmi(1.0, 0, 0, (0,))),
+                           ("i12", TypeIPmi(0, False, 0, (0,))),
+                           ("i13", TypeIPmi(0, 0, 0.0, (0,))),
+                           ("i2_per_subband", TypeIPmi(0, 0, 0, (1, True))),
+                           ("i2_per_subband", TypeIPmi(0, 0, 0, (np.float64(1.0),)))):
+            with pytest.raises(ValueError, match=f"^{field} must be integer"):
+                cb.index_of_pmi(pmi)
+        for e in (True, False, 3.0, np.float64(3.0), np.bool_(True)):
+            with pytest.raises(ValueError, match="^entry must be integer"):
+                cb.pmi_of(e)
+        pmi = TypeIPmi(np.int64(1), np.int32(0), np.uint8(0), (np.int16(3), np.int16(3)))
+        assert cb.index_of_pmi(pmi) == 7
+        assert cb.pmi_of(np.int64(7)) == TypeIPmi(1, 0, 0, (3,))
+        got = cb.pmi_of(np.uint16(7))
+        assert all(type(i) is int for i in (got.i11, got.i12, got.i13, *got.i2_per_subband))
+        for entries in ([True], np.array([1.0])):
+            with pytest.raises(ValueError, match="^entries must be integers"):
+                cb.precoders(entries)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_precoders_match_reference_materialization(self, layout):
+        """precoders(entries) is w_stack[entries] and matrices at the entries'
+        PMIs bit for bit, for random, repeated and empty entry arrays."""
+        cfg, ov = _panel(*layout)
+        rng = np.random.default_rng(100 * layout[0] + layout[1])
+        for rank in (1, 2, 3, 4):
+            cb = build_type1_codebook(cfg, rank, ov)
+            picks = rng.integers(0, len(cb), 40)
+            for entries in (picks, np.repeat(picks[:3], 4), [], np.array([], dtype=int)):
+                w = cb.precoders(entries)
+                assert w.shape == (len(entries), cfg.num_ports, rank)
+                assert w.tobytes() == cb.w_stack[entries].tobytes()
+                pmis = np.unravel_index(np.asarray(entries, dtype=int), cb.index_shape)
+                assert w.tobytes() == cb.matrices[pmis].tobytes()
+
+    def test_build_keeps_only_the_tables(self):
+        """Building ranks 1-4 of the 16-port panel keeps the generating
+        tables, not the 512 + 3 * 1024 precoder matrices (2.5 MB); those
+        are built only when matrices or w_stack is first read."""
+        cfg, ov = _panel(4, 2)
+        build_type1_codebook.cache_clear()
+        tracemalloc.start()
+        try:
+            cbs = [build_type1_codebook(cfg, rank, ov) for rank in (1, 2, 3, 4)]
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(cb) for cb in cbs] == [512, 1024, 1024, 1024]
+        assert retained < 256 * 1024
 
     @pytest.mark.parametrize("rank", [0, 5, -1])
     def test_invalid_rank(self, rank):

@@ -1137,7 +1137,8 @@ def test_block_selection_matches_select_csi(n1, n2, family):
     throughput, on 1-4 rx and 1-13 subbands from -10 to 30 dB. The block's
     index arrays are the reported PMI's fields, and its precoder w, cut to
     the reported rank, is the PMI's precoder (Type I's matrix_for on the one
-    wideband subband, Type II's realize_type2_precoder) and 0 past it."""
+    wideband subband, and precoders of the reported entry bit for bit; Type
+    II's realize_type2_precoder) and 0 past it."""
     cfg = AntennaConfig(n1, n2)
     ov = oversampling_factors(cfg)
     if family == "type1":
@@ -1164,6 +1165,9 @@ def test_block_selection_matches_select_csi(n1, n2, family):
                     assert (i11, i12, i13, (i2,) * num_sb) == (pmi.i11, pmi.i12, pmi.i13,
                                                               pmi.i2_per_subband)
                     want = selector[report.ri].matrix_for(pmi)[None]
+                    entry = selector[report.ri].index_of_pmi(pmi)
+                    assert (w[s, ..., :ri[s]].tobytes()
+                            == selector[report.ri].precoders([entry]).tobytes())
                 else:
                     i11, i12, *layers = (a[s] for a in indices)
                     assert (tuple(i11), i12) == (pmi.i11, pmi.i12)

@@ -17,6 +17,7 @@ import nrsim.sim as sim
 from nrsim import (
     AntennaConfig,
     ChannelConfig,
+    Codebook,
     CodebookMode,
     CqiTable,
     Scenario,
@@ -329,6 +330,33 @@ class TestRunSweep:
             b.cache_clear()
         compare_modes([_mini_config(mode=mode, snr=(0.0, 10.0), slots=5) for mode in CodebookMode])
         assert at_pool == [[2, 1]] and misses() == [2, 1]
+
+    def test_type1_sweep_builds_only_reported_precoders(self, monkeypatch):
+        """A one-worker Type I sweep on the 16-port panel builds the
+        precoders of the entries each selection block reports and never the
+        whole table: every Codebook.precoders call asks for at most as many
+        entries as its block has slots, and the calls cover each slot once."""
+        blocks, asked = [], []
+        select, precoders = sim._select_type1, Codebook.precoders
+
+        def select_spy(h, *args):
+            blocks.append(len(h))
+            return select(h, *args)
+
+        def precoders_spy(cb, entries):
+            assert len(entries) <= blocks[-1]
+            asked.append(len(entries))
+            return precoders(cb, entries)
+
+        monkeypatch.setattr(sim, "_select_type1", select_spy)
+        monkeypatch.setattr(Codebook, "precoders", precoders_spy)
+        monkeypatch.setenv("NRSIM_THREADS", "1")
+        antenna = AntennaConfig(4, 2)
+        channel = ChannelConfig(num_tx_ports=antenna.num_ports, num_rx_ports=4, num_subbands=2)
+        cfg = SweepConfig(scenario=Scenario(antenna=antenna, channel=channel),
+                          snr_points_db=(0.0, 20.0), num_slots=6, codebook_mode=CodebookMode.TYPE1)
+        run_sweep(cfg)
+        assert sum(asked) == sum(blocks) > 0
 
     def test_one_pool_per_comparison(self, monkeypatch):
         """compare_modes runs the points of all its configs on one pool,
