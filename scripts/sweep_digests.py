@@ -12,8 +12,8 @@ panel, runs `nrsim overhead --out` for Type I ranks 1-4 and Type II layers
 1-2, at 1 and 13 subbands, and prints one `sha256  panel overhead codebook
 rank subbands` line per `overhead.csv`. Last, on each panel, runs `nrsim
 codebook dump` for Type I ranks 1-4 and prints one `sha256  panel codebook
-type1 rank` line per dumped CSV: every entry's precoder as written by the
-reference materialization. Running it in two checkouts and diffing the
+type1 rank` line per dumped CSV: every entry's PMI and precoder, from the
+codebook's `precoders`. Running it in two checkouts and diffing the
 output shows whether a change keeps the simulated curves, the report sizes
 and the codebook entries byte-identical, and if not, which modes' rows moved.
 

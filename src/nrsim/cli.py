@@ -298,12 +298,12 @@ def _cmd_codebook_dump(args: argparse.Namespace) -> int:
     for port in range(ports):
         for layer in range(rank):
             header += [f"w{port}_{layer}_re", f"w{port}_{layer}_im"]
+    entries = np.arange(len(cb))
+    pmis = np.stack(np.unravel_index(entries, cb.index_shape), axis=-1).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for idx in range(len(cb)):
-            w = cb.w_stack[idx]
-            pmi = cb.pmi_of(idx)
-            row = [str(idx), str(pmi.i11), str(pmi.i12), str(pmi.i13), str(pmi.i2_per_subband[0])]
+        for idx, pmi, w in zip(entries.tolist(), pmis, cb.precoders(entries)):
+            row = [str(idx), *map(str, pmi)]
             for port in range(ports):
                 for layer in range(rank):
                     row += [repr(float(w[port, layer].real)), repr(float(w[port, layer].imag))]

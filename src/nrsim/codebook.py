@@ -169,11 +169,7 @@ class Codebook:
     lexicographically in (i11, i12, i13, i2) and converts to and from them
     through that shape (index_of_pmi and its inverse pmi_of). precoders(e)
     builds the (entries, ports, rank) matrices of any entries, each divided
-    by its own np.linalg.norm.
-
-    matrices, shape index_shape + (ports, rank), and its (entries, ports,
-    rank) reshape w_stack are the reference materialization of every entry,
-    read-only and built only on first use.
+    by its own np.linalg.norm; precoders(np.arange(len(cb))) is every entry.
     """
 
     def __init__(self, cfg: AntennaConfig, grid: np.ndarray, col_offsets: np.ndarray,
@@ -191,6 +187,8 @@ class Codebook:
         """The (len(entries), ports, rank) precoders of a 1-D array of entry
         indices, in its order."""
         entries = np.asarray(entries)
+        if entries.ndim != 1:
+            raise ValueError(f"entries must be a 1-D array, got shape {entries.shape}")
         if entries.size and entries.dtype.kind not in "iu":  # numpy would read True as 1
             raise ValueError(f"entries must be integers, got {entries.tolist()}")
         i11, i12, i13, i2 = np.unravel_index(entries.astype(np.intp, copy=False), self.index_shape)
@@ -203,16 +201,6 @@ class Codebook:
         # some entries differently in the last bit.
         stack = np.ascontiguousarray(np.swapaxes(cols, -1, -2))
         return stack / np.array([np.linalg.norm(w) for w in stack])[:, None, None]
-
-    @functools.cached_property
-    def matrices(self) -> np.ndarray:
-        stack = self.precoders(np.arange(len(self)))
-        stack.flags.writeable = False
-        return stack.reshape(self.index_shape + stack.shape[1:])
-
-    @functools.cached_property
-    def w_stack(self) -> np.ndarray:
-        return self.matrices.reshape(-1, *self.matrices.shape[4:])
 
     def index_of_pmi(self, pmi: TypeIPmi) -> int:
         """Entry index for a reported PMI; entries are wideband, so every
@@ -237,9 +225,6 @@ class Codebook:
             raise ValueError(f"entry {e} out of range [0, {len(self)})")
         i11, i12, i13, i2 = (int(i) for i in np.unravel_index(e, self.index_shape))
         return TypeIPmi(i11, i12, i13, (i2,))
-
-    def matrix_for(self, pmi: TypeIPmi) -> np.ndarray:
-        return self.w_stack[self.index_of_pmi(pmi)]
 
 
 def _rank2_offsets(cfg: AntennaConfig, ov: Oversampling) -> list[tuple[int, int]]:

@@ -1,4 +1,4 @@
-"""Channel state information: SVD reference, per-layer MMSE SINRs, the
+"""Channel state information: the capacity bound, per-layer MMSE errors, the
 effective-SINR link abstraction, CQI mapping, and RI/PMI/CQI selection.
 
 Selection maximizes predicted throughput (rank times the spectral efficiency
@@ -30,14 +30,9 @@ from .codebook import (
 )
 
 __all__ = [
-    "SvdResult",
     "CqiTable",
     "CsiReport",
-    "svd_precode",
     "mimo_capacity",
-    "layer_sinr_mmse",
-    "effective_sinr",
-    "map_cqi",
     "quantize_phases",
     "select_csi",
 ]
@@ -49,16 +44,6 @@ _CQI_EFFICIENCY = (
     3.3223, 3.9023, 4.5234, 5.1152, 5.5547,
 )
 _DEFAULT_GAP_DB = 2.0
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Full factorization H = U diag(sigma) V^H; v is num_tx x num_tx so its
-    leading columns precode any rank up to min(num_rx, num_tx)."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -144,18 +129,6 @@ class CsiReport:
             raise ValueError(f"ri={self.ri} inconsistent with a rank-{self.pmi.rank} PMI")
         if self.cqi < 0:
             raise ValueError(f"cqi must be >= 0, got {self.cqi}")
-
-
-def svd_precode(h: np.ndarray) -> SvdResult:
-    """Full SVD of one channel matrix; v's leading columns are the ideal
-    per-layer precoders and u^H the matched detector."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.size == 0:
-        raise ValueError(f"h must be a nonempty 2-D matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("h contains non-finite entries")
-    u, sigma, vh = np.linalg.svd(h, full_matrices=True)
-    return SvdResult(u=u, sigma=sigma, v=vh.conj().T)
 
 
 def _check_noise_var(noise_var: float) -> None:
@@ -252,23 +225,6 @@ def _mmse_error(g: np.ndarray, noise_var: float) -> list:
     return [-noise_var * a[i][i] for i in range(r)]
 
 
-def layer_sinr_mmse(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarray:
-    """Per-layer SINR after linear-MMSE detection of G = h @ w."""
-    h = np.atleast_2d(np.asarray(h, dtype=complex))
-    w = np.asarray(w, dtype=complex)
-    if w.ndim == 0:
-        w = w.reshape(1, 1)
-    elif w.ndim == 1:
-        w = w[:, None]
-    _check_noise_var(noise_var)
-    for name, a in (("h", h), ("w", w)):
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"{name} must be finite, got a nan or inf entry")
-    if h.shape[1] != w.shape[0]:
-        raise ValueError(f"h has {h.shape[1]} columns but w has {w.shape[0]} rows")
-    return np.maximum(1.0 / np.array(_mmse_error(h @ w, noise_var)) - 1.0, 0.0)
-
-
 def _effective_sinr(errors) -> np.ndarray:
     """Capacity-domain average 2^(mean rate) - 1 of per-layer MMSE errors,
     one C-contiguous array (..., subbands) per layer, with rate
@@ -279,18 +235,6 @@ def _effective_sinr(errors) -> np.ndarray:
     for e in errors:
         total = total + np.log2(np.maximum(1.0 / e, 1.0)).sum(axis=-1)
     return np.exp2(total / (len(errors) * errors[0].shape[-1])) - 1.0
-
-
-def effective_sinr(per_layer_per_subband) -> float:
-    """Capacity-domain average of every SINR value: eff = 2^(mean of
-    log2(1+SINR)) - 1."""
-    arr = np.asarray(per_layer_per_subband, dtype=float)
-    if arr.size == 0:
-        raise ValueError("effective_sinr needs at least one SINR value")
-    if not np.all(arr >= 0):  # also refuses nan
-        raise ValueError("SINR values must be nonnegative, not nan")
-    with np.errstate(divide="ignore"):  # an inf SINR is an error of 0 and a rate of inf
-        return float(_effective_sinr([1.0 / (1.0 + arr.reshape(-1))]))
 
 
 def _precoded_sinr(h: np.ndarray, w: np.ndarray, noise_var: float) -> np.ndarray:
@@ -330,14 +274,6 @@ def _choose(ranks, rate, num_slots: int, table: CqiTable) -> tuple[np.ndarray, .
         s = live[won]
         tp[s], best_rank[s], index[s], cqi[s] = t[won], rank, i[won], c[won]
     return tp, best_rank, index, cqi
-
-
-def map_cqi(eff_sinr: float, table: CqiTable) -> int:
-    """Largest CQI whose threshold is <= eff_sinr (boundary inclusive); 0 if
-    below the lowest."""
-    if not eff_sinr >= 0:  # also refuses nan
-        raise ValueError(f"eff_sinr must be nonnegative, not nan, got {eff_sinr}")
-    return int(_cqi(np.asarray([eff_sinr], dtype=float), table)[0])
 
 
 def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:

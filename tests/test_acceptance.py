@@ -32,12 +32,12 @@ from nrsim import (
     quantize_phases,
     run_sweep,
     select_csi,
-    svd_precode,
     type1_overhead_bits,
     type2_overhead_bits,
     write_sweep_csv,
 )
 from nrsim import mimo_capacity
+from oracles import brute_force_type1
 
 SNR_GRID = tuple(float(s) for s in range(-10, 45, 5))
 NUM_SLOTS = 1000
@@ -92,7 +92,8 @@ def test_codebook_invariants():
         cb = build_type1_codebook(cfg, rank, ov)
         want = grid * 4 if rank == 1 else grid * 4 * 2
         assert len(cb) == want
-        gram = np.einsum("epr,eps->ers", cb.w_stack.conj(), cb.w_stack)
+        w = cb.precoders(np.arange(len(cb)))
+        gram = np.einsum("epr,eps->ers", w.conj(), w)
         assert np.max(np.abs(gram - np.eye(rank) / rank)) <= 1e-9
     for x1, x2 in itertools.product(range(cfg.n1), range(cfg.n2)):
         if (x1, x2) == (0, 0):
@@ -112,53 +113,18 @@ def test_svd_capacity_oracles():
         num_tx = int(rng.integers(1, 9))
         h = (rng.standard_normal((num_rx, num_tx))
              + 1j * rng.standard_normal((num_rx, num_tx))) / math.sqrt(2.0)
-        res = svd_precode(h)
+        u, sigma, vh = np.linalg.svd(h)
         k = min(num_rx, num_tx)
-        recon = res.u[:, :k] @ np.diag(res.sigma) @ res.v[:, :k].conj().T
+        recon = u[:, :k] @ np.diag(sigma) @ vh[:k]
         assert np.linalg.norm(recon - h) <= 1e-9 * max(np.linalg.norm(h), 1e-30)
         nv = float(rng.uniform(0.05, 20.0))
-        cap = mimo_capacity(res.sigma, nv)
+        cap = mimo_capacity(sigma, nv)
         direct = float(np.log2(np.linalg.det(np.eye(num_rx) + h @ h.conj().T / nv).real))
         assert abs(cap - direct) <= 1e-9
-        assert len(res.sigma) == k
+        assert len(sigma) == k
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"PASS SVD reconstruction and log-det identity on 1000 channels ({elapsed:.3f}s)")
-
-
-def _mmse_sinr_explicit(g, noise_var):
-    num_rx, layers = g.shape
-    cov = g @ g.conj().T + noise_var * np.eye(num_rx)
-    out = []
-    for i in range(layers):
-        w = np.linalg.solve(cov, g[:, i])
-        signal = abs(np.vdot(w, g[:, i])) ** 2
-        interf = sum(abs(np.vdot(w, g[:, j])) ** 2 for j in range(layers) if j != i)
-        noise = noise_var * float(np.vdot(w, w).real)
-        out.append(signal / (interf + noise))
-    return np.asarray(out)
-
-
-def _brute_force_reference(h, noise_var, codebooks, table):
-    best = None
-    for rank in sorted(codebooks):
-        cb = codebooks[rank]
-        if rank > min(h.shape[1], cb.cfg.num_ports):
-            continue
-        for idx in range(len(cb)):
-            w = cb.w_stack[idx]
-            sinrs = np.stack([_mmse_sinr_explicit(h[k] @ w, noise_var)
-                              for k in range(h.shape[0])])
-            eff = 2.0 ** float(np.mean(np.log2(1.0 + sinrs))) - 1.0
-            eff_db = 10.0 * math.log10(eff) if eff > 0 else -math.inf
-            cqi = 0
-            for k, thr in enumerate(table.sinr_threshold_db, start=1):
-                if eff_db >= thr:
-                    cqi = k
-            metric = rank * table.efficiency(cqi)
-            if best is None or metric > best[0]:
-                best = (metric, rank, idx, cqi)
-    return best
 
 
 def test_selection_matches_brute_force():
@@ -176,7 +142,7 @@ def test_selection_matches_brute_force():
         h = (rng.standard_normal((num_sb, num_rx, 4))
              + 1j * rng.standard_normal((num_sb, num_rx, 4))) / math.sqrt(2.0)
         report = select_csi(h, nv, codebooks, table)
-        metric, rank, idx, cqi = _brute_force_reference(h, nv, codebooks, table)
+        metric, rank, idx, cqi = brute_force_type1(h, nv, codebooks, table)
         same = (report.ri == rank
                 and codebooks[rank].index_of_pmi(report.pmi) == idx
                 and report.cqi == cqi

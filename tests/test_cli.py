@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, config precedence, manifests."""
 
 import configparser
+import csv
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,12 +25,15 @@ from nrsim import (
     Scenario,
     SweepConfig,
     Type2Config,
+    build_type1_codebook,
     compare_modes,
+    oversampling_factors,
     write_cqi_hist_csv,
     write_ri_hist_csv,
     write_sweep_csv,
 )
 from nrsim.cli import _DEFAULTS, main
+from oracles import per_entry_precoder
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -482,6 +487,28 @@ class TestCodebookDump:
         assert len(lines) == 1 + 64
         assert lines[0].startswith("entry,i11,i12,i13,i2")
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_dump_rows_are_the_per_entry_precoders(self, tmp_path, capsys, rank):
+        """Every row of the 4x2 panel's dump parses back to its entry's PMI
+        and, bit for bit, to the precoder per_entry_precoder builds for it
+        from dft_beam."""
+        ini = tmp_path / "panel.ini"
+        ini.write_text("[antenna]\nn2 = 2\n", encoding="utf-8")
+        out = tmp_path / "dump"
+        assert main(["codebook", "dump", "--config", str(ini), "--rank", str(rank),
+                     "--out", str(out)]) == 0
+        cfg = AntennaConfig(4, 2)
+        ov = oversampling_factors(cfg)
+        cb = build_type1_codebook(cfg, rank, ov)
+        with open(out / f"codebook_type1_rank{rank}.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(cb)
+        for e, row in enumerate(rows):
+            pmi = cb.pmi_of(e)
+            assert [int(v) for v in row[:5]] == [e, pmi.i11, pmi.i12, pmi.i13, *pmi.i2_per_subband]
+            want = per_entry_precoder(cfg, ov, rank, pmi)  # (ports, rank), C order: re, im pairs
+            assert np.array([float(v) for v in row[5:]]).tobytes() == want.view(float).tobytes()
+
     def test_dump_type2_rejected(self, tmp_path, capsys):
         out = tmp_path / "dump"
         assert main(["codebook", "dump", "--codebook", "type2", "--out", str(out)]) == 2
@@ -505,6 +532,21 @@ def test_package_exports_every_module_name():
     assert sorted(nrsim.__all__) == sorted(names)
     for name in nrsim.__all__:
         getattr(nrsim, name)
+
+
+def test_readme_api_calls_resolve():
+    """Every undotted call `name(` in README's Python API section names an
+    nrsim attribute, a method of a class nrsim exports, or a numpy function,
+    so the section cannot name a removed function."""
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## Python API\n(.*?)^## ", text, re.S | re.M).group(1)
+    calls = set(re.findall(r"`([A-Za-z_]\w*)\(", section))
+    classes = [obj for obj in map(nrsim.__dict__.get, nrsim.__all__) if isinstance(obj, type)]
+    missing = {name for name in calls
+               if not (hasattr(nrsim, name) or hasattr(np, name)
+                       or any(hasattr(cls, name) for cls in classes))}
+    assert {"select_csi", "precoders", "log1p"} <= calls
+    assert not missing, sorted(missing)
 
 
 def test_readme_ini_lists_every_config_key():

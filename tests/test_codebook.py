@@ -21,14 +21,8 @@ from nrsim import (
     oversampling_factors,
     realize_type2_precoder,
 )
-from nrsim.codebook import (
-    _BEAM_PATTERNS,
-    _PHI2,
-    _PHI4,
-    TYPE2_SB_AMPLITUDES,
-    TYPE2_WB_AMPLITUDES,
-    _i13_variants,
-)
+from nrsim.codebook import TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES
+from oracles import per_entry_precoder
 
 LAYOUTS = [(2, 1), (2, 2), (4, 1), (3, 2), (6, 1), (4, 2), (8, 1),
            (4, 3), (6, 2), (12, 1), (4, 4), (8, 2), (16, 1)]
@@ -37,26 +31,6 @@ LAYOUTS = [(2, 1), (2, 2), (4, 1), (3, 2), (6, 1), (4, 2), (8, 1),
 def _panel(n1, n2):
     cfg = AntennaConfig(n1, n2)
     return cfg, oversampling_factors(cfg)
-
-
-def _per_entry_precoder(cfg, ov, rank, pmi):
-    """Reference Type I precoder of one PMI, built entry by entry from
-    dft_beam: columns [v_b; s*phi*v_b] over the beam pair (v, v') that i13
-    selects, divided by the matrix's Frobenius norm."""
-    i2 = pmi.i2_per_subband[0]
-    v = dft_beam(pmi.i11, pmi.i12, cfg, ov)
-    if rank == 1:
-        w = np.concatenate([v, _PHI4[i2] * v])[:, None]
-    else:
-        (dl, dm), pattern, negate = _i13_variants(rank, cfg, ov)[pmi.i13]
-        l2 = (pmi.i11 + dl) % (cfg.n1 * ov.o1)
-        m2 = (pmi.i12 + dm) % (cfg.n2 * ov.o2)
-        beams = (v, dft_beam(l2, m2, cfg, ov))
-        phi = -_PHI2[i2] if negate else _PHI2[i2]
-        beam_sel, signs = _BEAM_PATTERNS[(rank, pattern)]
-        w = np.stack([np.concatenate([beams[b], s * phi * beams[b]])
-                      for b, s in zip(beam_sel, signs)], axis=1)
-    return w / np.linalg.norm(w)
 
 
 class TestAntennaConfig:
@@ -140,8 +114,9 @@ class TestType1Codebook:
     def test_entries_unit_norm_orthogonal_columns(self, rank):
         cfg, ov = _panel(4, 1)
         cb = build_type1_codebook(cfg, rank, ov)
-        assert cb.w_stack.shape == (len(cb), cfg.num_ports, rank)
-        gram = np.einsum("epr,eps->ers", cb.w_stack.conj(), cb.w_stack)
+        w = cb.precoders(np.arange(len(cb)))
+        assert w.shape == (len(cb), cfg.num_ports, rank)
+        gram = np.einsum("epr,eps->ers", w.conj(), w)
         expect = np.eye(rank) / rank
         assert np.max(np.abs(gram - expect)) < 1e-9
 
@@ -150,23 +125,21 @@ class TestType1Codebook:
         cfg, ov = _panel(*layout)
         for rank in (1, 2, 3, 4):
             cb = build_type1_codebook(cfg, rank, ov)
-            assert len({cb.w_stack[i].tobytes() for i in range(len(cb))}) == len(cb)
-            gram = np.einsum("epr,eps->ers", cb.w_stack.conj(), cb.w_stack)
+            w = cb.precoders(np.arange(len(cb)))
+            assert len({entry.tobytes() for entry in w}) == len(cb)
+            gram = np.einsum("epr,eps->ers", w.conj(), w)
             assert np.max(np.abs(gram - np.eye(rank) / rank)) < 1e-9
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_index_round_trips(self, rank):
         cfg, ov = _panel(4, 1)
         cb = build_type1_codebook(cfg, rank, ov)
-        assert cb.matrices.shape == (16, 1, 1 if rank == 1 else 4, 4 if rank == 1 else 2, 8, rank)
+        assert cb.index_shape == (16, 1, 1 if rank == 1 else 4, 4 if rank == 1 else 2)
         for e in range(len(cb)):
             pmi = cb.pmi_of(e)
             assert all(type(i) is int for i in (pmi.i11, pmi.i12, pmi.i13, *pmi.i2_per_subband))
             assert type(cb.index_of_pmi(pmi)) is int
             assert cb.index_of_pmi(pmi) == e
-            assert np.array_equal(cb.matrix_for(pmi), cb.w_stack[e])
-            assert np.array_equal(cb.matrices[pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband[0]],
-                                  cb.w_stack[e])
 
     def test_tables_read_only(self):
         """Codebooks are shared between sweep points, so nothing may write
@@ -174,8 +147,7 @@ class TestType1Codebook:
         cfg, ov = _panel(2, 2)
         cb = build_type1_codebook(cfg, 2, ov)
         space = build_type2_structure(cfg, Type2Config(), ov)
-        for table in (cb.grid, cb.col_offsets, cb.cophase, cb.matrices, cb.w_stack,
-                      space.beams, space.combos):
+        for table in (cb.grid, cb.col_offsets, cb.cophase, space.beams, space.combos):
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 0
 
@@ -190,14 +162,14 @@ class TestType1Codebook:
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_pmi_rebuilds_first_column(self, layout):
         """Every column of entry e is bit-identical to the per-entry formula
-        (_per_entry_precoder) applied to the PMI that pmi_of(e) names."""
+        (per_entry_precoder) applied to the PMI that pmi_of(e) names."""
         cfg, ov = _panel(*layout)
         for rank in (1, 2, 3, 4):
             cb = build_type1_codebook(cfg, rank, ov)
-            for e in range(len(cb)):
+            for e, w in enumerate(cb.precoders(np.arange(len(cb)))):
                 pmi = cb.pmi_of(e)
                 assert cb.index_of_pmi(pmi) == e
-                assert np.array_equal(cb.w_stack[e], _per_entry_precoder(cfg, ov, rank, pmi))
+                assert np.array_equal(w, per_entry_precoder(cfg, ov, rank, pmi))
 
     def test_rank1_uses_four_cophases(self):
         cfg, ov = _panel(2, 1)
@@ -207,7 +179,7 @@ class TestType1Codebook:
         # First four entries share beam (0, 0); second-polarization block
         # steps through the QPSK alphabet.
         for n, phi in enumerate((1, 1j, -1, -1j)):
-            w = cb.w_stack[n][:, 0] * math.sqrt(ports)
+            w = cb.precoders([n])[0, :, 0] * math.sqrt(ports)
             assert np.allclose(w[:half], np.ones(half), atol=1e-12)
             assert np.allclose(w[half:], phi * np.ones(half), atol=1e-12)
 
@@ -226,8 +198,6 @@ class TestType1Codebook:
         for i2 in [(0, 3, 1), ()]:
             with pytest.raises(ValueError, match="wideband"):
                 cb.index_of_pmi(TypeIPmi(0, 0, 0, i2))
-            with pytest.raises(ValueError, match="wideband"):
-                cb.matrix_for(TypeIPmi(0, 0, 0, i2))
         assert cb.index_of_pmi(TypeIPmi(0, 0, 0, (3, 3, 3))) == 3
         with pytest.raises(ValueError):
             cb.pmi_of(len(cb))
@@ -259,26 +229,39 @@ class TestType1Codebook:
             with pytest.raises(ValueError, match="^entries must be integers"):
                 cb.precoders(entries)
 
+    def test_precoders_refuse_non_1d_entries(self):
+        """A scalar or a 2-D entry array is refused by name (numpy would fail
+        on the scalar's indexing or on broadcasting the 2-D one); an empty
+        1-D array gives no precoders."""
+        cfg, ov = _panel(4, 1)
+        cb = build_type1_codebook(cfg, 3, ov)
+        for entries in (3, np.int64(3), np.zeros((2, 3), dtype=int), [[0], [1]]):
+            with pytest.raises(ValueError, match=r"^entries must be a 1-D array, got shape"):
+                cb.precoders(entries)
+        for entries in ([], np.array([], dtype=np.int32)):
+            assert cb.precoders(entries).shape == (0, cfg.num_ports, 3)
+
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_precoders_match_reference_materialization(self, layout):
-        """precoders(entries) is w_stack[entries] and matrices at the entries'
-        PMIs bit for bit, for random, repeated and empty entry arrays."""
+        """precoders(entries) is the full materialization
+        precoders(np.arange(len(cb))) at those entries bit for bit, for
+        random, repeated and empty entry arrays: an entry's bits do not
+        depend on the batch it is built in."""
         cfg, ov = _panel(*layout)
         rng = np.random.default_rng(100 * layout[0] + layout[1])
         for rank in (1, 2, 3, 4):
             cb = build_type1_codebook(cfg, rank, ov)
+            full = cb.precoders(np.arange(len(cb)))
             picks = rng.integers(0, len(cb), 40)
             for entries in (picks, np.repeat(picks[:3], 4), [], np.array([], dtype=int)):
                 w = cb.precoders(entries)
                 assert w.shape == (len(entries), cfg.num_ports, rank)
-                assert w.tobytes() == cb.w_stack[entries].tobytes()
-                pmis = np.unravel_index(np.asarray(entries, dtype=int), cb.index_shape)
-                assert w.tobytes() == cb.matrices[pmis].tobytes()
+                assert w.tobytes() == full[np.asarray(entries, dtype=int)].tobytes()
 
     def test_build_keeps_only_the_tables(self):
         """Building ranks 1-4 of the 16-port panel keeps the generating
-        tables, not the 512 + 3 * 1024 precoder matrices (2.5 MB); those
-        are built only when matrices or w_stack is first read."""
+        tables, not the 512 + 3 * 1024 precoder matrices (2.5 MB); precoders
+        builds the matrices of the entries it is asked for."""
         cfg, ov = _panel(4, 2)
         build_type1_codebook.cache_clear()
         tracemalloc.start()

@@ -21,21 +21,18 @@ from nrsim import (
     build_type1_codebook,
     build_type2_structure,
     dft_beam,
-    effective_sinr,
-    layer_sinr_mmse,
-    map_cqi,
     mimo_capacity,
     oversampling_factors,
     quantize_phases,
     realize_type2_precoder,
     select_csi,
-    svd_precode,
 )
 import nrsim.csi as csi
 from nrsim.codebook import (_OVERSAMPLING, TYPE2_MAX_RANK, TYPE2_SB_AMPLITUDES,
                             TYPE2_WB_AMPLITUDES, Codebook, TypeIPmi)
-from nrsim.csi import (CsiReport, _choose, _logdet_capacity, _mmse_error, _precoded_sinr,
-                       _quantize_type2, _select_type1, _select_type2, _sweep)
+from nrsim.csi import (CsiReport, _choose, _cqi, _effective_sinr, _logdet_capacity, _mmse_error,
+                       _precoded_sinr, _quantize_type2, _select_type1, _select_type2, _sweep)
+from oracles import brute_force_type1, cqi_scan, effective_sinr_explicit, mmse_sinr_explicit
 
 
 def _rand_h(rng, num_rx, num_tx):
@@ -44,32 +41,26 @@ def _rand_h(rng, num_rx, num_tx):
 
 
 class TestSvd:
+    """The np.linalg.svd properties the code relies on: Type II stage 2 takes
+    the leading rows of vh as the dominant directions, and the capacity
+    oracle takes the singular values."""
+
     def test_identity(self):
-        res = svd_precode(np.eye(2))
-        assert np.allclose(res.sigma, [1.0, 1.0])
+        assert np.allclose(np.linalg.svd(np.eye(2), compute_uv=False), [1.0, 1.0])
 
     def test_diagonal_sorted(self):
-        res = svd_precode(np.diag([3.0, 4.0]))
-        assert np.allclose(res.sigma, [4.0, 3.0])
+        assert np.allclose(np.linalg.svd(np.diag([3.0, 4.0]), compute_uv=False), [4.0, 3.0])
 
     def test_reconstruction_and_unitarity(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             h = _rand_h(rng, 4, 8)
-            res = svd_precode(h)
-            full = res.u @ np.diag(res.sigma) @ res.v[:, :4].conj().T
+            u, sigma, vh = np.linalg.svd(h)
+            full = u @ np.diag(sigma) @ vh[:4]
             assert np.linalg.norm(full - h) <= 1e-9 * np.linalg.norm(h)
-            assert np.allclose(res.u.conj().T @ res.u, np.eye(4), atol=1e-12)
-            assert np.allclose(res.v.conj().T @ res.v, np.eye(8), atol=1e-12)
-            assert np.all(np.diff(res.sigma) <= 0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            svd_precode(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            svd_precode(np.zeros((0, 4)))
+            assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+            assert np.allclose(vh @ vh.conj().T, np.eye(8), atol=1e-12)
+            assert np.all(np.diff(sigma) <= 0)
 
 
 class TestCapacity:
@@ -84,7 +75,7 @@ class TestCapacity:
         for _ in range(50):
             h = _rand_h(rng, 4, 8)
             nv = float(rng.uniform(0.1, 10.0))
-            cap = mimo_capacity(svd_precode(h).sigma, nv)
+            cap = mimo_capacity(np.linalg.svd(h, compute_uv=False), nv)
             gram = np.eye(4) + h @ h.conj().T / nv
             direct = float(np.log2(np.linalg.det(gram).real))
             assert cap == pytest.approx(direct, abs=1e-9)
@@ -136,21 +127,6 @@ class TestCapacity:
                 assert np.all(got == 0.0)
 
 
-def _mmse_sinr_explicit(g, noise_var):
-    """Per-layer SINR via explicit MMSE filters, independent of the
-    matrix-inversion-lemma form used by the implementation."""
-    num_rx, layers = g.shape
-    cov = g @ g.conj().T + noise_var * np.eye(num_rx)
-    out = []
-    for i in range(layers):
-        w = np.linalg.solve(cov, g[:, i])
-        signal = abs(np.vdot(w, g[:, i])) ** 2
-        interf = sum(abs(np.vdot(w, g[:, j])) ** 2 for j in range(layers) if j != i)
-        noise = noise_var * float(np.vdot(w, w).real)
-        out.append(signal / (interf + noise))
-    return np.asarray(out)
-
-
 def _layer_sinr_inv(g, noise_var):
     """Per-layer MMSE SINR of effective channels g (..., rx, layers) through
     np.linalg.inv: the formula the sweep helper replaced."""
@@ -164,12 +140,12 @@ def _first_best(candidates, table):
     """(throughput, rank, index, cqi) of one slot's best candidate, for
     candidates (rank, effective SINRs of that rank's candidates) in
     ascending rank: the selection rule without _choose's rank bound. Every
-    candidate is rated as rank x efficiency(map_cqi), and a later one
+    candidate is rated as rank x efficiency(cqi_scan), and a later one
     replaces the best only where strictly better, so the first best stays."""
     best = None
     for rank, eff in candidates:
         for index, e in enumerate(np.ravel(eff).tolist()):
-            cqi = map_cqi(e, table)
+            cqi = cqi_scan(e, table)
             tp = rank * table.efficiency(cqi)
             if best is None or tp > best[0]:
                 best = (tp, rank, index, cqi)
@@ -183,14 +159,21 @@ def _select_type1_einsum_inv(h, noise_var, codebooks, table):
     by the unpruned first-best rule."""
     num_sb, num_rx, num_tx = h.shape
     ranks = [rank for rank in sorted(codebooks) if rank <= min(num_rx, num_tx)]
-    sinrs = ((rank, _layer_sinr_inv(np.einsum("kij,ejr->ekir", h, codebooks[rank].w_stack),
-                                     noise_var)) for rank in ranks)
+    stacks = ((rank, codebooks[rank].precoders(np.arange(len(codebooks[rank])))) for rank in ranks)
+    sinrs = ((rank, _layer_sinr_inv(np.einsum("kij,ejr->ekir", h, w), noise_var))
+             for rank, w in stacks)
     candidates = ((rank, np.exp2(np.mean(np.log2(1.0 + sinr), axis=(-2, -1))) - 1.0)
                   for rank, sinr in sinrs)
     tp, rank, e, cqi = _first_best(candidates, table)
     pmi = codebooks[rank].pmi_of(e)
     report_pmi = TypeIPmi(pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband * num_sb)
     return CsiReport(ri=rank, pmi=report_pmi, cqi=cqi, predicted_throughput=tp)
+
+
+def _mmse_sinr(g, noise_var):
+    """Per-layer SINRs 1/e - 1, shape (..., layers), of the sweep's MMSE
+    errors e of effective channels g (..., rx, layers)."""
+    return np.maximum(1.0 / np.stack(_mmse_error(g, noise_var), axis=-1) - 1.0, 0.0)
 
 
 class TestLayerSinr:
@@ -202,18 +185,18 @@ class TestLayerSinr:
         for snr_db in range(-10, 45, 5):
             nv = 10.0 ** (-snr_db / 10.0)
             g = _rand_h(rng, 500 * (rank + 2), rank).reshape(500, rank + 2, rank)
-            got = np.maximum(1.0 / np.array(_mmse_error(g, nv)) - 1.0, 0.0)
-            assert got.shape == (rank, 500)
-            np.testing.assert_allclose(got.T, _layer_sinr_inv(g, nv), rtol=1e-12, atol=0.0)
+            got = _mmse_sinr(g, nv)
+            assert got.shape == (500, rank)
+            np.testing.assert_allclose(got, _layer_sinr_inv(g, nv), rtol=1e-12, atol=0.0)
 
     def test_scalar_channel(self):
-        h = np.array([[0.5 - 1.0j]])
-        got = layer_sinr_mmse(h, np.array([[1.0]]), 0.25)
-        assert got == pytest.approx([abs(h[0, 0]) ** 2 / 0.25], abs=1e-12)
+        g = np.array([[0.5 - 1.0j]])
+        got = _mmse_sinr(g, 0.25)
+        assert got == pytest.approx([abs(g[0, 0]) ** 2 / 0.25], abs=1e-12)
 
     def test_orthogonal_columns_decouple(self):
         g = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]], dtype=complex)
-        got = layer_sinr_mmse(np.eye(3), g, 0.5)
+        got = _mmse_sinr(g, 0.5)
         assert got == pytest.approx([8.0, 8.0], abs=1e-9)
 
     def test_matches_explicit_filters(self):
@@ -222,52 +205,35 @@ class TestLayerSinr:
             h = _rand_h(rng, 4, 6)
             w = _rand_h(rng, 6, 2)
             nv = float(rng.uniform(0.05, 5.0))
-            got = layer_sinr_mmse(h, w, nv)
-            want = _mmse_sinr_explicit(h @ w, nv)
+            got = _mmse_sinr(h @ w, nv)
+            want = mmse_sinr_explicit(h @ w, nv)
             assert got == pytest.approx(want, abs=1e-9)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            layer_sinr_mmse(np.eye(4), np.ones((3, 1), dtype=complex), 1.0)
 
-    def test_nan_noise_rejected(self):
-        with pytest.raises(ValueError, match="noise_var"):
-            layer_sinr_mmse(np.eye(2), np.eye(2), math.nan)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_channel_or_precoder_rejected(self, bad):
-        with pytest.raises(ValueError, match="^h must be finite"):
-            layer_sinr_mmse([[bad, 1.0]], [[1.0], [0.0]], 1.0)
-        with pytest.raises(ValueError, match="^w must be finite"):
-            layer_sinr_mmse([[1.0, 1.0]], [[1.0], [bad]], 1.0)
+def _eff_of_sinrs(sinrs):
+    """_effective_sinr of SINRs (layers, subbands), given as the MMSE errors
+    1 / (1 + SINR) it takes."""
+    return float(_effective_sinr(list(1.0 / (1.0 + np.asarray(sinrs, dtype=float)))))
 
 
 class TestEffectiveSinr:
     def test_fixed_point(self):
-        assert effective_sinr([[2.5, 2.5], [2.5, 2.5]]) == pytest.approx(2.5, abs=1e-12)
+        assert _eff_of_sinrs([[2.5, 2.5], [2.5, 2.5]]) == pytest.approx(2.5, abs=1e-12)
 
     def test_single_entry_identity(self):
-        assert effective_sinr([0.7]) == pytest.approx(0.7, abs=1e-15)
+        assert _eff_of_sinrs([[0.7]]) == pytest.approx(0.7, abs=1e-15)
 
     def test_zero_and_s_below_half(self):
         s = 3.0
-        eff = effective_sinr([0.0, s])
+        eff = _eff_of_sinrs([[0.0, s]])
         assert eff == pytest.approx(2.0 ** (0.5 * math.log2(1 + s)) - 1.0, abs=1e-12)
         assert eff < s / 2
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            effective_sinr([])
-        with pytest.raises(ValueError):
-            effective_sinr([-0.1, 1.0])
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="nan"):
-            effective_sinr([math.nan, 1.0])
-
     def test_inf_sinr_gives_inf_quietly(self):
-        with np.errstate(all="raise"):
-            assert effective_sinr([math.inf, 1.0]) == math.inf
+        """An error of 0 (an infinite SINR) gives an infinite effective SINR:
+        past the division 1/0 that makes it, no step overflows or makes a nan."""
+        with np.errstate(all="raise", divide="ignore"):
+            assert _effective_sinr([np.array([0.0, 0.5])]) == math.inf
 
 
 class TestCqiTable:
@@ -329,42 +295,51 @@ class TestCqiTable:
             CqiTable(se, thr)
 
 
+def _map_cqi(eff, table):
+    """_cqi of one effective SINR."""
+    return int(_cqi(np.array([eff], dtype=float), table)[0])
+
+
 class TestMapCqi:
     def test_below_range(self):
         tbl = CqiTable.default()
-        assert map_cqi(0.0, tbl) == 0
-        assert map_cqi(10 ** (-20.0 / 10.0), tbl) == 0
+        assert _map_cqi(0.0, tbl) == 0
+        assert _map_cqi(10 ** (-20.0 / 10.0), tbl) == 0
 
     def test_exact_threshold_inclusive(self):
         tbl = CqiTable.default()
         for k in (1, 7, 15):
             thr = 10.0 ** (tbl.sinr_threshold_db[k - 1] / 10.0)
-            assert map_cqi(thr, tbl) == k
+            assert _map_cqi(thr, tbl) == k
 
     def test_gap_rule_inversion(self):
         tbl = CqiTable.default()
         gap = 10.0 ** (2.0 / 10.0)
         for k, se in enumerate(tbl.spectral_efficiency, start=1):
-            assert map_cqi(gap * (2.0 ** se - 1.0), tbl) == k
+            assert _map_cqi(gap * (2.0 ** se - 1.0), tbl) == k
 
     def test_inf_maps_to_top_cqi(self):
         for tbl in (CqiTable.default(), _TWO_ROW):
-            assert map_cqi(math.inf, tbl) == len(tbl.spectral_efficiency)
+            assert _map_cqi(math.inf, tbl) == len(tbl.spectral_efficiency)
 
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="eff_sinr"):
-            map_cqi(math.nan, CqiTable.default())
-
-    @pytest.mark.parametrize("bad", [-1.0, -1e-300, -math.inf])
-    def test_negative_rejected(self, bad):
-        with pytest.raises(ValueError, match="eff_sinr"):
-            map_cqi(bad, CqiTable.default())
+    @pytest.mark.parametrize("two_row", [False, True])
+    def test_matches_threshold_scan(self, two_row):
+        """_cqi of an array equals the threshold scan of each value, for
+        effective SINRs from -40 to 60 dB and for 0, negative, nan and inf
+        values, which map to 0, 0, 0 and the top CQI."""
+        tbl = _TWO_ROW if two_row else CqiTable.default()
+        rng = np.random.default_rng(40 + two_row)
+        special = np.array([0.0, -1.0, -1e-300, -math.inf, math.nan, math.inf])
+        eff = np.concatenate([10.0 ** (rng.uniform(-40.0, 60.0, 2000) / 10.0), special])
+        got = _cqi(eff, tbl)
+        assert got.tolist() == [cqi_scan(e, tbl) for e in eff.tolist()]
+        assert got[-len(special):].tolist() == [0] * 5 + [len(tbl.spectral_efficiency)]
 
     @given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e6))
     def test_monotone(self, a, b):
         tbl = CqiTable.default()
         lo, hi = sorted((a, b))
-        assert map_cqi(lo, tbl) <= map_cqi(hi, tbl)
+        assert _map_cqi(lo, tbl) <= _map_cqi(hi, tbl)
 
 
 def _phase_objective(indices, target, amplitudes, n_psk):
@@ -426,31 +401,6 @@ class TestQuantizePhases:
         assert np.array_equal(got, quantize_phases([1 + 1j, 1 - 1j], [1.0, 1.0], 4))
 
 
-def _brute_force_type1(h, noise_var, codebooks, table):
-    """Independent double-loop evaluator mirroring the selection contract:
-    maximize rank x SE(CQI), ties to lower rank then lower entry index."""
-    num_rx = h.shape[1]
-    best = None
-    for rank in sorted(codebooks):
-        cb = codebooks[rank]
-        if rank > min(num_rx, cb.cfg.num_ports):
-            continue
-        for idx in range(len(cb)):
-            w = cb.w_stack[idx]
-            sinrs = np.stack([_mmse_sinr_explicit(h[k] @ w, noise_var)
-                              for k in range(h.shape[0])])
-            eff = 2.0 ** float(np.mean(np.log2(1.0 + sinrs))) - 1.0
-            eff_db = 10.0 * math.log10(eff) if eff > 0 else -math.inf
-            cqi = 0
-            for k, thr in enumerate(table.sinr_threshold_db, start=1):
-                if eff_db >= thr:
-                    cqi = k
-            metric = rank * table.efficiency(cqi)
-            if best is None or metric > best[0]:
-                best = (metric, rank, idx, cqi)
-    return best
-
-
 class TestSelectCsi:
     def test_constructed_channel_picks_entry_zero(self):
         cfg = AntennaConfig(4, 1)
@@ -458,7 +408,7 @@ class TestSelectCsi:
         cbs = {r: build_type1_codebook(cfg, r, ov) for r in (1, 2)}
         rng = np.random.default_rng(5)
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        h = np.outer(y, cbs[1].w_stack[0][:, 0].conj())
+        h = np.outer(y, cbs[1].precoders([0])[0, :, 0].conj())
         report = select_csi(h, 0.1, cbs, CqiTable.default())
         assert report.ri == 1
         assert cbs[1].index_of_pmi(report.pmi) == 0
@@ -484,7 +434,7 @@ class TestSelectCsi:
             nv = float(rng.uniform(0.05, 20.0))
             h = np.stack([_rand_h(rng, num_rx, 4) for _ in range(num_sb)])
             report = select_csi(h, nv, cbs, table)
-            metric, rank, idx, cqi = _brute_force_type1(h, nv, cbs, table)
+            metric, rank, idx, cqi = brute_force_type1(h, nv, cbs, table)
             assert report.ri == rank
             assert cbs[rank].index_of_pmi(report.pmi) == idx
             assert report.cqi == cqi
@@ -504,7 +454,7 @@ class TestSelectCsi:
             nv = 10.0 ** (-snr_db / 10.0)
             h = np.stack([_rand_h(rng, 4, cfg.num_ports) for _ in range(2)])
             report = select_csi(h, nv, cbs, table)
-            metric, rank, idx, cqi = _brute_force_type1(h, nv, cbs, table)
+            metric, rank, idx, cqi = brute_force_type1(h, nv, cbs, table)
             assert (report.ri, cbs[report.ri].index_of_pmi(report.pmi), report.cqi) == (rank, idx, cqi)
             assert report.predicted_throughput == pytest.approx(metric, abs=1e-12)
             ranks.append(report.ri)
@@ -562,12 +512,12 @@ class TestSelectCsi:
         for _ in range(5):
             h = _rand_h(rng, 2, 4)
             nv = float(rng.uniform(0.1, 2.0))
-            sigma = svd_precode(h).sigma
+            sigma = np.linalg.svd(h, compute_uv=False)
             for rank in (1, 2):
                 cb = build_type1_codebook(cfg, rank, ov)
-                sinrs = layer_sinr_mmse(h, cb.w_stack.transpose(1, 0, 2).reshape(4, -1), nv)
+                sinrs = _mmse_sinr(h @ cb.precoders(np.arange(len(cb))), nv)
                 cap = mimo_capacity(sigma[:rank], nv)
-                rates = np.log2(1.0 + sinrs).reshape(len(cb), rank).sum(axis=1)
+                rates = np.log2(1.0 + sinrs).sum(axis=1)
                 assert np.all(rates <= cap + 1e-9)
 
     def test_pmi_reports_i2_per_subband(self):
@@ -654,9 +604,10 @@ class TestRank4PairRating:
 
     @pytest.mark.parametrize("layout", [(2, 1), (4, 1), (2, 2), (3, 2), (4, 2)])
     def test_matches_layer_sinr_oracle(self, layout, monkeypatch):
-        """Every entry's effective SINR equals effective_sinr of
-        layer_sinr_mmse of its materialized precoder, to 1e-12 relative, from
-        -10 to 40 dB; (4, 2) takes the fallback rank-3/4 offsets."""
+        """Every entry's effective SINR equals the capacity-domain mean of the
+        explicit-filter SINRs of its materialized precoder, to 1e-12
+        relative, from -10 to 40 dB; (4, 2) takes the fallback rank-3/4
+        offsets."""
         cfg = AntennaConfig(*layout)
         cb = build_type1_codebook(cfg, 4, oversampling_factors(cfg))
         rng = np.random.default_rng(30 + layout[0] * layout[1])
@@ -664,7 +615,7 @@ class TestRank4PairRating:
             nv = 10.0 ** (-snr_db / 10.0)
             h = np.stack([_rand_h(rng, 4, cfg.num_ports) for _ in range(2)])
             got = _rank4_eff(monkeypatch, h[None], nv, cb)[0]
-            want = [effective_sinr([layer_sinr_mmse(h_k, w, nv) for h_k in h]) for w in cb.w_stack]
+            want = [effective_sinr_explicit(h, w, nv) for w in cb.precoders(np.arange(len(cb)))]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_scaled_channel_keeps_its_rating(self, monkeypatch):
@@ -785,7 +736,7 @@ class TestRankBound:
         tp, rank, cqi, w, indices = _select_type1(h, 0.1, cbs, table)
         assert (tp[0], rank[0], cqi[0]) == (2.0, 1, 2)
         pmi = TypeIPmi(*(int(a[0]) for a in indices[:3]), (int(indices[3][0]),))
-        assert np.array_equal(w[0, 0, :, :1], cbs[1].matrix_for(pmi))
+        assert np.array_equal(w[0, 0, :, :1], cbs[1].precoders([cbs[1].index_of_pmi(pmi)])[0])
         assert np.all(w[0, 0, :, 1:] == 0)
 
     def test_ranks_1_to_3_rate_no_slot_at_30_db_4x2(self, monkeypatch):
@@ -837,8 +788,8 @@ def _tied_ratings(seed, ranks, table, num_slots):
 
 
 def _peak(rank, eff, table):
-    """The best rating rank x efficiency(map_cqi) of each row of eff."""
-    return np.array([max(rank * table.efficiency(map_cqi(e, table)) for e in row)
+    """The best rating rank x efficiency(cqi_scan) of each row of eff."""
+    return np.array([max(rank * table.efficiency(cqi_scan(e, table)) for e in row)
                      for row in eff.tolist()])
 
 
@@ -1022,9 +973,7 @@ class TestSelectCsiType2:
             assert 1 <= report.ri <= 2
             assert report.pmi.num_subbands == num_sb
             w = realize_type2_precoder(space, report.pmi)
-            sinrs = np.stack([layer_sinr_mmse(h[k], w[k], nv) for k in range(num_sb)])
-            eff = effective_sinr(sinrs)
-            cqi = map_cqi(eff, table)
+            cqi = _map_cqi(_precoded_sinr(h, w, nv), table)
             assert cqi == report.cqi
             want = report.ri * table.efficiency(cqi)
             assert report.predicted_throughput == pytest.approx(want, abs=1e-12)
@@ -1047,8 +996,7 @@ class TestSelectCsiType2:
             first = TypeIIPmi(pmi.i11, pmi.i12, pmi.wideband_amplitudes[:1],
                               pmi.subband_cophase[:1], pmi.subband_amplitude[:1])
             w = realize_type2_precoder(space, first)
-            sinrs = np.stack([layer_sinr_mmse(h[k], w[k], nv) for k in range(len(h))])
-            rank1_rate = table.efficiency(map_cqi(effective_sinr(sinrs), table))
+            rank1_rate = table.efficiency(_map_cqi(_precoded_sinr(h, w, nv), table))
             assert report.predicted_throughput > rank1_rate
         assert rank2 > 0
 
@@ -1136,9 +1084,9 @@ def test_block_selection_matches_select_csi(n1, n2, family):
     report for that slot alone, exactly: RI, PMI, CQI and predicted
     throughput, on 1-4 rx and 1-13 subbands from -10 to 30 dB. The block's
     index arrays are the reported PMI's fields, and its precoder w, cut to
-    the reported rank, is the PMI's precoder (Type I's matrix_for on the one
-    wideband subband, and precoders of the reported entry bit for bit; Type
-    II's realize_type2_precoder) and 0 past it."""
+    the reported rank, is the PMI's precoder (Type I's precoders of the
+    reported entry on the one wideband subband, bit for bit; Type II's
+    realize_type2_precoder) and 0 past it."""
     cfg = AntennaConfig(n1, n2)
     ov = oversampling_factors(cfg)
     if family == "type1":
@@ -1164,10 +1112,9 @@ def test_block_selection_matches_select_csi(n1, n2, family):
                     i11, i12, i13, i2 = (a[s] for a in indices)
                     assert (i11, i12, i13, (i2,) * num_sb) == (pmi.i11, pmi.i12, pmi.i13,
                                                               pmi.i2_per_subband)
-                    want = selector[report.ri].matrix_for(pmi)[None]
-                    entry = selector[report.ri].index_of_pmi(pmi)
-                    assert (w[s, ..., :ri[s]].tobytes()
-                            == selector[report.ri].precoders([entry]).tobytes())
+                    cb = selector[report.ri]
+                    want = cb.precoders([cb.index_of_pmi(pmi)])
+                    assert w[s, ..., :ri[s]].tobytes() == want.tobytes()
                 else:
                     i11, i12, *layers = (a[s] for a in indices)
                     assert (tuple(i11), i12) == (pmi.i11, pmi.i12)

@@ -26,10 +26,8 @@ from nrsim import (
     build_type1_codebook,
     build_type2_structure,
     compare_modes,
-    effective_sinr,
     expected_overhead,
     generate_channel,
-    layer_sinr_mmse,
     load_pdp_file,
     oversampling_factors,
     realize_type2_precoder,
@@ -41,7 +39,7 @@ from nrsim import (
     write_ri_hist_csv,
     write_sweep_csv,
 )
-from nrsim.csi import _logdet_capacity
+from nrsim.csi import _logdet_capacity, _precoded_sinr
 from nrsim.sim import _run_point
 
 
@@ -430,10 +428,11 @@ class TestRunSweep:
 
 class TestScoringOracle:
     """Each point's throughput, failures and histograms equal a per-slot
-    recomputation from public names: the slot's report, applied by its
-    precoder to the channel feedback_delay_slots later, pays rank x
-    efficiency when the realized effective SINR reaches the reported CQI's
-    threshold (1e-9 dB slack); a CQI-0 slot pays 0 without failing.
+    recomputation: the slot's select_csi report, applied by its precoder to
+    the channel feedback_delay_slots later, pays rank x efficiency when the
+    realized effective SINR (_precoded_sinr, which the sweep scores with)
+    reaches the reported CQI's threshold (1e-9 dB slack); a CQI-0 slot pays
+    0 without failing.
 
     Points are selected in 6-slot blocks and checked at feedback delays 0
     (no slot fails: the report meets the channel it was chosen on), 1 and
@@ -477,12 +476,11 @@ class TestScoringOracle:
                 tp = 0.0
                 if report.cqi > 0:
                     if mode is CodebookMode.TYPE1:
-                        w = [selector[report.ri].matrix_for(report.pmi)] * h.shape[1]
+                        cb = selector[report.ri]
+                        w = cb.precoders([cb.index_of_pmi(report.pmi)])
                     else:
                         w = realize_type2_precoder(selector, report.pmi)
-                    later = h[s + cfg.feedback_delay_slots]
-                    eff = effective_sinr([layer_sinr_mmse(later[k], w[k], noise_var)
-                                          for k in range(h.shape[1])])
+                    eff = _precoded_sinr(h[s + cfg.feedback_delay_slots], w, noise_var)
                     threshold = table.sinr_threshold_db[report.cqi - 1]
                     if eff > 0 and 10.0 * math.log10(eff) >= threshold - 1e-9:
                         tp = report.ri * table.efficiency(report.cqi)
