@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codebook import _check_ints
+
 __all__ = [
     "ChannelConfig",
     "ChannelRealization",
@@ -157,6 +159,7 @@ class ChannelConfig:
     pdp: tuple[tuple[float, float], ...] = field(default_factory=lambda: tuple(cdl_a_pdp()))
 
     def __post_init__(self) -> None:
+        _check_ints(self, "num_tx_ports", "num_rx_ports", "num_subbands")
         if self.num_tx_ports < 1 or self.num_rx_ports < 1:
             raise ValueError(f"num_tx_ports and num_rx_ports must be positive, "
                              f"got ({self.num_tx_ports}, {self.num_rx_ports})")
@@ -197,14 +200,6 @@ class ChannelRealization:
     def __post_init__(self) -> None:
         if self.h.ndim != 4:
             raise ValueError(f"h must be 4-D (slot, subband, rx, tx), got shape {self.h.shape}")
-
-    @property
-    def num_slots(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def num_subbands(self) -> int:
-        return self.h.shape[1]
 
 
 # Bytes of tap matrices per block of the trajectory. A block and its normals

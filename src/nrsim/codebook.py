@@ -71,6 +71,7 @@ class AntennaConfig:
     n2: int
 
     def __post_init__(self) -> None:
+        _check_ints(self, "n1", "n2")
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"n1/n2 must be positive, got ({self.n1}, {self.n2})")
 
@@ -127,6 +128,16 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_ints(obj, *names: str) -> None:
+    """Refuse, by field name, a field of the frozen dataclass obj that is a
+    bool or not an integer; store a numpy integer as int."""
+    for name in names:  # 4.0 == 4 holds, so test the type before any range
+        value = getattr(obj, name)
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class TypeIPmi:
     """Type I PMI tuple. i2_per_subband holds the co-phase index per subband
@@ -152,10 +163,6 @@ class TypeIIPmi:
     @property
     def rank(self) -> int:
         return len(self.wideband_amplitudes)
-
-    @property
-    def num_subbands(self) -> int:
-        return len(self.subband_cophase[0])
 
 
 class Codebook:
@@ -191,7 +198,12 @@ class Codebook:
             raise ValueError(f"entries must be a 1-D array, got shape {entries.shape}")
         if entries.size and entries.dtype.kind not in "iu":  # numpy would read True as 1
             raise ValueError(f"entries must be integers, got {entries.tolist()}")
-        i11, i12, i13, i2 = np.unravel_index(entries.astype(np.intp, copy=False), self.index_shape)
+        try:
+            i11, i12, i13, i2 = np.unravel_index(entries.astype(np.intp, copy=False),
+                                                 self.index_shape)
+        except ValueError:
+            outside = entries[(entries < 0) | (entries >= len(self))].tolist()
+            raise ValueError(f"entries out of range [0, {len(self)}): {outside}") from None
         n_l, n_m = self.index_shape[:2]
         offsets = self.col_offsets[i13]  # (entries, column, 2)
         beams = self.grid[(i11[:, None] + offsets[..., 0]) % n_l,
@@ -332,11 +344,7 @@ class Type2Config:
     n_psk: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("num_beams", "n_psk"):  # 4.0 in (4, 8) holds, so test the type first
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        _check_ints(self, "num_beams", "n_psk")
         if self.num_beams not in (2, 3, 4):
             raise ValueError(f"num_beams must be in {{2,3,4}}, got {self.num_beams}")
         if self.n_psk not in (4, 8):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import (TYPE2_MAX_RANK, TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES, Codebook,
-                       Type2CodebookSpace)
+                       Type2CodebookSpace, _is_int)
 
 __all__ = [
     "OverheadBreakdown",
@@ -44,8 +44,8 @@ def type1_overhead_bits(codebook: Codebook, num_subbands: int = 1) -> OverheadBr
     """Type I report size: beam indices i11/i12, beam-pair index i13 and the
     per-subband co-phase i2, each as wide as its axis of the codebook's PMI
     index space index_shape."""
-    if num_subbands < 1:
-        raise ValueError(f"num_subbands must be >= 1, got {num_subbands}")
+    if not _is_int(num_subbands) or num_subbands < 1:
+        raise ValueError(f"num_subbands must be an integer >= 1, got {num_subbands!r}")
     per = dict(zip(("i11", "i12", "i13", "i2"), map(_bits, codebook.index_shape)))
     per["i2"] *= num_subbands
     return OverheadBreakdown(per, sum(per.values()))
@@ -58,10 +58,10 @@ def type2_overhead_bits(space: Type2CodebookSpace, layers: int,
     (i13l) and wideband amplitudes (i14l) are wideband, while co-phases
     (i21l) and amplitude refinements (i22l) repeat per subband. Each index
     is as wide as the structure's or its alphabet's range."""
-    if not 1 <= layers <= TYPE2_MAX_RANK:
-        raise ValueError(f"layers must be in 1..{TYPE2_MAX_RANK}, got {layers}")
-    if num_subbands < 1:
-        raise ValueError(f"num_subbands must be >= 1, got {num_subbands}")
+    if not _is_int(layers) or not 1 <= layers <= TYPE2_MAX_RANK:
+        raise ValueError(f"layers must be an integer in 1..{TYPE2_MAX_RANK}, got {layers!r}")
+    if not _is_int(num_subbands) or num_subbands < 1:
+        raise ValueError(f"num_subbands must be an integer >= 1, got {num_subbands!r}")
     t2, two_b = space.t2, 2 * space.t2.num_beams
     per = {"i11": sum(map(_bits, space.beams.shape[:2])), "i12": _bits(len(space.combos))}
     for layer in range(1, layers + 1):

@@ -3,10 +3,11 @@ a feedback delay, score each reported rank's slots in one pass through the
 link abstraction, and aggregate RI/CQI/overhead statistics per SNR point.
 
 SNR is referenced to unit average channel power with unit-power symbols, so
-noise_var = 10^(-snr_db/10). Points have independent derived seeds. A
-comparison queues every (config, point) of its configs on one process pool,
-and a lone sweep is a one-config comparison; results are deterministic for a
-given config regardless of the worker count.
+noise_var = 10^(-snr_db/10). Points have independent derived seeds.
+compare_modes starts the one process pool and queues every (config, point)
+of its configs on it; run_sweep(cfg) outside a comparison is
+compare_modes([cfg]).results[0]. Results are deterministic for a given
+config regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import enum
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -29,6 +30,7 @@ from .channel import ChannelConfig, generate_channel
 from .codebook import (
     AntennaConfig,
     Type2Config,
+    _check_ints,
     build_type1_codebook,
     build_type2_structure,
     oversampling_factors,
@@ -120,6 +122,7 @@ class SweepConfig:
         if any(b < a for a, b in zip(points, points[1:])):
             raise ValueError("snr_points_db must be sorted ascending")
         object.__setattr__(self, "snr_points_db", points)
+        _check_ints(self, "num_slots", "feedback_delay_slots", "seed")
         if self.num_slots < 1:
             raise ValueError(f"num_slots must be >= 1, got {self.num_slots}")
         if self.feedback_delay_slots < 0:
@@ -282,53 +285,19 @@ def _init_worker() -> None:
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
-# The comparison open in this context: each config's iterator of point
-# results, in config order. run_sweep takes the first.
+# The comparison open in this context: the iterator of each config's point
+# results that compare_modes queued, in config order. run_sweep takes the first.
 _open_sweeps: ContextVar[list | None] = ContextVar("nrsim_open_sweeps", default=None)
-
-
-def _queue(pool, cfg: SweepConfig):
-    """cfg's point results in order: submitted to the pool now and read as
-    they are needed, or without a pool run in this process as they are
-    needed."""
-    indices = range(len(cfg.snr_points_db))
-    if pool is None:
-        return (_run_point(cfg, i) for i in indices)
-    futures = [pool.submit(_run_point, cfg, i) for i in indices]
-    return (f.result() for f in futures)
-
-
-@contextmanager
-def _comparison(cfgs):
-    """Open a comparison of cfgs for run_sweep to collect, one config per
-    call, in order. Every config's codebook structures are built first, so
-    forked workers inherit them. Then one pool of _worker_count(configs x
-    points) processes gets every (config, point) task, in config order and
-    then point order; at one worker each config's points run in this
-    process inside its own run_sweep call. Closing the comparison cancels
-    the points still queued and shuts the pool down."""
-    for cfg in cfgs:
-        _codebooks(cfg)
-    workers = _worker_count(sum(len(cfg.snr_points_db) for cfg in cfgs))
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) if workers > 1 else None
-    sweeps = []
-    token = _open_sweeps.set(sweeps)
-    try:
-        sweeps.extend(_queue(pool, cfg) for cfg in cfgs)
-        yield
-    finally:
-        _open_sweeps.reset(token)
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run every SNR point of one sweep; deterministic per (config, seed).
     Inside compare_modes it collects the points its comparison queued for
-    cfg; otherwise it runs as a comparison of cfg alone."""
-    with nullcontext() if _open_sweeps.get() else _comparison([cfg]):
-        points = tuple(_open_sweeps.get().pop(0))
-    return SweepResult(mode=cfg.codebook_mode, points=points)
+    cfg; otherwise it is compare_modes([cfg]).results[0]."""
+    sweeps = _open_sweeps.get()
+    if not sweeps:
+        return compare_modes([cfg]).results[0]
+    return SweepResult(mode=cfg.codebook_mode, points=tuple(sweeps.pop(0)))
 
 
 @dataclass(frozen=True)
@@ -366,8 +335,26 @@ def compare_modes(cfgs) -> ModeComparison:
         get = attrgetter(field)
         if any(get(other) != get(ref) for other in cfgs[1:]):
             raise ValueError(f"configs disagree on {field}")
-    with _comparison(cfgs):
-        results = tuple(run_sweep(c) for c in cfgs)
+    # Build every config's codebook structures first, so forked workers
+    # inherit them. One pool of _worker_count(configs x points) processes gets
+    # every (config, point) task at once, in config order and then point order;
+    # at one worker the builtin map runs each config's points in this process,
+    # inside its own run_sweep call. The finally cancels the points still
+    # queued and shuts the pool down, also when queuing itself fails.
+    for cfg in cfgs:
+        _codebooks(cfg)
+    points = range(len(ref.snr_points_db))
+    workers = _worker_count(len(cfgs) * len(points))
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) if workers > 1 else None
+    sweeps = []
+    token = _open_sweeps.set(sweeps)
+    try:
+        sweeps += [(pool.map if pool else map)(_run_point, repeat(cfg), points) for cfg in cfgs]
+        results = tuple(run_sweep(cfg) for cfg in cfgs)
+    finally:
+        _open_sweeps.reset(token)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     rows = []
     for i, snr_db in enumerate(ref.snr_points_db):
         tps = tuple(res.points[i].mean_throughput for res in results)

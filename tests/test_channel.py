@@ -167,12 +167,6 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelRealization(h=np.zeros((2, 4, 4), dtype=complex))
 
-    def test_realization_views(self):
-        h = np.arange(2 * 3 * 4 * 8, dtype=float).reshape(2, 3, 4, 8).astype(complex)
-        real = ChannelRealization(h=h)
-        assert real.num_slots == 2
-        assert real.num_subbands == 3
-
 
 class TestGenerateChannel:
     def test_shape(self):

@@ -241,6 +241,16 @@ class TestType1Codebook:
         for entries in ([], np.array([], dtype=np.int32)):
             assert cb.precoders(entries).shape == (0, cfg.num_ports, 3)
 
+    @pytest.mark.parametrize("entry", [64, -1])
+    def test_precoders_refuse_out_of_range_entries(self, entry):
+        """An entry outside the codebook is refused by name with the range,
+        as pmi_of refuses it (numpy's unravel_index names neither)."""
+        cfg, ov = _panel(4, 1)
+        cb = build_type1_codebook(cfg, 1, ov)
+        assert len(cb) == 64
+        with pytest.raises(ValueError, match=rf"^entries out of range \[0, 64\): \[{entry}\]$"):
+            cb.precoders([0, entry, 63])
+
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_precoders_match_reference_materialization(self, layout):
         """precoders(entries) is the full materialization
@@ -550,7 +560,7 @@ def test_realized_precoder_normalization(num_beams, n_psk, rank, num_subbands, d
         ),
     )
     assert pmi.rank == rank
-    assert pmi.num_subbands == num_subbands
+    assert len(pmi.subband_cophase[0]) == num_subbands
     w = realize_type2_precoder(space, pmi)
     assert w.shape == (num_subbands, cfg.num_ports, rank)
     assert np.allclose(np.linalg.norm(w, axis=(1, 2)), 1.0, atol=1e-9)

@@ -971,7 +971,7 @@ class TestSelectCsiType2:
             h = np.stack([_rand_h(rng, 4, 8) for _ in range(num_sb)])
             report = select_csi(h, nv, space, table)
             assert 1 <= report.ri <= 2
-            assert report.pmi.num_subbands == num_sb
+            assert len(report.pmi.subband_cophase[0]) == num_sb
             w = realize_type2_precoder(space, report.pmi)
             cqi = _map_cqi(_precoded_sinr(h, w, nv), table)
             assert cqi == report.cqi

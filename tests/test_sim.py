@@ -7,7 +7,7 @@ import tracemalloc
 import types
 import warnings
 from collections import Counter
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -67,7 +67,43 @@ def _mini_config(mode=CodebookMode.TYPE1, snr=(0.0, 10.0), slots=40, delay=1, se
     )
 
 
+_PANEL = AntennaConfig(2, 1)
+_type1_codebook = lambda: build_type1_codebook(_PANEL, 1, oversampling_factors(_PANEL))
+_type2_space = lambda: build_type2_structure(_PANEL, Type2Config(num_beams=2),
+                                             oversampling_factors(_PANEL))
+
+# Each count input, by "owner.field", as a function of its value.
+_COUNTS = {
+    "AntennaConfig.n1": lambda v: AntennaConfig(v, 1),
+    "AntennaConfig.n2": lambda v: AntennaConfig(2, v),
+    "ChannelConfig.num_tx_ports": lambda v: ChannelConfig(num_tx_ports=v, num_rx_ports=2),
+    "ChannelConfig.num_rx_ports": lambda v: ChannelConfig(num_tx_ports=4, num_rx_ports=v),
+    "ChannelConfig.num_subbands": lambda v: ChannelConfig(num_tx_ports=4, num_rx_ports=2,
+                                                          num_subbands=v),
+    "SweepConfig.num_slots": lambda v: _mini_config(slots=v),
+    "SweepConfig.feedback_delay_slots": lambda v: _mini_config(delay=v),
+    "SweepConfig.seed": lambda v: _mini_config(seed=v),
+    "type1_overhead_bits.num_subbands": lambda v: type1_overhead_bits(_type1_codebook(), v),
+    "type2_overhead_bits.layers": lambda v: type2_overhead_bits(_type2_space(), v, 13),
+    "type2_overhead_bits.num_subbands": lambda v: type2_overhead_bits(_type2_space(), 1, v),
+}
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("name", sorted(_COUNTS))
+    def test_count_must_be_integer(self, name, value):
+        """A bool or a non-integer count is refused by name where it enters,
+        not accepted (AntennaConfig(2.0, 1) had 4.0 ports, a 2.5-subband
+        Type I report 8.5 bits) or failed late in a sweep's pool worker."""
+        field = name.split(".")[1]
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            _COUNTS[name](value)
+
+    @pytest.mark.parametrize("name", sorted(_COUNTS))
+    def test_count_accepts_numpy_integer(self, name):
+        assert _COUNTS[name](np.int64(2)) == _COUNTS[name](2)
+
     def test_scenario_port_mismatch(self):
         with pytest.raises(ValueError, match="ports"):
             Scenario(
@@ -288,6 +324,7 @@ class TestRunSweep:
         assert seq.points == par.points
         assert [res.mode for res in par_cmp.results] == list(CodebookMode)
         assert [res.points for res in seq_cmp.results] == [res.points for res in par_cmp.results]
+        assert run_sweep(cfgs[0]) == par_cmp.results[0]  # a lone sweep is a one-config comparison
 
     def test_codebooks_built_once_per_process(self, monkeypatch):
         """The builders return one structure per distinct arguments, and
@@ -303,7 +340,7 @@ class TestRunSweep:
         misses = lambda: [b.cache_info().misses for b in builders]
         at_pool = []
 
-        class Pool:  # runs each point here as it is submitted, after noting the builds so far
+        class Pool(Executor):  # runs each point as it is submitted, after noting the builds so far
             def __init__(self, max_workers, initializer):
                 at_pool.append(misses())
 
@@ -374,16 +411,37 @@ class TestRunSweep:
         assert multiprocessing.active_children() == []
         assert [res.mode for res in cmp.results] == list(CodebookMode)
 
-    def test_failed_point_reraised_without_leftover_workers(self, monkeypatch):
-        """A point that raises in a pool worker fails compare_modes with
-        its error, and the pool is still shut down, leaving no child
-        process."""
+    @pytest.mark.parametrize("entry", ["compare_modes", "run_sweep"])
+    def test_failed_point_reraised_without_leftover_workers(self, monkeypatch, entry):
+        """A point that raises in a pool worker fails compare_modes, or a
+        standalone run_sweep, with its error, and the pool is still shut
+        down, leaving no child process."""
         monkeypatch.setattr(sim, "_run_point", _failing_point)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
         monkeypatch.delenv("NRSIM_THREADS", raising=False)
         cfgs = [_mini_config(mode=mode, snr=(0.0, 10.0, 20.0), slots=5) for mode in CodebookMode]
         with pytest.raises(RuntimeError, match="type1 point 1 failed"):
+            compare_modes(cfgs) if entry == "compare_modes" else run_sweep(cfgs[0])
+        assert multiprocessing.active_children() == []
+
+    def test_queuing_failure_leaves_no_workers(self, monkeypatch):
+        """A failure while the points are queued, after the pool has started
+        its workers, fails compare_modes with its error and still shuts the
+        pool down; the next sweep runs normally."""
+        class FailingPool(ProcessPoolExecutor):
+            def map(self, fn, *iterables):
+                self.submit(fn, *next(zip(*iterables))).result()  # the workers are up
+                raise RuntimeError("queuing failed")
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", FailingPool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("NRSIM_THREADS", raising=False)
+        cfgs = [_mini_config(mode=mode, slots=5) for mode in CodebookMode]
+        with pytest.raises(RuntimeError, match="queuing failed"):
             compare_modes(cfgs)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", ProcessPoolExecutor)
+        assert run_sweep(cfgs[0]) == compare_modes(cfgs).results[0]
         assert multiprocessing.active_children() == []
 
     def test_thread_env_validation(self, monkeypatch):
