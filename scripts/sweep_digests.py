@@ -4,11 +4,19 @@
 Runs `nrsim sweep --codebook type1,type2,svd --slots 80` from this
 checkout's `src/` at seeds 2026 and 7, on the default 4x1 panel, on a 4x2
 panel (`[antenna] n2 = 2`) and on a 2x2 panel (`[antenna] n1 = 2`, `n2 = 2`:
-8 ports, both grid axes oversampled), each once with NRSIM_THREADS=1 and once
-with the default worker count. Prints one `sha256  seed panel workers file` line
-per CSV, each followed by one `sha256  seed panel workers file mode` line per
-mode over that mode's rows, in file order without the header. Then, on each
-panel, runs `nrsim overhead --out` for Type I ranks 1-4 and Type II layers
+8 ports, both grid axes oversampled), and on the 4x1 panel twice more: at
+`[sweep] feedback_delay = 0` down to -30 dB (`snr = -30:5:40`), where each
+report is scored on the channel it was chosen on, so only rounding parts
+realized from predicted SINR, and the lowest points report CQI 0; and at
+`[channel] doppler_hz = 100` with `feedback_delay = 4`, where about half the
+scheduled slots fail (panels `4x1-delay0` and `4x1-doppler100-delay4`).
+Between them the sweeps reach every outcome of a slot: paid, failed and not
+scheduled. Each sweep runs once with NRSIM_THREADS=1 and
+once with the default worker count. Prints one `sha256  seed panel workers
+file` line per CSV, each
+followed by one `sha256  seed panel workers file mode` line per mode over
+that mode's rows, in file order without the header. Then, on each panel,
+runs `nrsim overhead --out` for Type I ranks 1-4 and Type II layers
 1-2, at 1 and 13 subbands, and prints one `sha256  panel overhead codebook
 rank subbands` line per `overhead.csv`. Last, on each panel, runs `nrsim
 codebook dump` for Type I ranks 1-4 and prints one `sha256  panel codebook
@@ -39,6 +47,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 SEEDS = (2026, 7)
 PANELS = {"4x1": "", "4x2": "[antenna]\nn2 = 2\n", "2x2": "[antenna]\nn1 = 2\nn2 = 2\n"}
+SWEEPS = PANELS | {"4x1-delay0": "[sweep]\nfeedback_delay = 0\nsnr = -30:5:40\n",
+                   "4x1-doppler100-delay4": "[channel]\ndoppler_hz = 100\n[sweep]\nfeedback_delay = 4\n"}
 WORKERS = ("1", "default")
 CSVS = ("sweep.csv", "ri_hist.csv", "cqi_hist.csv")
 MODES = ("type1", "type2", "svd")
@@ -67,9 +77,9 @@ def main(argv=None) -> int:
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "NRSIM_THREADS"} | {"PYTHONPATH": pythonpath}
     with tempfile.TemporaryDirectory() as tmp:
-        for panel, ini in PANELS.items():
+        for panel, ini in SWEEPS.items():
             (Path(tmp) / f"{panel}.ini").write_text(ini, encoding="utf-8")
-        for seed, panel, workers in itertools.product(SEEDS, PANELS, WORKERS):
+        for seed, panel, workers in itertools.product(SEEDS, SWEEPS, WORKERS):
             out = Path(tmp) / f"{seed}-{panel}-{workers}"
             subprocess.run([sys.executable, "-m", "nrsim", "sweep", "--config", f"{tmp}/{panel}.ini",
                             "--codebook", ",".join(MODES), "--slots", "80",

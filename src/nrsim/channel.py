@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import _check_ints
+from .codebook import _check_ints, _is_int
 
 __all__ = [
     "ChannelConfig",
@@ -258,10 +258,11 @@ def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRe
     phase matrix and the slot's (taps, rx*tx) taps, so where a block starts
     cannot change a bit of h.
     """
-    if num_slots < 1:
-        raise ValueError(f"num_slots must be >= 1, got {num_slots}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, value, low in (("num_slots", num_slots, 1), ("seed", seed, 0)):
+        if not _is_int(value):  # a bool or a float would pass the range test
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     rng = np.random.default_rng(seed)
     delays_s = np.asarray([d for d, _ in cfg.pdp]) * cfg.delay_spread_ns * 1e-9
     powers = np.asarray([p for _, p in cfg.pdp])

@@ -25,6 +25,7 @@ from .codebook import (
     Type2CodebookSpace,
     TypeIIPmi,
     TypeIPmi,
+    _is_int,
     _type2_columns,
     realize_type2_precoder,  # not called here: bench/spans.py traces it as csi.realize_type2_precoder
 )
@@ -254,26 +255,27 @@ def _cqi(eff: np.ndarray, table: CqiTable) -> np.ndarray:
 
 
 def _choose(ranks, rate, num_slots: int, table: CqiTable) -> tuple[np.ndarray, ...]:
-    """(throughput, rank, index, cqi) of the best candidate per slot, rated
-    as rank x efficiency(CQI), for rate(rank, slots) giving the effective
-    SINRs (slots, that rank's candidates) of an index array of slots, or of
-    all for slice(None). Ranks go from the highest down, and rank r is rated
+    """(SINR, rank, index, cqi) of the best candidate per slot, rated as rank
+    x efficiency(CQI), for rate(rank, slots) giving the effective SINRs
+    (slots, that rank's candidates) of an index array of slots, or of all
+    for slice(None). Ranks go from the highest down, and rank r is rated
     only where the best so far is at most r x the top efficiency, which is
     all r can reach. A rating >= the best replaces it: ties go to the lower
-    rank, then to the lower index."""
-    tp = np.zeros(num_slots)
+    rank, then to the lower index, whose SINR (not its rank's largest) is kept."""
+    tp, sinr = np.zeros(num_slots), np.zeros(num_slots)
     best_rank, index, cqi = (np.zeros(num_slots, dtype=int) for _ in range(3))
     for rank in sorted(ranks, reverse=True):
         live = np.flatnonzero(tp <= rank * table.spectral_efficiency[-1])
         if live.size == 0:
             continue
-        c = _cqi(rate(rank, slice(None) if live.size == num_slots else live), table)
+        eff = rate(rank, slice(None) if live.size == num_slots else live)
+        c = _cqi(eff, table)
         i, c = np.argmax(c, axis=-1), c.max(axis=-1)  # the efficiency grows with the CQI
         t = rank * table.efficiency(c)
         won = t >= tp[live]
         s = live[won]
-        tp[s], best_rank[s], index[s], cqi[s] = t[won], rank, i[won], c[won]
-    return tp, best_rank, index, cqi
+        tp[s], sinr[s], best_rank[s], index[s], cqi[s] = t[won], eff[won, i[won]], rank, i[won], c[won]
+    return sinr, best_rank, index, cqi
 
 
 def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
@@ -291,7 +293,7 @@ def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
     a = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     if z.shape != a.shape:
         raise ValueError(f"coefficient/amplitude shape mismatch: {z.shape} vs {a.shape}")
-    if not isinstance(n_psk, (int, np.integer)) or isinstance(n_psk, bool) or n_psk < 1:
+    if not _is_int(n_psk) or n_psk < 1:
         raise ValueError(f"n_psk must be an integer >= 1, got {n_psk!r}")
     if np.any(a < 0):
         raise ValueError("amplitudes must be nonnegative")
@@ -420,9 +422,9 @@ def _rate_pairs(prod: np.ndarray, plan, noise_var: float, num_ports: int) -> np.
 
 def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook],
                   table: CqiTable) -> tuple[np.ndarray, ...]:
-    """(throughput, rank, CQI, w, indices) per slot of h (slots, subbands, rx,
-    tx): w (slots, 1, ports, top rank) is the reported precoder, 0 past rank,
-    and indices its PMI arrays (i11, i12, i13, i2) in TypeIPmi field order."""
+    """(SINR, rank, CQI, w, indices) per slot of h (slots, subbands, rx, tx):
+    w (slots, 1, ports, top rank) is the reported precoder, 0 past rank, and
+    indices its PMI arrays (i11, i12, i13, i2) in TypeIPmi field order."""
     num_slots, num_sb, num_rx, num_tx = h.shape
     num_ports = next(iter(codebooks.values())).cfg.num_ports
     if num_tx != num_ports:
@@ -459,14 +461,14 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
             eff = _effective_sinr([-noise_var * a[i][i] for i in range(rank)])
         return eff.transpose(0, 3, 1, 2).reshape(len(p), -1)
 
-    tp, rank, entry, cqi = _choose(ranks, rate, num_slots, table)
+    sinr, rank, entry, cqi = _choose(ranks, rate, num_slots, table)
     w = np.zeros((num_slots, 1, num_tx, ranks[-1]), dtype=complex)
     indices = np.zeros((4, num_slots), dtype=int)
     for r in set(rank.tolist()):
         s = rank == r
         w[s, 0, :, :r] = codebooks[r].precoders(entry[s])
         indices[:, s] = np.unravel_index(entry[s], codebooks[r].index_shape)
-    return tp, rank, cqi, w, tuple(indices)
+    return sinr, rank, cqi, w, tuple(indices)
 
 
 def _quantize_type2(c: np.ndarray, n_psk: int):
@@ -492,8 +494,8 @@ def _quantize_type2(c: np.ndarray, n_psk: int):
 
 def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
                   table: CqiTable) -> tuple:
-    """(throughput, rank, CQI, w, indices) per slot of h (slots, subbands, rx,
-    tx): w (slots, subbands, ports, layers) is the reported precoder, its
+    """(SINR, rank, CQI, w, indices) per slot of h (slots, subbands, rx, tx):
+    w (slots, subbands, ports, layers) is the reported precoder, its
     first rank unit columns / sqrt(rank) and 0 past them, and indices holds
     every layer's PMI arrays in TypeIIPmi field order."""
     num_slots, num_sb, num_rx, num_tx = h.shape
@@ -527,10 +529,10 @@ def _select_type2(h: np.ndarray, noise_var: float, space: Type2CodebookSpace,
     def rate(n, slots):  # effective SINRs (slots, 1)
         return _precoded_sinr(h[slots], unit[slots, ..., :n] / math.sqrt(n), noise_var)[:, None]
 
-    tp, rank, _, cqi = _choose(range(1, max_layers + 1), rate, num_slots, table)
+    sinr, rank, _, cqi = _choose(range(1, max_layers + 1), rate, num_slots, table)
     ri = rank[:, None, None, None]
     w = np.where(np.arange(max_layers) < ri, unit, 0) / np.sqrt(ri)
-    return tp, rank, cqi, w, (np.stack([q1, q2], axis=-1), i12, wb_idx, phases, sb_bits)
+    return sinr, rank, cqi, w, (np.stack([q1, q2], axis=-1), i12, wb_idx, phases, sb_bits)
 
 
 def _tuples(a: np.ndarray) -> tuple:
@@ -562,13 +564,13 @@ def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
     _check_finite(h)
     _check_noise_var(noise_var)
     if isinstance(codebooks, Type2CodebookSpace):
-        tp, ri, cqi, _, indices = _select_type2(h[None], noise_var, codebooks, table)
+        _, ri, cqi, _, indices = _select_type2(h[None], noise_var, codebooks, table)
         i11, i12, *layers = (a[0] for a in indices)
         pmi = TypeIIPmi(_tuples(i11), int(i12), *(_tuples(a[:ri[0]]) for a in layers))
     else:
         if not codebooks:
             raise ValueError("no codebooks supplied")
-        tp, ri, cqi, _, indices = _select_type1(h[None], noise_var, dict(codebooks), table)
+        _, ri, cqi, _, indices = _select_type1(h[None], noise_var, dict(codebooks), table)
         i11, i12, i13, i2 = (int(a[0]) for a in indices)
         pmi = TypeIPmi(i11, i12, i13, (i2,) * h.shape[0])
-    return CsiReport(ri=int(ri[0]), pmi=pmi, cqi=int(cqi[0]), predicted_throughput=float(tp[0]))
+    return CsiReport(int(ri[0]), pmi, int(cqi[0]), float(ri[0] * table.efficiency(cqi[0])))

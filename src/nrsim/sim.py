@@ -211,6 +211,17 @@ def _codebooks(cfg: SweepConfig):
             lambda r: type2_overhead_bits(space, r, channel.num_subbands).total_bits)
 
 
+def _outcome(ri, cqi, realized_db, table: CqiTable):
+    """(throughput per slot, failed slots) of reports (ri, cqi) realized at
+    effective SINRs realized_db (dB): ri x efficiency(cqi) where realized_db
+    reaches the CQI's threshold less _THRESHOLD_SLACK_DB, else a failure.
+    A CQI-0 slot schedules nothing: throughput 0, no failure."""
+    scheduled = cqi > 0  # cqi - 1 = -1 reads a threshold no CQI-0 slot uses
+    thr_db = np.asarray(table.sinr_threshold_db)[cqi - 1] - _THRESHOLD_SLACK_DB
+    ok = scheduled & (realized_db >= thr_db)
+    return np.where(ok, ri * table.efficiency(cqi), 0.0), int(np.count_nonzero(scheduled & ~ok))
+
+
 def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     table, ch_cfg = cfg.scenario.cqi_table, cfg.scenario.channel
     snr_db = cfg.snr_points_db[point_idx]
@@ -228,13 +239,12 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
                           np.zeros(scored, dtype=int), 0, lambda r: 0, bandwidth_hz)
 
     select, slot_bytes, bits = _codebooks(cfg)
-    # Select a block of scored slots at a time, then score each rank the block
-    # reports in one pass on the channel the report is applied to, feedback_delay
-    # later, with the precoders taken from the selection's w. CQI-0 slots
-    # schedule nothing: throughput 0 without counting a failure.
+    # Select a block of scored slots at a time, then realize each rank the block
+    # schedules (CQI > 0) in one pass on the channel the report is applied to,
+    # feedback_delay later, with the precoders taken from the selection's w.
     block = max(1, _SELECT_BYTES // (slot_bytes * num_sb))
     ri, cqi = np.zeros(scored, dtype=int), np.zeros(scored, dtype=int)
-    tp, failed = np.zeros(scored), 0
+    realized_db = np.full(scored, np.nan)  # realized effective SINR of each scheduled slot
     for start in range(0, scored, block):
         s = slice(start, min(start + block, scored))
         _check_finite(h[s])
@@ -242,11 +252,9 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
         for rank in set(ri[s][cqi[s] > 0].tolist()):  # np.unique would import numpy.ma
             idx = start + np.flatnonzero((ri[s] == rank) & (cqi[s] > 0))
             with np.errstate(divide="ignore"):
-                eff_db = 10.0 * np.log10(_precoded_sinr(h[idx + delay], w[idx - start, ..., :rank],
-                                                        noise_var))
-            ok = eff_db >= np.asarray(table.sinr_threshold_db)[cqi[idx] - 1] - _THRESHOLD_SLACK_DB
-            tp[idx[ok]] = rank * table.efficiency(cqi[idx[ok]])
-            failed += int(idx.size - np.count_nonzero(ok))
+                realized_db[idx] = 10.0 * np.log10(
+                    _precoded_sinr(h[idx + delay], w[idx - start, ..., :rank], noise_var))
+    tp, failed = _outcome(ri, cqi, realized_db, table)
     return _aggregate(snr_db, tp, ri, cqi, failed, bits, bandwidth_hz)
 
 

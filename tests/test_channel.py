@@ -178,6 +178,21 @@ class TestGenerateChannel:
         with pytest.raises(ValueError):
             generate_channel(cfg, 0, 0)
 
+    @pytest.mark.parametrize("num_slots, seed, name", [
+        (2.5, 1, "num_slots"), (True, 1, "num_slots"), (2, 1.5, "seed"), (2, True, "seed")])
+    def test_non_integer_count_or_seed_rejected(self, num_slots, seed, name):
+        """A float or a bool (which numpy would read as 1) is refused by name,
+        before any draw."""
+        cfg = ChannelConfig(num_tx_ports=4, num_rx_ports=2)
+        value = num_slots if name == "num_slots" else seed
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            generate_channel(cfg, num_slots, seed)
+
+    def test_numpy_integer_count_and_seed_accepted(self):
+        cfg = ChannelConfig(num_tx_ports=4, num_rx_ports=2)
+        want = generate_channel(cfg, 3, 5).h
+        assert np.array_equal(generate_channel(cfg, np.int64(3), np.uint32(5)).h, want)
+
     def test_deterministic_per_seed(self):
         cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4)
         a = generate_channel(cfg, 4, 7)

@@ -684,9 +684,10 @@ class TestRankBound:
     @pytest.mark.parametrize("n1, n2", [(4, 1), (2, 2), (4, 2)])
     def test_matches_merge_of_single_rank_selections(self, n1, n2, monkeypatch):
         """The pruned selection equals, exactly, the merge of one selection
-        per rank that keeps a higher rank only where its throughput is
-        strictly greater: tp, rank, CQI, every PMI index array and the
-        precoder w (a single rank's w zero-padded to the top rank), on 2 and
+        per rank that keeps a higher rank only where its throughput (rank x
+        efficiency(CQI)) is strictly greater: throughput, the winner's SINR,
+        rank, CQI, every PMI index array and the precoder w (a single rank's
+        w zero-padded to the top rank), on 2 and
         4 rx from -10 to 40 dB. Slots of one block are scaled apart by up to
         30 dB, so some blocks rate a rank in some slots and skip it in
         others."""
@@ -696,10 +697,10 @@ class TestRankBound:
         rng = np.random.default_rng(70 + 10 * n1 + n2)
         mixed = set()
 
-        def select(h, nv, ranks, top):  # (tp, rank, cqi, w, i11, i12, i13, i2)
-            tp, rank, cqi, w, indices = _select_type1(h, nv, {r: cbs[r] for r in ranks}, table)
+        def select(h, nv, ranks, top):  # (tp, sinr, rank, cqi, w, i11, i12, i13, i2)
+            sinr, rank, cqi, w, indices = _select_type1(h, nv, {r: cbs[r] for r in ranks}, table)
             w = np.concatenate([w, np.zeros((*w.shape[:-1], top - w.shape[-1]))], axis=-1)
-            return (tp, rank, cqi, w, *indices)
+            return (rank * table.efficiency(cqi), sinr, rank, cqi, w, *indices)
 
         for num_rx, snr_db in itertools.product((2, 4), range(-10, 45, 10)):
             ranks = [r for r in sorted(cbs) if r <= num_rx]
@@ -714,8 +715,8 @@ class TestRankBound:
                 want = tuple(np.where(better.reshape(-1, *[1] * (new.ndim - 1)), new, old)
                              for new, old in zip(found, want))
             got = select(h, nv, ranks, ranks[-1])
-            for name, g, w in zip(("tp", "rank", "cqi", "w", "i11", "i12", "i13", "i2"), got, want,
-                                  strict=True):
+            for name, g, w in zip(("tp", "sinr", "rank", "cqi", "w", "i11", "i12", "i13", "i2"), got,
+                                  want, strict=True):
                 assert np.array_equal(g, w), (num_rx, snr_db, name)
             for rank, eff in _ratings(monkeypatch, {r: cbs[r] for r in ranks}, h, nv):
                 skipped = np.all(eff == 0.0, axis=-1)
@@ -733,8 +734,8 @@ class TestRankBound:
         peak = {r: _ratings(monkeypatch, {r: cbs[r]}, h, 0.1)[0][1].max() for r in cbs}
         assert peak[2] < peak[1]
         table = CqiTable((1.0, 2.0), (-100.0, 5.0 * math.log10(peak[1] * peak[2])))
-        tp, rank, cqi, w, indices = _select_type1(h, 0.1, cbs, table)
-        assert (tp[0], rank[0], cqi[0]) == (2.0, 1, 2)
+        _, rank, cqi, w, indices = _select_type1(h, 0.1, cbs, table)
+        assert (rank[0] * table.efficiency(cqi[0]), rank[0], cqi[0]) == (2.0, 1, 2)
         pmi = TypeIPmi(*(int(a[0]) for a in indices[:3]), (int(indices[3][0]),))
         assert np.array_equal(w[0, 0, :, :1], cbs[1].precoders([cbs[1].index_of_pmi(pmi)])[0])
         assert np.all(w[0, 0, :, 1:] == 0)
@@ -801,15 +802,18 @@ class TestChoose:
 
     @pytest.mark.parametrize("ranks, two_row", _CHOOSE_CASES, ids=_CHOOSE_IDS)
     def test_matches_unpruned_first_best(self, ranks, two_row):
-        """Throughput, rank, index and CQI are equal, exactly, on random
-        ratings seeded with exact ties within and across ranks."""
+        """Throughput (rank x efficiency(CQI)), rank, index and CQI are
+        equal, exactly, on random ratings seeded with exact ties within and
+        across ranks, and the SINR is the rating of the chosen index."""
         table = _TWO_ROW if two_row else CqiTable.default()
         ratings = _tied_ratings(sum(ranks) + 10 * two_row, ranks, table, 400)
-        got = _choose(ranks, lambda rank, slots: ratings[rank][slots], 400, table)
+        sinr, rank, index, cqi = _choose(ranks, lambda rank, slots: ratings[rank][slots], 400, table)
         want = [_first_best([(r, ratings[r][s]) for r in sorted(ranks)], table)
                 for s in range(400)]
+        got = (rank * table.efficiency(cqi), rank, index, cqi)
         for name, g, w in zip(("tp", "rank", "index", "cqi"), got, zip(*want), strict=True):
             assert np.array_equal(g, w), name
+        assert np.array_equal(sinr, [ratings[r][s, i] for s, (_, r, i, _) in enumerate(want)])
         peak = {r: _peak(r, ratings[r], table) for r in ranks}
         tied = [s for s, (tp, rank, _, _) in enumerate(want)
                 if any(peak[r][s] == tp for r in ranks if r > rank)]
@@ -1083,7 +1087,8 @@ def test_block_selection_matches_select_csi(n1, n2, family):
     """Selecting a block of slots at once gives each slot select_csi's
     report for that slot alone, exactly: RI, PMI, CQI and predicted
     throughput, on 1-4 rx and 1-13 subbands from -10 to 30 dB. The block's
-    index arrays are the reported PMI's fields, and its precoder w, cut to
+    index arrays are the reported PMI's fields, each slot's SINR is the
+    one a block of that slot alone reports, and its precoder w, cut to
     the reported rank, is the PMI's precoder (Type I's precoders of the
     reported entry on the one wideband subband, bit for bit; Type II's
     realize_type2_precoder) and 0 past it."""
@@ -1103,11 +1108,13 @@ def test_block_selection_matches_select_csi(n1, n2, family):
                           for _ in range(5)])
             nv = 10.0 ** (-snr_db / 10.0)
             select = _select_type1 if family == "type1" else _select_type2
-            tp, ri, cqi, w, indices = select(h, nv, selector, table)
+            sinr, ri, cqi, w, indices = select(h, nv, selector, table)
             for s in range(len(h)):
                 report = select_csi(h[s], nv, selector, table)
                 pmi = report.pmi
-                assert (ri[s], cqi[s], tp[s]) == (report.ri, report.cqi, report.predicted_throughput)
+                tp = ri[s] * table.efficiency(cqi[s])
+                assert (ri[s], cqi[s], tp) == (report.ri, report.cqi, report.predicted_throughput)
+                assert sinr[s] == select(h[s:s + 1], nv, selector, table)[0][0]
                 if family == "type1":
                     i11, i12, i13, i2 = (a[s] for a in indices)
                     assert (i11, i12, i13, (i2,) * num_sb) == (pmi.i11, pmi.i12, pmi.i13,
@@ -1126,6 +1133,36 @@ def test_block_selection_matches_select_csi(n1, n2, family):
                 assert np.all(w[s, ..., ri[s]:] == 0)
                 ranks.add(report.ri)
     assert ranks == ({1, 2, 3, 4} if family == "type1" else {1, 2})
+
+
+@pytest.mark.parametrize("family", ["type1", "type2"])
+@pytest.mark.parametrize("n1, n2", [(4, 1), (4, 2), (2, 2)])
+def test_block_sinr_is_the_winners_precoded_sinr(n1, n2, family, monkeypatch):
+    """Each slot's SINR in the report block is the effective SINR of the
+    reported precoder w[..., :ri] on the channel it was selected on, as
+    _precoded_sinr computes it, on 2 and 4 rx from -10 to 40 dB: exactly for
+    Type II, which rates through _precoded_sinr, and within 1e-12 relative
+    for Type I, whose beam-Gram rating rounds differently. It is the chosen
+    candidate's SINR, the first index of the best CQI, and not the largest of
+    the winning rank: in some Type I slots those differ."""
+    cfg = AntennaConfig(n1, n2)
+    selector = _selector(cfg, family)
+    select = _select_type1 if family == "type1" else _select_type2
+    table = CqiTable.default()
+    rng = np.random.default_rng(200 + 10 * n1 + n2 + (family == "type2"))
+    below_rank_max = 0
+    for num_rx, snr_db in itertools.product((2, 4), range(-10, 45, 10)):
+        h = _rand_h(rng, 6 * 3 * num_rx, cfg.num_ports).reshape(6, 3, num_rx, cfg.num_ports)
+        nv = 10.0 ** (-snr_db / 10.0)
+        sinr, ri, cqi, w, _ = select(h, nv, selector, table)
+        want = np.array([_precoded_sinr(h[s], w[s, ..., :ri[s]], nv) for s in range(len(h))])
+        if family == "type2":
+            assert np.array_equal(sinr, want), (num_rx, snr_db)
+        else:
+            assert np.allclose(sinr, want, rtol=1e-12, atol=0.0), (num_rx, snr_db)
+            ratings = dict(_ratings(monkeypatch, selector, h, nv))
+            below_rank_max += sum(sinr[s] < ratings[ri[s]][s].max() for s in range(len(h)))
+    assert below_rank_max > 0 or family == "type2"
 
 
 def _selector(cfg, family):

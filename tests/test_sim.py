@@ -484,6 +484,50 @@ class TestRunSweep:
         assert capfd.readouterr() == ("", "")
 
 
+_TABLE3 = CqiTable((1.0, 2.0, 3.0), (0.0, 5.0, 10.0))
+_OUTCOME_CASES = {  # ri, cqi, realized dB -> throughput, failed
+    "at-threshold": ((1,), (2,), (5.0,), (2.0,), 0),
+    "inside-slack": ((1,), (2,), (5.0 - 0.5e-9,), (2.0,), 0),
+    "beyond-slack": ((1,), (2,), (5.0 - 2e-9,), (0.0,), 1),
+    "no-signal": ((1,), (1,), (-math.inf,), (0.0,), 1),
+    "cqi0": ((2, 1, 3), (0, 0, 0), (math.nan, math.inf, -math.inf), (0.0, 0.0, 0.0), 0),
+    "rank-scaling": ((1, 2, 3, 4), (3, 3, 1, 2), (10.0, 12.0, 0.0, 7.0), (3.0, 6.0, 3.0, 8.0), 0),
+}
+
+
+class TestOutcome:
+    """sim._outcome on hand-made reports: a scheduled slot (CQI > 0) pays ri
+    x efficiency(cqi) when its realized SINR reaches the CQI's threshold
+    less 1e-9 dB and fails otherwise; a CQI-0 slot pays 0 and does not fail,
+    whatever its realized SINR."""
+
+    @pytest.mark.parametrize("case", _OUTCOME_CASES.values(), ids=_OUTCOME_CASES)
+    def test_case(self, case):
+        ri, cqi, realized_db, want_tp, want_failed = case
+        tp, failed = sim._outcome(np.array(ri), np.array(cqi), np.array(realized_db), _TABLE3)
+        assert tp.tolist() == list(want_tp)
+        assert failed == want_failed
+
+    def test_matches_per_slot_rule(self):
+        """On random reports whose realized SINRs sit on, just inside and
+        just beyond the slack around every threshold, one array pass equals
+        the rule applied slot by slot, bit for bit."""
+        table = CqiTable.default()
+        rng = np.random.default_rng(5)
+        ri = rng.integers(1, 5, 2000)
+        cqi = rng.integers(0, 16, 2000)
+        thr = np.asarray(table.sinr_threshold_db)[np.maximum(cqi, 1) - 1]
+        realized_db = thr + rng.choice([-2e-9, -1e-9, -0.5e-9, 0.0, 0.5e-9, -3.0, 3.0], 2000)
+        want_tp, want_failed = [], 0
+        for r, c, x in zip(ri.tolist(), cqi.tolist(), realized_db.tolist()):
+            ok = c > 0 and x >= table.sinr_threshold_db[c - 1] - 1e-9
+            want_tp.append(r * table.efficiency(c) if ok else 0.0)
+            want_failed += c > 0 and not ok
+        tp, failed = sim._outcome(ri, cqi, realized_db, table)
+        assert tp.tolist() == want_tp and failed == want_failed
+        assert 0 < failed < np.count_nonzero(cqi)
+
+
 class TestScoringOracle:
     """Each point's throughput, failures and histograms equal a per-slot
     recomputation: the slot's select_csi report, applied by its precoder to
