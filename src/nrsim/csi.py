@@ -45,6 +45,7 @@ _CQI_EFFICIENCY = (
     3.3223, 3.9023, 4.5234, 5.1152, 5.5547,
 )
 _DEFAULT_GAP_DB = 2.0
+_SELECT_BYTES = 2 << 20  # bytes a selection block's largest array may take (_block_slots)
 
 
 @dataclass(frozen=True)
@@ -420,6 +421,24 @@ def _rate_pairs(prod: np.ndarray, plan, noise_var: float, num_ports: int) -> np.
     return np.exp2(total / (4 * num_sb)).transpose(2, 0, 1, 3) - 1.0
 
 
+def _usable_ranks(ranks, num_rx: int, num_tx: int) -> list[int]:
+    """The Type I ranks, ascending, that a num_rx x num_tx channel carries."""
+    return [rank for rank in sorted(ranks) if rank <= min(num_rx, num_tx)]
+
+
+def _block_slots(family, num_sb: int, num_rx: int) -> int:
+    """Slots per selection block of family (Type I codebooks by rank, or a
+    Type2CodebookSpace) at num_sb subbands and num_rx rx, at least one: as
+    many as keep its largest array within _SELECT_BYTES, Type I's largest
+    beam-product gather of a usable rank or Type II's projections or phase search."""
+    if isinstance(family, Type2CodebookSpace):  # per subband: projections, 2 x 4B x 2B search
+        sb_bytes = max(family.beams[..., 0].size * num_rx * 2, 16 * family.t2.num_beams ** 2) * 16
+    else:
+        ranks = _usable_ranks(family, num_rx, next(iter(family.values())).cfg.num_ports)
+        sb_bytes = max(plan[0].size for plan in _gram_plan(tuple(family[r] for r in ranks))[1]) * 16
+    return max(1, _SELECT_BYTES // (sb_bytes * num_sb))
+
+
 def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook],
                   table: CqiTable) -> tuple[np.ndarray, ...]:
     """(SINR, rank, CQI, w, indices) per slot of h (slots, subbands, rx, tx):
@@ -432,7 +451,7 @@ def _select_type1(h: np.ndarray, noise_var: float, codebooks: dict[int, Codebook
     for key, cb in codebooks.items():
         if key != cb.col_offsets.shape[1]:
             raise ValueError(f"codebooks[{key}] is a rank-{cb.col_offsets.shape[1]} codebook")
-    ranks = [rank for rank in sorted(codebooks) if rank <= min(num_rx, num_tx)]
+    ranks = _usable_ranks(codebooks, num_rx, num_tx)
     if not ranks:
         raise ValueError("no codebook rank is usable for this channel size")
     shifts, plans = _gram_plan(tuple(codebooks[rank] for rank in ranks))

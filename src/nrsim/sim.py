@@ -36,7 +36,8 @@ from .codebook import (
     oversampling_factors,
     realize_type2_precoder,  # not called here: bench/spans.py traces it as sim.realize_type2_precoder
 )
-from .csi import CqiTable, _check_finite, _logdet_capacity, _precoded_sinr, _select_type1, _select_type2
+from .csi import (CqiTable, _block_slots, _check_finite, _logdet_capacity, _precoded_sinr,
+                  _select_type1, _select_type2, _usable_ranks)
 from .csi import select_csi  # not called here: bench/spans.py traces it as sim.select_csi
 from .overhead import expected_overhead, type1_overhead_bits, type2_overhead_bits
 
@@ -70,15 +71,6 @@ _SNR_LIMIT_DB = 1000.0
 # temporaries, so the per-slot capacities are the only array of that scoring
 # that grows with the slot count.
 _SVD_BLOCK = 16
-
-# Bytes the largest intermediate of a CSI selection block may take (Type I's
-# rank-3 beam-product gather, Type II's beam projections or phase search). At
-# 13 subbands and 4 rx a block is 6 slots of 8-port Type I and 1 of 16-port,
-# and 39 of 8-port Type II and 9 of 16-port: the block sets the working memory.
-# The reported precoders w add little: Type I's, (slots, 1, ports, top rank)
-# complex, are 0.5 KiB per 8-port slot; Type II's replace its unit columns.
-_SELECT_BYTES = 2 << 20
-
 
 class CodebookMode(enum.Enum):
     TYPE1 = "type1"
@@ -187,27 +179,22 @@ def _aggregate(snr_db: float, tp: np.ndarray, ri: np.ndarray, cqi: np.ndarray,
 
 
 def _codebooks(cfg: SweepConfig):
-    """(select(h, noise_var, table), slot_bytes, bits(rank)): the mode's block
-    selection, its largest intermediate per slot and subband, and its report
-    size; None for the SVD bound. Codebooks are built once per process."""
+    """(select(h, noise_var, table), block, bits(rank)): the mode's block
+    selection, the slots csi's _block_slots lets it select at a time, and its
+    report size; None for the SVD bound. Codebooks are built once per process."""
     antenna, channel = cfg.scenario.antenna, cfg.scenario.channel
     if cfg.codebook_mode is CodebookMode.SVD_IDEAL:
         return None
     ov = oversampling_factors(antenna)
     if cfg.codebook_mode is CodebookMode.TYPE1:
         cbs = {r: build_type1_codebook(antenna, r, ov)
-               for r in range(1, min(4, channel.num_rx_ports, antenna.num_ports) + 1)}
-        # Largest intermediate: the gather of the top rank below 4 (rank 4 rates
-        # from one inverse per beam pair), 32 bytes per (Gram entry, entry, subband).
-        r3 = min(3, max(cbs))
+               for r in _usable_ranks(range(1, 5), channel.num_rx_ports, antenna.num_ports)}
         return (lambda h, noise_var, table: _select_type1(h, noise_var, cbs, table),
-                r3 * (r3 + 1) // 2 * len(cbs[r3]) * 32,
+                _block_slots(cbs, channel.num_subbands, channel.num_rx_ports),
                 lambda r: type1_overhead_bits(cbs[r], channel.num_subbands).total_bits)
     space = build_type2_structure(antenna, cfg.scenario.type2, ov)
-    # Largest intermediate: the beam projections or the 2 x 4B x 2B phase search, per subband.
-    slot_bytes = max(space.beams[..., 0].size * channel.num_rx_ports * 2,
-                     16 * cfg.scenario.type2.num_beams ** 2) * 16
-    return (lambda h, noise_var, table: _select_type2(h, noise_var, space, table), slot_bytes,
+    return (lambda h, noise_var, table: _select_type2(h, noise_var, space, table),
+            _block_slots(space, channel.num_subbands, channel.num_rx_ports),
             lambda r: type2_overhead_bits(space, r, channel.num_subbands).total_bits)
 
 
@@ -227,8 +214,7 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     snr_db = cfg.snr_points_db[point_idx]
     noise_var = 10.0 ** (-snr_db / 10.0)
     h = generate_channel(ch_cfg, cfg.num_slots, _derive_point_seed(cfg.seed, point_idx)).h
-    num_sb = h.shape[1]
-    bandwidth_hz = num_sb * ch_cfg.subband_spacing_hz
+    bandwidth_hz = h.shape[1] * ch_cfg.subband_spacing_hz
     delay = cfg.feedback_delay_slots
     scored = cfg.num_slots - delay
 
@@ -238,11 +224,10 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
         return _aggregate(snr_db, capacity, np.full(scored, min(h.shape[2:])),
                           np.zeros(scored, dtype=int), 0, lambda r: 0, bandwidth_hz)
 
-    select, slot_bytes, bits = _codebooks(cfg)
+    select, block, bits = _codebooks(cfg)
     # Select a block of scored slots at a time, then realize each rank the block
     # schedules (CQI > 0) in one pass on the channel the report is applied to,
     # feedback_delay later, with the precoders taken from the selection's w.
-    block = max(1, _SELECT_BYTES // (slot_bytes * num_sb))
     ri, cqi = np.zeros(scored, dtype=int), np.zeros(scored, dtype=int)
     realized_db = np.full(scored, np.nan)  # realized effective SINR of each scheduled slot
     for start in range(0, scored, block):
@@ -343,12 +328,12 @@ def compare_modes(cfgs) -> ModeComparison:
         get = attrgetter(field)
         if any(get(other) != get(ref) for other in cfgs[1:]):
             raise ValueError(f"configs disagree on {field}")
-    # Build every config's codebook structures first, so forked workers
-    # inherit them. One pool of _worker_count(configs x points) processes gets
-    # every (config, point) task at once, in config order and then point order;
-    # at one worker the builtin map runs each config's points in this process,
-    # inside its own run_sweep call. The finally cancels the points still
-    # queued and shuts the pool down, also when queuing itself fails.
+    # Build every config's codebooks, and with its block length Type I's _gram_plan,
+    # first, so forked workers inherit them. One pool of _worker_count(configs x
+    # points) processes gets every (config, point) task at once, in config order and
+    # then point order; at one worker the builtin map runs each config's points in
+    # this process, inside its own run_sweep call. The finally cancels the points
+    # still queued and shuts the pool down, also when queuing itself fails.
     for cfg in cfgs:
         _codebooks(cfg)
     points = range(len(ref.snr_points_db))

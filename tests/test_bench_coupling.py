@@ -5,7 +5,8 @@ bench/workloads.py as they are and fail when a refactor drops a name they
 use, or changes a call pattern they rely on, which would otherwise surface
 only as a crash of `bench/run.py --trace 1`: run.py divides by the time
 spent in `sim.run_sweep` (so compare_modes must call it once per config),
-and the tracer's `select_csi` wrapper unpacks `h.shape` as (subbands, rx, tx).
+and the sweep never calls `select_csi`, so the tracer's `select_csi` spans
+read 0.
 """
 
 import importlib.util
@@ -76,12 +77,13 @@ def test_compare_modes_runs_run_sweep_once_per_config(monkeypatch):
 
 def test_select_csi_gets_3d_slot_views(monkeypatch):
     """The traced comparison completes, runs run_sweep once per config, and
-    hands select_csi, if it calls it at all, only (subbands, rx, tx) slot
-    views: the point runner selects blocks of slots without select_csi, and
-    a 4-D block would break the tracer's unpacking of h.shape."""
+    never calls select_csi: the point runner selects blocks of slots through
+    sim's block selectors, so the tracer's select_csi spans, which would
+    unpack a slot view's h.shape as (subbands, rx, tx), read 0."""
     summary, shapes = _traced_compare_8x4(monkeypatch)
     wl = workloads.WORKLOADS["compare_8x4"]
-    assert all(shape == (wl.subbands, wl.rx, wl.tx) for shape in shapes)
+    assert shapes == []
+    assert not [name for name in summary["calls"] if name.startswith("csi.select_csi.")]
     assert summary["calls"]["sim.run_sweep"] == len(wl.modes)
 
 

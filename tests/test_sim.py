@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import nrsim.csi as csi
 import nrsim.sim as sim
 from nrsim import (
     AntennaConfig,
@@ -558,8 +559,8 @@ class TestScoringOracle:
         monkeypatch.setattr(sim, "generate_channel", recording)
         cfg = _mini_config(mode=mode, snr=(-16.0, 0.0, 15.0, 30.0), slots=20, delay=delay,
                            seed=1, num_rx=4, doppler=100.0)
-        num_sb = cfg.scenario.channel.num_subbands
-        monkeypatch.setattr(sim, "_SELECT_BYTES", 6 * sim._codebooks(cfg)[1] * num_sb)
+        monkeypatch.setattr(csi, "_SELECT_BYTES", 6 * csi._SELECT_BYTES // sim._codebooks(cfg)[1])
+        assert sim._codebooks(cfg)[1] == 6
         points = run_sweep(cfg).points
         antenna, table = cfg.scenario.antenna, cfg.scenario.cqi_table
         ov = oversampling_factors(antenna)
@@ -613,7 +614,42 @@ def _panel_config(n1, n2, mode, slots, snr=(10.0,), num_rx=4, subbands=13):
 
 class TestSelectionBlocks:
     """A point selects its scored slots one block at a time, as many as keep
-    the largest selection intermediate within sim._SELECT_BYTES."""
+    the largest selection intermediate within csi._SELECT_BYTES."""
+
+    # Block lengths at 13 subbands and 1, 2 and 4 rx. At 1 rx Type I rates
+    # rank 1 alone, so rank 1's beam-product gather sizes its blocks.
+    @pytest.mark.parametrize("mode, n1, n2, blocks", [
+        (CodebookMode.TYPE1, 4, 1, (157, 13, 6)),
+        (CodebookMode.TYPE1, 4, 2, (19, 1, 1)),
+        (CodebookMode.TYPE1, 2, 1, (315, 26, 13)),
+        (CodebookMode.TYPE1, 2, 2, (39, 3, 1)),
+        (CodebookMode.TYPE2, 4, 1, (39, 39, 39)),
+        (CodebookMode.TYPE2, 4, 2, (39, 19, 9)),
+        (CodebookMode.TYPE2, 2, 1, (157, 157, 157)),
+        (CodebookMode.TYPE2, 2, 2, (39, 39, 19)),
+    ])
+    def test_block_lengths(self, mode, n1, n2, blocks):
+        for num_rx, block in zip((1, 2, 4), blocks):
+            cfg = _panel_config(n1, n2, mode, slots=2, num_rx=num_rx, subbands=13)
+            assert sim._codebooks(cfg)[1] == block, num_rx
+
+    @pytest.mark.parametrize("mode, name", [(CodebookMode.TYPE1, "_select_type1"),
+                                            (CodebookMode.TYPE2, "_select_type2")])
+    def test_sweep_calls_the_selector_in_sim(self, mode, name, monkeypatch):
+        """A sweep selects through the selector sim holds when it runs, so
+        that wrapping sim's name reaches every block."""
+        monkeypatch.setenv("NRSIM_THREADS", "1")
+        cfg = _mini_config(mode=mode, slots=12)
+        want = run_sweep(cfg)
+        blocks, select = [], getattr(sim, name)
+
+        def spy(h, *args):
+            blocks.append(len(h))
+            return select(h, *args)
+
+        monkeypatch.setattr(sim, name, spy)
+        assert run_sweep(cfg) == want
+        assert sum(blocks) == len(cfg.snr_points_db) * (cfg.num_slots - cfg.feedback_delay_slots)
 
     @pytest.mark.parametrize("mode", [CodebookMode.TYPE1, CodebookMode.TYPE2])
     @pytest.mark.parametrize("n1, n2", [(2, 1), (4, 1), (4, 2)])
@@ -622,7 +658,7 @@ class TestSelectionBlocks:
         cfg = _panel_config(n1, n2, mode, slots=25, snr=(-5.0, 10.0, 30.0), subbands=5)
         points = []
         for budget in (1, 1 << 40):
-            monkeypatch.setattr(sim, "_SELECT_BYTES", budget)
+            monkeypatch.setattr(csi, "_SELECT_BYTES", budget)
             points.append([sim._run_point(cfg, i) for i in range(len(cfg.snr_points_db))])
         assert points[0] == points[1]
         assert sum(pt.slots_failed for pt in points[0]) > 0
@@ -650,7 +686,7 @@ class TestSelectionBlocks:
                 tracemalloc.stop()
             peaks.append(peak - slots * subbands * 4 * 2 * n1 * n2 * 16)
         assert abs(peaks[1] - peaks[0]) < 0.5e6
-        assert max(peaks) < 5 * sim._SELECT_BYTES
+        assert max(peaks) < 5 * csi._SELECT_BYTES
 
 
 class TestCompareModes:
