@@ -9,10 +9,13 @@ panel (`[antenna] n2 = 2`) and on a 2x2 panel (`[antenna] n1 = 2`, `n2 = 2`:
 report is scored on the channel it was chosen on, so only rounding parts
 realized from predicted SINR, and the lowest points report CQI 0; and at
 `[channel] doppler_hz = 100` with `feedback_delay = 4`, where about half the
-scheduled slots fail (panels `4x1-delay0` and `4x1-doppler100-delay4`).
-Between them the sweeps reach every outcome of a slot: paid, failed and not
-scheduled. Each sweep runs once with NRSIM_THREADS=1 and
-once with the default worker count. Prints one `sha256  seed panel workers
+scheduled slots fail (panels `4x1-delay0` and `4x1-doppler100-delay4`);
+and on the 4x2 panel at `doppler_hz = 100` with `feedback_delay = 4`
+(`4x2-doppler100-delay4`), where Type I selects one slot at a time, so each
+report is applied to a channel four selection blocks later. Between them
+the sweeps reach every outcome of a slot: paid, failed and not scheduled.
+Each sweep runs once with NRSIM_THREADS=1 and once with the default worker
+count. Prints one `sha256  seed panel workers
 file` line per CSV, each
 followed by one `sha256  seed panel workers file mode` line per mode over
 that mode's rows, in file order without the header. Then, on each panel,
@@ -48,7 +51,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SEEDS = (2026, 7)
 PANELS = {"4x1": "", "4x2": "[antenna]\nn2 = 2\n", "2x2": "[antenna]\nn1 = 2\nn2 = 2\n"}
 SWEEPS = PANELS | {"4x1-delay0": "[sweep]\nfeedback_delay = 0\nsnr = -30:5:40\n",
-                   "4x1-doppler100-delay4": "[channel]\ndoppler_hz = 100\n[sweep]\nfeedback_delay = 4\n"}
+                   "4x1-doppler100-delay4": "[channel]\ndoppler_hz = 100\n[sweep]\nfeedback_delay = 4\n",
+                   "4x2-doppler100-delay4": PANELS["4x2"] + "[channel]\ndoppler_hz = 100\n"
+                                            "[sweep]\nfeedback_delay = 4\n"}
 WORKERS = ("1", "default")
 CSVS = ("sweep.csv", "ri_hist.csv", "cqi_hist.csv")
 MODES = ("type1", "type2", "svd")

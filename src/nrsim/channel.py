@@ -203,8 +203,9 @@ class ChannelRealization:
 
 
 # Bytes of tap matrices per block of the trajectory. A block and its normals
-# take about twice this (or one slot each, where one slot is larger), so they
-# stay in L2 at any port and tap count, and no array but h grows with the
+# take about twice this (or one slot each, where one slot is larger), so
+# they stay in L2 at any port and tap count; the block's frequency response
+# takes subbands/taps times this. No array of the generator grows with the
 # slot count.
 _BLOCK_BYTES = 1 << 17
 
@@ -248,15 +249,18 @@ def _tap_blocks(rng: np.random.Generator, powers: np.ndarray, rho: float,
         buf[0] = block[-1]
 
 
-def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRealization:
-    """Draw a correlated channel trajectory from seed.
+def _response_blocks(cfg: ChannelConfig, num_slots: int, seed: int):
+    """Draw a correlated channel trajectory from seed one block of slots at a
+    time: yields (first slot, h block (slots, subbands, rx, tx)) in slot
+    order, _block_slots slots per block. The block is a view of one buffer,
+    which the next block overwrites. The arguments are checked at the call,
+    before the first block is drawn.
 
     H(k) = sum_t A_t * exp(-j*2*pi*f_k*tau_t) with subband centers f_k placed
     symmetrically around the carrier and tau_t = normalized_delay * spread.
-    h is filled one block of slots at a time, so no other array grows with
-    num_slots. Each slot's H is one BLAS product of the (subbands, taps)
-    phase matrix and the slot's (taps, rx*tx) taps, so where a block starts
-    cannot change a bit of h.
+    Each slot's H is one BLAS product of the (subbands, taps) phase matrix
+    and the slot's (taps, rx*tx) taps, so where a block starts cannot change
+    a bit of it.
     """
     for name, value, low in (("num_slots", num_slots, 1), ("seed", seed, 0)):
         if not _is_int(value):  # a bool or a float would pass the range test
@@ -271,10 +275,26 @@ def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRe
     k = np.arange(cfg.num_subbands)
     freqs = (k - (cfg.num_subbands - 1) / 2.0) * cfg.subband_spacing_hz
     phase = np.exp(-2j * np.pi * np.outer(freqs, delays_s))  # (subbands, taps)
-    num_rx, num_tx = cfg.num_rx_ports, cfg.num_tx_ports
-    h = np.empty((num_slots, cfg.num_subbands, num_rx, num_tx), dtype=complex)
-    for start, taps in _tap_blocks(rng, powers, rho, num_slots, num_rx, num_tx):
-        n = len(taps)
-        np.matmul(phase, taps.reshape(n, len(powers), num_rx * num_tx),
-                  out=h[start:start + n].reshape(n, cfg.num_subbands, num_rx * num_tx))
+    num_sb, num_rx, num_tx = cfg.num_subbands, cfg.num_rx_ports, cfg.num_tx_ports
+    step = _block_slots(len(powers), num_rx, num_tx)
+    h = np.empty((min(num_slots, step), num_sb, num_rx, num_tx), dtype=complex)
+
+    def blocks():
+        for start, taps in _tap_blocks(rng, powers, rho, num_slots, num_rx, num_tx):
+            n = len(taps)
+            np.matmul(phase, taps.reshape(n, len(powers), num_rx * num_tx),
+                      out=h[:n].reshape(n, num_sb, num_rx * num_tx))
+            yield start, h[:n]
+
+    return blocks()
+
+
+def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRealization:
+    """Draw a correlated channel trajectory from seed: the blocks of
+    _response_blocks, written one by one into the whole (slots, subbands,
+    rx, tx) h, so no other array grows with num_slots."""
+    blocks = _response_blocks(cfg, num_slots, seed)
+    h = np.empty((num_slots, cfg.num_subbands, cfg.num_rx_ports, cfg.num_tx_ports), dtype=complex)
+    for start, block in blocks:
+        h[start:start + len(block)] = block
     return ChannelRealization(h=h)

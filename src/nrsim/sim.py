@@ -1,6 +1,7 @@
-"""SNR sweep engine: select CSI per slot, apply each report's precoder after
-a feedback delay, score each reported rank's slots in one pass through the
-link abstraction, and aggregate RI/CQI/overhead statistics per SNR point.
+"""SNR sweep engine: stream each point's channel block by block, select CSI
+per slot, apply each report's precoder after a feedback delay, score each
+reported rank's slots in one pass through the link abstraction, and
+aggregate RI/CQI/overhead statistics per SNR point.
 
 SNR is referenced to unit average channel power with unit-power symbols, so
 noise_var = 10^(-snr_db/10). Points have independent derived seeds.
@@ -26,7 +27,9 @@ from operator import attrgetter
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; pool workers inherit it loaded)
 
-from .channel import ChannelConfig, generate_channel
+from .channel import ChannelConfig, _response_blocks
+from .channel import _block_slots as _channel_block_slots
+from .channel import generate_channel  # not called here: bench/spans.py traces it as sim.generate_channel
 from .codebook import (
     AntennaConfig,
     Type2Config,
@@ -65,12 +68,6 @@ _THRESHOLD_SLACK_DB = 1e-9
 # range, and a point would report inf or a spurious top CQI.
 _SNR_LIMIT_DB = 1000.0
 
-
-# Slots whose capacities the SVD bound computes at a time: a 16-slot block of
-# 52 subbands at 4x8 ports needs about 0.4 MB of Gram entries and
-# temporaries, so the per-slot capacities are the only array of that scoring
-# that grows with the slot count.
-_SVD_BLOCK = 16
 
 class CodebookMode(enum.Enum):
     TYPE1 = "type1"
@@ -181,10 +178,13 @@ def _aggregate(snr_db: float, tp: np.ndarray, ri: np.ndarray, cqi: np.ndarray,
 def _codebooks(cfg: SweepConfig):
     """(select(h, noise_var, table), block, bits(rank)): the mode's block
     selection, the slots csi's _block_slots lets it select at a time, and its
-    report size; None for the SVD bound. Codebooks are built once per process."""
+    report size. The SVD bound selects nothing (select is None), reports
+    nothing, and takes the channel generator's blocks. Codebooks are built
+    once per process."""
     antenna, channel = cfg.scenario.antenna, cfg.scenario.channel
     if cfg.codebook_mode is CodebookMode.SVD_IDEAL:
-        return None
+        block = _channel_block_slots(len(channel.pdp), channel.num_rx_ports, channel.num_tx_ports)
+        return None, block, lambda r: 0
     ov = oversampling_factors(antenna)
     if cfg.codebook_mode is CodebookMode.TYPE1:
         cbs = {r: build_type1_codebook(antenna, r, ov)
@@ -209,37 +209,63 @@ def _outcome(ri, cqi, realized_db, table: CqiTable):
     return np.where(ok, ri * table.efficiency(cqi), 0.0), int(np.count_nonzero(scheduled & ~ok))
 
 
+def _windows(blocks, num_slots: int, block: int, delay: int):
+    """Cut a channel stream, (first slot, h block) in slot order up to
+    num_slots, into windows of block + delay slots that start every block
+    slots, the last one ending at num_slots: yields (first slot, window).
+    A window is a view of one buffer; the next window keeps its last delay
+    slots at its front and overwrites the rest."""
+    buf, start, filled = None, 0, 0
+    for _, h in blocks:
+        if buf is None:
+            buf = np.empty((min(block + delay, num_slots), *h.shape[1:]), dtype=h.dtype)
+        while len(h):
+            size = min(len(buf), num_slots - start)
+            take = min(len(h), size - filled)
+            buf[filled:filled + take] = h[:take]
+            h = h[take:]
+            filled += take
+            if filled == size:
+                yield start, buf[:size]
+                if start + size < num_slots:
+                    buf[:delay] = buf[block:]
+                    start, filled = start + block, delay
+
+
 def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     table, ch_cfg = cfg.scenario.cqi_table, cfg.scenario.channel
     snr_db = cfg.snr_points_db[point_idx]
     noise_var = 10.0 ** (-snr_db / 10.0)
-    h = generate_channel(ch_cfg, cfg.num_slots, _derive_point_seed(cfg.seed, point_idx)).h
-    bandwidth_hz = h.shape[1] * ch_cfg.subband_spacing_hz
+    bandwidth_hz = ch_cfg.num_subbands * ch_cfg.subband_spacing_hz
     delay = cfg.feedback_delay_slots
     scored = cfg.num_slots - delay
-
-    if cfg.codebook_mode is CodebookMode.SVD_IDEAL:
-        capacity = np.concatenate([_logdet_capacity(h[s:s + _SVD_BLOCK], noise_var).mean(axis=-1)
-                                   for s in range(delay, cfg.num_slots, _SVD_BLOCK)])
-        return _aggregate(snr_db, capacity, np.full(scored, min(h.shape[2:])),
-                          np.zeros(scored, dtype=int), 0, lambda r: 0, bandwidth_hz)
-
     select, block, bits = _codebooks(cfg)
-    # Select a block of scored slots at a time, then realize each rank the block
-    # schedules (CQI > 0) in one pass on the channel the report is applied to,
-    # feedback_delay later, with the precoders taken from the selection's w.
+    # Each window holds a block of scored slots and the feedback_delay slots
+    # after them. Select the block, then realize each rank it schedules (CQI > 0)
+    # in one pass on the channel the report is applied to, feedback_delay later,
+    # with the precoders taken from the selection's w. The SVD bound selects
+    # nothing: each scored slot pays the capacity of its delayed channel.
     ri, cqi = np.zeros(scored, dtype=int), np.zeros(scored, dtype=int)
-    realized_db = np.full(scored, np.nan)  # realized effective SINR of each scheduled slot
-    for start in range(0, scored, block):
-        s = slice(start, min(start + block, scored))
-        _check_finite(h[s])
-        _, ri[s], cqi[s], w, _ = select(h[s], noise_var, table)
+    realized = np.full(scored, np.nan)  # effective SINR (dB) of each scheduled slot, or capacity
+    blocks = _response_blocks(ch_cfg, cfg.num_slots, _derive_point_seed(cfg.seed, point_idx))
+    for start, h in _windows(blocks, cfg.num_slots, block, delay):
+        _check_finite(h)
+        n = len(h) - delay  # scored slots start to start + n
+        s = slice(start, start + n)
+        if select is None:
+            realized[s] = _logdet_capacity(h[delay:], noise_var).mean(axis=-1)
+            continue
+        _, ri[s], cqi[s], w, _ = select(h[:n], noise_var, table)
         for rank in set(ri[s][cqi[s] > 0].tolist()):  # np.unique would import numpy.ma
-            idx = start + np.flatnonzero((ri[s] == rank) & (cqi[s] > 0))
+            idx = np.flatnonzero((ri[s] == rank) & (cqi[s] > 0))
             with np.errstate(divide="ignore"):
-                realized_db[idx] = 10.0 * np.log10(
-                    _precoded_sinr(h[idx + delay], w[idx - start, ..., :rank], noise_var))
-    tp, failed = _outcome(ri, cqi, realized_db, table)
+                realized[start + idx] = 10.0 * np.log10(
+                    _precoded_sinr(h[idx + delay], w[idx, ..., :rank], noise_var))
+    if select is None:
+        ri[:] = min(ch_cfg.num_rx_ports, ch_cfg.num_tx_ports)
+        tp, failed = realized, 0
+    else:
+        tp, failed = _outcome(ri, cqi, realized, table)
     return _aggregate(snr_db, tp, ri, cqi, failed, bits, bandwidth_hz)
 
 

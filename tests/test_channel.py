@@ -10,7 +10,7 @@ from scipy.special import j0
 from scipy.stats import gamma
 
 from nrsim import ChannelConfig, ChannelRealization, cdl_a_pdp, generate_channel, load_pdp_file
-from nrsim.channel import _block_slots, _j0, _tap_blocks
+from nrsim.channel import _block_slots, _j0, _response_blocks, _tap_blocks
 from nrsim.cli import _J0_FIRST_ZERO
 
 
@@ -182,11 +182,12 @@ class TestGenerateChannel:
         (2.5, 1, "num_slots"), (True, 1, "num_slots"), (2, 1.5, "seed"), (2, True, "seed")])
     def test_non_integer_count_or_seed_rejected(self, num_slots, seed, name):
         """A float or a bool (which numpy would read as 1) is refused by name,
-        before any draw."""
+        before any draw: the block generator refuses it at the call."""
         cfg = ChannelConfig(num_tx_ports=4, num_rx_ports=2)
         value = num_slots if name == "num_slots" else seed
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
-            generate_channel(cfg, num_slots, seed)
+        for generate in (generate_channel, _response_blocks):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+                generate(cfg, num_slots, seed)
 
     def test_numpy_integer_count_and_seed_accepted(self):
         cfg = ChannelConfig(num_tx_ports=4, num_rx_ports=2)
@@ -275,6 +276,19 @@ class TestGenerateChannel:
                 assert np.array_equal(h, _per_slot_channel(cfg, num_slots, seed)), (num_slots, seed)
 
     @pytest.mark.parametrize("kwargs", _BLOCK_BOUNDARY_CONFIGS)
+    def test_response_blocks_make_up_the_trajectory(self, kwargs):
+        """The block generator yields _block_slots slots at a time (the last
+        block shorter), in slot order, and its blocks, concatenated, equal
+        generate_channel's h bit for bit."""
+        cfg = ChannelConfig(**kwargs)
+        b = _block_slots(len(cfg.pdp), cfg.num_rx_ports, cfg.num_tx_ports)
+        for num_slots in _boundary_slot_counts(cfg):
+            blocks = [(start, h.copy()) for start, h in _response_blocks(cfg, num_slots, 17)]
+            assert [start for start, _ in blocks] == list(range(0, num_slots, b)), num_slots
+            h = np.concatenate([block for _, block in blocks])
+            assert np.array_equal(h, generate_channel(cfg, num_slots, 17).h), num_slots
+
+    @pytest.mark.parametrize("kwargs", _BLOCK_BOUNDARY_CONFIGS)
     def test_response_matches_textbook_sum(self, kwargs):
         """h equals the textbook sum H(k) = sum_t phase[k, t] A_t, evaluated
         by einsum, within the rounding of two length-T complex sums.
@@ -299,8 +313,9 @@ class TestGenerateChannel:
     @pytest.mark.parametrize("num_slots", [1000, 4000])
     def test_working_memory_independent_of_slots(self, num_slots):
         """Beyond the returned h, generation needs about a block's worth of
-        memory (0.3 MB here), where the whole tap trajectory took 11.8 MB at
-        1000 slots and 47 MB at 4000."""
+        memory (0.6 MB here: the tap block, its normals and its frequency
+        response), where the whole tap trajectory took 11.8 MB at 1000 slots
+        and 47 MB at 4000."""
         cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, num_subbands=52)
         tracemalloc.start()
         try:

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import nrsim.channel as nrsim_channel
 import nrsim.csi as csi
 import nrsim.sim as sim
 from nrsim import (
@@ -30,6 +31,7 @@ from nrsim import (
     expected_overhead,
     generate_channel,
     load_pdp_file,
+    mimo_capacity,
     oversampling_factors,
     realize_type2_precoder,
     run_sweep,
@@ -52,8 +54,8 @@ def _failing_point(cfg, point_idx):
     return _run_point(cfg, point_idx)
 
 
-def _mini_scenario(num_rx=2, doppler=5.0, subbands=3):
-    antenna = AntennaConfig(2, 1)
+def _mini_scenario(num_rx=2, doppler=5.0, subbands=3, panel=(2, 1)):
+    antenna = AntennaConfig(*panel)
     channel = ChannelConfig(
         num_tx_ports=antenna.num_ports, num_rx_ports=num_rx,
         doppler_hz=doppler, num_subbands=subbands,
@@ -248,35 +250,47 @@ class TestRunSweep:
             assert pt.mean_overhead_bits == 0.0
             assert pt.slots_failed == 0.0
 
-    @pytest.mark.parametrize("slots", [3, sim._SVD_BLOCK + 1, sim._SVD_BLOCK + 2, 131])
+    # The mini scenario's channel block: 2 rx, 4 tx, the 23 CDL-A taps.
+    _B = nrsim_channel._block_slots(len(_mini_scenario().channel.pdp), 2, 4)
+
+    @pytest.mark.parametrize("slots", [3, 17, 18, _B - 1, _B, _B + 1, _B + 2, 2 * _B + 1,
+                                       2 * _B + 8, 131])
     def test_svd_blocks_match_one_pass(self, slots):
-        """Scoring the SVD bound in slot blocks gives the bytes of one
-        log-det pass over every scored slot."""
-        cfg = _mini_config(mode=CodebookMode.SVD_IDEAL, snr=(5.0,), slots=slots)
-        h = generate_channel(cfg.scenario.channel, slots, sim._derive_point_seed(cfg.seed, 0)).h
-        capacity = _logdet_capacity(h[1:], 10.0 ** -0.5).mean(axis=-1)
-        got = sim._run_point(cfg, 0)
-        assert got.mean_throughput == float(capacity.mean())
-        assert got.se_mean_throughput == float(capacity.std(ddof=1) / math.sqrt(slots - 1))
+        """Scoring the SVD bound window by window, across channel-block
+        boundaries and at feedback delays 0, 1 and 7, gives the bytes of one
+        log-det pass over every delayed slot of the whole trajectory."""
+        for delay in (d for d in (0, 1, 7) if slots - d >= 2):
+            cfg = _mini_config(mode=CodebookMode.SVD_IDEAL, snr=(5.0,), slots=slots, delay=delay)
+            h = generate_channel(cfg.scenario.channel, slots, sim._derive_point_seed(cfg.seed, 0)).h
+            capacity = _logdet_capacity(h[delay:], 10.0 ** -0.5).mean(axis=-1)
+            got = sim._run_point(cfg, 0)
+            assert got.mean_throughput == float(capacity.mean()), delay
+            assert got.se_mean_throughput == float(
+                capacity.std(ddof=1) / math.sqrt(slots - delay)), delay
 
     @pytest.mark.parametrize("slots", [1000, 4000])
     def test_svd_point_working_memory_independent_of_slots(self, slots):
-        """Beyond its channel array, an SVD point needs about a channel
-        block's worth of memory at 52 subbands and 8x4 ports, not the tap
-        trajectory and the singular values of every slot (11.8 MB at 1000
-        slots, 47 MB at 4000)."""
+        """An SVD point at 52 subbands and 8x4 ports peaks at the same memory,
+        its channel counted, at a tenth of the slots and at all of them:
+        within 1 MB, and under 2 MB (about 1.1 MB: a window of channel
+        slots, the generator's tap and response blocks, and the per-slot
+        capacities, 32 kB at 4000 slots). The whole channel array took 26.6
+        MB at 1000 slots and 106 MB at 4000."""
         antenna = AntennaConfig(4, 1)
         channel = ChannelConfig(num_tx_ports=8, num_rx_ports=4, num_subbands=52)
-        cfg = SweepConfig(scenario=Scenario(antenna=antenna, channel=channel),
-                          snr_points_db=(10.0,), num_slots=slots,
-                          codebook_mode=CodebookMode.SVD_IDEAL)
-        tracemalloc.start()
-        try:
-            sim._run_point(cfg, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - slots * 52 * 4 * 8 * 16 < 1e6
+        peaks = []
+        for num_slots in (slots // 10, slots):
+            cfg = SweepConfig(scenario=Scenario(antenna=antenna, channel=channel),
+                              snr_points_db=(10.0,), num_slots=num_slots,
+                              codebook_mode=CodebookMode.SVD_IDEAL)
+            tracemalloc.start()
+            try:
+                sim._run_point(cfg, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6
+        assert max(peaks) < 2e6
 
     def test_svd_upper_bounds_type1(self):
         ideal = run_sweep(_mini_config(mode=CodebookMode.SVD_IDEAL, slots=50))
@@ -531,48 +545,65 @@ class TestOutcome:
 
 class TestScoringOracle:
     """Each point's throughput, failures and histograms equal a per-slot
-    recomputation: the slot's select_csi report, applied by its precoder to
-    the channel feedback_delay_slots later, pays rank x efficiency when the
-    realized effective SINR (_precoded_sinr, which the sweep scores with)
-    reaches the reported CQI's threshold (1e-9 dB slack); a CQI-0 slot pays
-    0 without failing.
+    recomputation on the point's whole trajectory from generate_channel:
+    the slot's select_csi report, applied by its precoder to the channel
+    feedback_delay_slots later, pays rank x efficiency when the realized
+    effective SINR (_precoded_sinr, which the sweep scores with) reaches the
+    reported CQI's threshold (1e-9 dB slack); a CQI-0 slot pays 0 without
+    failing. The SVD bound pays each delayed slot's mimo_capacity of its
+    singular values, at full rank and CQI 0, without failing.
 
-    Points are selected in 6-slot blocks and checked at feedback delays 0
-    (no slot fails: the report meets the channel it was chosen on), 1 and
-    7, which applies a report to a channel past the next block."""
+    The channel arrives in 4-slot blocks, and points are selected in 6-slot
+    blocks on the 2x1 panel, 1-slot blocks on the 4x2 panel and channel
+    blocks for the SVD bound. They are checked at feedback delays 0 (no slot
+    fails: the report meets the channel it was chosen on), 1 and 7, which
+    applies a report to a channel past the next selection and channel
+    blocks."""
 
     @pytest.mark.parametrize("mode, ranks", [(CodebookMode.TYPE1, {1, 2, 3, 4}),
-                                             (CodebookMode.TYPE2, {1, 2})])
+                                             (CodebookMode.TYPE2, {1, 2}),
+                                             (CodebookMode.SVD_IDEAL, {4})])
     def test_point_matches_per_slot_recomputation(self, mode, ranks, monkeypatch):
+        block = 4 if mode is CodebookMode.SVD_IDEAL else 6
         for delay in (0, 1, 7):
-            self._check_delay(mode, ranks, delay, monkeypatch)
+            self._check_delay(mode, (2, 1), 3, block, ranks, delay, monkeypatch)
 
-    def _check_delay(self, mode, ranks, delay, monkeypatch):
-        channels = []
+    def test_one_slot_blocks_match_at_a_longer_delay(self, monkeypatch):
+        """16-port Type I selects one slot at a time at 13 subbands and 4 rx,
+        so at delay 7 every report is applied seven selection blocks later."""
+        self._check_delay(CodebookMode.TYPE1, (4, 2), 13, 1, {1, 2, 3, 4}, 7, monkeypatch)
 
-        def recording(*args):
-            realization = generate_channel(*args)
-            channels.append(realization.h)
-            return realization
-
+    def _check_delay(self, mode, panel, subbands, block, ranks, delay, monkeypatch):
         monkeypatch.setenv("NRSIM_THREADS", "1")
-        monkeypatch.setattr(sim, "generate_channel", recording)
-        cfg = _mini_config(mode=mode, snr=(-16.0, 0.0, 15.0, 30.0), slots=20, delay=delay,
-                           seed=1, num_rx=4, doppler=100.0)
-        monkeypatch.setattr(csi, "_SELECT_BYTES", 6 * csi._SELECT_BYTES // sim._codebooks(cfg)[1])
-        assert sim._codebooks(cfg)[1] == 6
+        cfg = _mini_config(mode=mode, snr=(-30.0, -16.0, 0.0, 15.0, 30.0), slots=20, delay=delay,
+                           seed=1, num_rx=4, doppler=100.0, subbands=subbands, panel=panel)
+        ch = cfg.scenario.channel
+        monkeypatch.setattr(nrsim_channel, "_BLOCK_BYTES",
+                            4 * 16 * len(ch.pdp) * ch.num_rx_ports * ch.num_tx_ports)
+        if mode is not CodebookMode.SVD_IDEAL:
+            monkeypatch.setattr(csi, "_SELECT_BYTES",
+                                block * csi._SELECT_BYTES // sim._codebooks(cfg)[1])
+        assert sim._codebooks(cfg)[1] == block
         points = run_sweep(cfg).points
         antenna, table = cfg.scenario.antenna, cfg.scenario.cqi_table
         ov = oversampling_factors(antenna)
         if mode is CodebookMode.TYPE1:
             selector = {r: build_type1_codebook(antenna, r, ov) for r in range(1, 5)}
-        else:
+        elif mode is CodebookMode.TYPE2:
             selector = build_type2_structure(antenna, cfg.scenario.type2, ov)
         seen_ranks, seen_failed, seen_cqi0 = set(), 0, 0
-        for pt, h in zip(points, channels, strict=True):
+        for i, pt in enumerate(points):
+            h = generate_channel(ch, cfg.num_slots, sim._derive_point_seed(cfg.seed, i)).h
             noise_var = 10.0 ** (-pt.snr_db / 10.0)
             tps, ris, cqis, failed = [], Counter(), Counter(), 0
             for s in range(cfg.num_slots - cfg.feedback_delay_slots):
+                applied = h[s + cfg.feedback_delay_slots]
+                if mode is CodebookMode.SVD_IDEAL:
+                    sigma = np.linalg.svd(applied, compute_uv=False)
+                    tps.append(float(np.mean(mimo_capacity(sigma, noise_var))))
+                    ris[min(ch.num_rx_ports, ch.num_tx_ports)] += 1
+                    cqis[0] += 1
+                    continue
                 report = select_csi(h[s], noise_var, selector, table)
                 ris[report.ri] += 1
                 cqis[report.cqi] += 1
@@ -583,7 +614,7 @@ class TestScoringOracle:
                         w = cb.precoders([cb.index_of_pmi(report.pmi)])
                     else:
                         w = realize_type2_precoder(selector, report.pmi)
-                    eff = _precoded_sinr(h[s + cfg.feedback_delay_slots], w, noise_var)
+                    eff = _precoded_sinr(applied, w, noise_var)
                     threshold = table.sinr_threshold_db[report.cqi - 1]
                     if eff > 0 and 10.0 * math.log10(eff) >= threshold - 1e-9:
                         tp = report.ri * table.efficiency(report.cqi)
@@ -591,7 +622,10 @@ class TestScoringOracle:
                         failed += 1
                 tps.append(tp)
             scored = len(tps)
-            assert pt.mean_throughput == float(np.mean(tps))
+            if mode is CodebookMode.SVD_IDEAL:  # log-det pivots against singular values
+                assert pt.mean_throughput == pytest.approx(float(np.mean(tps)), rel=1e-12)
+            else:
+                assert pt.mean_throughput == float(np.mean(tps))
             assert pt.slots_failed == failed / scored
             assert pt.ri_histogram == {r: n / scored for r, n in ris.items()}
             assert pt.cqi_histogram == {c: n / scored for c, n in cqis.items()}
@@ -599,7 +633,8 @@ class TestScoringOracle:
             seen_failed += failed
             seen_cqi0 += cqis[0]
         assert seen_ranks == ranks, delay
-        assert (seen_failed > 0) == (delay > 0) and seen_cqi0 > 0, delay
+        assert (seen_failed > 0) == (delay > 0 and mode is not CodebookMode.SVD_IDEAL), delay
+        assert seen_cqi0 > 0, delay
 
 
 def _panel_config(n1, n2, mode, slots, snr=(10.0,), num_rx=4, subbands=13):
@@ -663,17 +698,38 @@ class TestSelectionBlocks:
         assert points[0] == points[1]
         assert sum(pt.slots_failed for pt in points[0]) > 0
 
+    @pytest.mark.parametrize("stream_block", [1, 3, 7, 50])
+    @pytest.mark.parametrize("block, delay", [(1, 0), (1, 7), (6, 1), (6, 7), (50, 3)])
+    def test_windows_cut_the_channel_stream(self, stream_block, block, delay):
+        """_windows re-cuts a stream of blocks of one reused buffer into
+        windows of block + delay slots starting every block slots until one
+        reaches the last slot, for stream blocks shorter and longer than a
+        window and delays longer than a block."""
+        num_slots = 23
+        slots = np.arange(num_slots)
+
+        def stream():
+            buf = np.empty(stream_block, dtype=int)
+            for start in range(0, num_slots, stream_block):
+                n = min(stream_block, num_slots - start)
+                buf[:n] = slots[start:start + n]
+                yield start, buf[:n]
+
+        got = [(start, w.tolist()) for start, w in sim._windows(stream(), num_slots, block, delay)]
+        assert got == [(start, slots[start:start + block + delay].tolist())
+                       for start in range(0, num_slots - delay, block)]
+
     @pytest.mark.parametrize("n1, n2, mode, subbands", [(4, 2, CodebookMode.TYPE1, 4),
                                                         (4, 1, CodebookMode.TYPE2, 13)])
     def test_working_memory_independent_of_slots(self, n1, n2, mode, subbands):
-        """Beyond its channel array, a 16-port Type I point and an 8-port
-        Type II point (4 rx) peak at the same memory at 40 and 400 slots:
-        within 0.5 MB, the selection arrays of one block, which stay alive
-        while the next block is selected. Each peak is under 5 x
-        _SELECT_BYTES: a block's largest intermediate is within the budget,
-        and its other temporaries add the rest. (Per-slot selection kept
-        every slot's report: 8-port Type II peaked about 7.5 MB higher at 400
-        slots than at 40.)"""
+        """A 16-port Type I point and an 8-port Type II point (4 rx) peak at
+        the same memory at 40 and 400 slots, their channel counted: within
+        0.5 MB, the selection arrays of one block, which stay alive while the
+        next block is selected. Each peak is under 5 x _SELECT_BYTES: a
+        block's largest intermediate is within the budget, and its other
+        temporaries and the channel window add the rest. (Per-slot selection
+        kept every slot's report: 8-port Type II peaked about 7.5 MB higher
+        at 400 slots than at 40; the whole channel array added 2.4 MB more.)"""
         sim._run_point(_panel_config(n1, n2, mode, 2, subbands=subbands), 0)  # builds the codebooks
         peaks = []
         for slots in (40, 400):
@@ -684,7 +740,7 @@ class TestSelectionBlocks:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            peaks.append(peak - slots * subbands * 4 * 2 * n1 * n2 * 16)
+            peaks.append(peak)
         assert abs(peaks[1] - peaks[0]) < 0.5e6
         assert max(peaks) < 5 * csi._SELECT_BYTES
 
