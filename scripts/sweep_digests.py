@@ -28,6 +28,10 @@ codebook's `precoders`. Running it in two checkouts and diffing the
 output shows whether a change keeps the simulated curves, the report sizes
 and the codebook entries byte-identical, and if not, which modes' rows moved.
 
+`digest_lines` yields the lines for any runner of the nrsim commands:
+`tests/test_digests.py` runs them in its own process and compares them with
+`tests/digests.txt`, this script's output under a version header.
+
 With `--keep DIR`, every CSV is also kept under DIR (new or empty), in one
 subdirectory per run named like its digest line: `seed-panel-workers/`,
 `overhead-panel-codebook-rank-subbands/` and `codebook-panel-type1-rank/`.
@@ -65,6 +69,40 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def digest_lines(nrsim, tmp: Path, workers=WORKERS, read=lambda run, name: (run / name).read_bytes()):
+    """Yield the digest lines, in the order main prints them. nrsim(argv,
+    workers) runs `nrsim argv` at NRSIM_THREADS=workers, or at the default
+    worker count for "default"; every run writes under the directory tmp,
+    and read(run directory, file name) returns a CSV's bytes."""
+    for panel, ini in SWEEPS.items():
+        (tmp / f"{panel}.ini").write_text(ini, encoding="utf-8")
+    for seed, panel, threads in itertools.product(SEEDS, SWEEPS, workers):
+        out = tmp / f"{seed}-{panel}-{threads}"
+        nrsim(["sweep", "--config", f"{tmp}/{panel}.ini", "--codebook", ",".join(MODES),
+               "--slots", "80", "--seed", str(seed), "--out", str(out)], threads)
+        for name in CSVS:
+            data = read(out, name)
+            yield f"{sha256(data)}  {seed} {panel} {threads} {name}"
+            rows = data.splitlines(keepends=True)[1:]  # every CSV has mode as column 2
+            for mode in MODES:
+                mode_rows = b"".join(r for r in rows if r.split(b",")[1] == mode.encode())
+                yield f"{sha256(mode_rows)}  {seed} {panel} {threads} {name} {mode}"
+    for panel, (codebook, ranks), subbands in itertools.product(
+            PANELS, OVERHEAD_RANKS.items(), OVERHEAD_SUBBANDS):
+        for rank in ranks:
+            out = tmp / f"overhead-{panel}-{codebook}-{rank}-{subbands}"
+            nrsim(["overhead", "--config", f"{tmp}/{panel}.ini", "--codebook", codebook,
+                   "--rank", str(rank), "--subbands", str(subbands), "--out", str(out)], "default")
+            data = read(out, "overhead.csv")
+            yield f"{sha256(data)}  {panel} overhead {codebook} {rank} {subbands}"
+    for panel, rank in itertools.product(PANELS, OVERHEAD_RANKS["type1"]):
+        out = tmp / f"codebook-{panel}-type1-{rank}"
+        nrsim(["codebook", "dump", "--config", f"{tmp}/{panel}.ini", "--rank", str(rank),
+               "--out", str(out)], "default")
+        data = read(out, f"codebook_type1_rank{rank}.csv")
+        yield f"{sha256(data)}  {panel} codebook type1 {rank}"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--keep", type=Path, metavar="DIR", help="also keep every CSV under DIR")
@@ -81,40 +119,15 @@ def main(argv=None) -> int:
 
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "NRSIM_THREADS"} | {"PYTHONPATH": pythonpath}
+
+    def nrsim(argv, workers):
+        subprocess.run([sys.executable, "-m", "nrsim", *argv],
+                       env=env if workers == "default" else {**env, "NRSIM_THREADS": workers},
+                       check=True, stdout=subprocess.DEVNULL)
+
     with tempfile.TemporaryDirectory() as tmp:
-        for panel, ini in SWEEPS.items():
-            (Path(tmp) / f"{panel}.ini").write_text(ini, encoding="utf-8")
-        for seed, panel, workers in itertools.product(SEEDS, SWEEPS, WORKERS):
-            out = Path(tmp) / f"{seed}-{panel}-{workers}"
-            subprocess.run([sys.executable, "-m", "nrsim", "sweep", "--config", f"{tmp}/{panel}.ini",
-                            "--codebook", ",".join(MODES), "--slots", "80",
-                            "--seed", str(seed), "--out", str(out)],
-                           env=env if workers == "default" else {**env, "NRSIM_THREADS": workers},
-                           check=True, stdout=subprocess.DEVNULL)
-            for name in CSVS:
-                data = read(out, name)
-                print(f"{sha256(data)}  {seed} {panel} {workers} {name}", flush=True)
-                rows = data.splitlines(keepends=True)[1:]  # every CSV has mode as column 2
-                for mode in MODES:
-                    mode_rows = b"".join(r for r in rows if r.split(b",")[1] == mode.encode())
-                    print(f"{sha256(mode_rows)}  {seed} {panel} {workers} {name} {mode}", flush=True)
-        for panel, (codebook, ranks), subbands in itertools.product(
-                PANELS, OVERHEAD_RANKS.items(), OVERHEAD_SUBBANDS):
-            for rank in ranks:
-                out = Path(tmp) / f"overhead-{panel}-{codebook}-{rank}-{subbands}"
-                subprocess.run([sys.executable, "-m", "nrsim", "overhead", "--config",
-                                f"{tmp}/{panel}.ini", "--codebook", codebook, "--rank", str(rank),
-                                "--subbands", str(subbands), "--out", str(out)],
-                               env=env, check=True, stdout=subprocess.DEVNULL)
-                data = read(out, "overhead.csv")
-                print(f"{sha256(data)}  {panel} overhead {codebook} {rank} {subbands}", flush=True)
-        for panel, rank in itertools.product(PANELS, OVERHEAD_RANKS["type1"]):
-            out = Path(tmp) / f"codebook-{panel}-type1-{rank}"
-            subprocess.run([sys.executable, "-m", "nrsim", "codebook", "dump", "--config",
-                            f"{tmp}/{panel}.ini", "--rank", str(rank), "--out", str(out)],
-                           env=env, check=True, stdout=subprocess.DEVNULL)
-            data = read(out, f"codebook_type1_rank{rank}.csv")
-            print(f"{sha256(data)}  {panel} codebook type1 {rank}", flush=True)
+        for line in digest_lines(nrsim, Path(tmp), read=read):
+            print(line, flush=True)
     return 0
 
 

@@ -20,7 +20,6 @@ from .codebook import _check_ints, _is_int
 
 __all__ = [
     "ChannelConfig",
-    "ChannelRealization",
     "cdl_a_pdp",
     "load_pdp_file",
     "generate_channel",
@@ -191,22 +190,10 @@ class ChannelConfig:
             raise ValueError(f"pdp powers must sum to 1, got {float(powers.sum())!r}")
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """h has shape (num_slots, num_subbands, num_rx, num_tx)."""
-
-    h: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.h.ndim != 4:
-            raise ValueError(f"h must be 4-D (slot, subband, rx, tx), got shape {self.h.shape}")
-
-
 # Bytes of tap matrices per block of the trajectory. A block and its normals
 # take about twice this (or one slot each, where one slot is larger), so
-# they stay in L2 at any port and tap count; the block's frequency response
-# takes subbands/taps times this. No array of the generator grows with the
-# slot count.
+# they stay in L2 at any port and tap count. No array of the generator grows
+# with the slot count.
 _BLOCK_BYTES = 1 << 17
 
 
@@ -225,48 +212,28 @@ def _complex_normal(rng: np.random.Generator, out: np.ndarray) -> None:
     out *= 1.0 / np.sqrt(2.0)
 
 
-def _tap_blocks(rng: np.random.Generator, powers: np.ndarray, rho: float,
-                num_slots: int, num_rx: int, num_tx: int):
-    """AR(1)-evolved tap matrices, every slot marginally CN(0, p_t) per
-    entry, in blocks of _block_slots slots: yields (first slot, block
-    (slots, taps, rx, tx)). The block is a view of one buffer, which the
-    next block overwrites."""
-    scale = np.sqrt(powers)[:, None, None]
-    innov = np.sqrt(max(0.0, 1.0 - rho * rho)) * scale
-    step = _block_slots(len(powers), num_rx, num_tx)
-    buf = np.empty((min(num_slots, step) + 1, len(powers), num_rx, num_tx), dtype=complex)
-    for start in range(0, num_slots, step):  # buf[0] holds the slot before the block
-        block = buf[1:min(step, num_slots - start) + 1]
-        _complex_normal(rng, block)
-        if start == 0:  # the first slot is drawn from the stationary law
-            block[0] *= scale
-            block[1:] *= innov
-        else:
-            block *= innov
-        for s in range(start == 0, len(block)):
-            block[s] += rho * buf[s]
-        yield start, block
-        buf[0] = block[-1]
+def _check_count(name: str, value, low: int) -> None:
+    if not _is_int(value):  # a bool or a float would pass the range test
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def _response_blocks(cfg: ChannelConfig, num_slots: int, seed: int):
-    """Draw a correlated channel trajectory from seed one block of slots at a
-    time: yields (first slot, h block (slots, subbands, rx, tx)) in slot
-    order, _block_slots slots per block. The block is a view of one buffer,
-    which the next block overwrites. The arguments are checked at the call,
-    before the first block is drawn.
+def _trajectory(cfg: ChannelConfig, seed: int):
+    """Draw a correlated channel trajectory from seed, in slot order: returns
+    fill, and fill(out) writes the trajectory's next len(out) slots into the
+    C-contiguous (slots, subbands, rx, tx) array out. The seed is checked at
+    the call, before the first draw.
 
     H(k) = sum_t A_t * exp(-j*2*pi*f_k*tau_t) with subband centers f_k placed
     symmetrically around the carrier and tau_t = normalized_delay * spread.
-    Each slot's H is one BLAS product of the (subbands, taps) phase matrix
-    and the slot's (taps, rx*tx) taps, so where a block starts cannot change
-    a bit of it.
+    The AR(1)-evolved taps A_t, every slot marginally CN(0, p_t) per entry,
+    are drawn _block_slots slots at a time into a temporary block; between
+    calls only the last slot's taps are kept. Each slot's H is one BLAS
+    product of the (subbands, taps) phase matrix and the slot's (taps,
+    rx*tx) taps, so how the caller splits the trajectory cannot change a bit.
     """
-    for name, value, low in (("num_slots", num_slots, 1), ("seed", seed, 0)):
-        if not _is_int(value):  # a bool or a float would pass the range test
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     delays_s = np.asarray([d for d, _ in cfg.pdp]) * cfg.delay_spread_ns * 1e-9
     powers = np.asarray([p for _, p in cfg.pdp])
@@ -275,26 +242,39 @@ def _response_blocks(cfg: ChannelConfig, num_slots: int, seed: int):
     k = np.arange(cfg.num_subbands)
     freqs = (k - (cfg.num_subbands - 1) / 2.0) * cfg.subband_spacing_hz
     phase = np.exp(-2j * np.pi * np.outer(freqs, delays_s))  # (subbands, taps)
-    num_sb, num_rx, num_tx = cfg.num_subbands, cfg.num_rx_ports, cfg.num_tx_ports
-    step = _block_slots(len(powers), num_rx, num_tx)
-    h = np.empty((min(num_slots, step), num_sb, num_rx, num_tx), dtype=complex)
+    num_taps, num_rx, num_tx = len(powers), cfg.num_rx_ports, cfg.num_tx_ports
+    step = _block_slots(num_taps, num_rx, num_tx)
+    scale = np.sqrt(powers)[:, None, None]
+    innov = np.sqrt(max(0.0, 1.0 - rho * rho)) * scale
+    # The taps of the slot before the next one drawn. Before the first slot
+    # they are zero, so the first slot's AR(1) step adds an exact zero, and
+    # gain draws that slot from the stationary law.
+    last, gain = np.zeros((num_taps, num_rx, num_tx), dtype=complex), scale
 
-    def blocks():
-        for start, taps in _tap_blocks(rng, powers, rho, num_slots, num_rx, num_tx):
-            n = len(taps)
-            np.matmul(phase, taps.reshape(n, len(powers), num_rx * num_tx),
-                      out=h[:n].reshape(n, num_sb, num_rx * num_tx))
-            yield start, h[:n]
+    def fill(out: np.ndarray) -> None:
+        nonlocal gain
+        for start in range(0, len(out), step):
+            n = min(step, len(out) - start)
+            taps = np.empty((n, num_taps, num_rx, num_tx), dtype=complex)
+            _complex_normal(rng, taps)
+            taps[0] *= gain
+            taps[1:] *= innov
+            gain = innov
+            for s in range(n):
+                taps[s] += rho * (taps[s - 1] if s else last)
+            last[...] = taps[-1]
+            np.matmul(phase, taps.reshape(n, num_taps, num_rx * num_tx),
+                      out=out[start:start + n].reshape(n, len(phase), num_rx * num_tx))
 
-    return blocks()
+    return fill
 
 
-def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> ChannelRealization:
-    """Draw a correlated channel trajectory from seed: the blocks of
-    _response_blocks, written one by one into the whole (slots, subbands,
-    rx, tx) h, so no other array grows with num_slots."""
-    blocks = _response_blocks(cfg, num_slots, seed)
+def generate_channel(cfg: ChannelConfig, num_slots: int, seed: int) -> np.ndarray:
+    """The correlated channel trajectory drawn from seed, shape (num_slots,
+    subbands, rx, tx): _trajectory's fill of one whole array, so no other
+    array grows with num_slots."""
+    _check_count("num_slots", num_slots, 1)
+    fill = _trajectory(cfg, seed)
     h = np.empty((num_slots, cfg.num_subbands, cfg.num_rx_ports, cfg.num_tx_ports), dtype=complex)
-    for start, block in blocks:
-        h[start:start + len(block)] = block
-    return ChannelRealization(h=h)
+    fill(h)
+    return h

@@ -325,7 +325,7 @@ def _cmd_channel_probe(args: argparse.Namespace) -> int:
     # Power conservation, averaged over slots decorrelated by a Doppler at
     # the first J0 zero.
     doppler_zero = _J0_FIRST_ZERO / (2.0 * math.pi * slot_s)
-    h = generate_channel(replace(channel, doppler_hz=doppler_zero), slots, seed).h
+    h = generate_channel(replace(channel, doppler_hz=doppler_zero), slots, seed)
     mean_power = float(np.mean(np.abs(h) ** 2))
     power_ok = abs(mean_power - 1.0) <= 0.02
     ok &= power_ok
@@ -336,7 +336,7 @@ def _cmd_channel_probe(args: argparse.Namespace) -> int:
     # separates cleanly from 1.
     doppler_corr = 100.0
     rho_target = _j0(2.0 * math.pi * doppler_corr * slot_s)
-    h = generate_channel(replace(channel, doppler_hz=doppler_corr), slots, seed).h
+    h = generate_channel(replace(channel, doppler_hz=doppler_corr), slots, seed)
     a = h[:-1].ravel()
     b = h[1:].ravel()
     rho_hat = float(np.real(np.vdot(a, b)) / math.sqrt((np.abs(a) ** 2).sum() * (np.abs(b) ** 2).sum()))

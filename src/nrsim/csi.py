@@ -33,7 +33,6 @@ from .codebook import (
 __all__ = [
     "CqiTable",
     "CsiReport",
-    "mimo_capacity",
     "quantize_phases",
     "select_csi",
 ]
@@ -143,23 +142,11 @@ def _check_finite(h: np.ndarray) -> None:
         raise ValueError("h must be finite, got a nan or inf entry")
 
 
-def mimo_capacity(sigma, noise_var: float) -> float | np.ndarray:
-    """Shannon capacity of the diagonalized channel with unit-power symbols:
-    sum_i log2(1 + sigma_i^2 / noise_var) over the last axis of sigma. One
-    sigma vector gives a float; a batch (..., n) gives an array of its
-    leading shape."""
-    _check_noise_var(noise_var)
-    s = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if not np.all((s >= 0) & (s < math.inf)):  # also refuses nan
-        raise ValueError(f"singular values must be finite and nonnegative, got {s.tolist()}")
-    capacity = np.sum(np.log1p(s * s / noise_var), axis=-1) / math.log(2.0)
-    return float(capacity) if s.ndim == 1 else capacity
-
-
 def _logdet_capacity(h: np.ndarray, noise_var: float) -> np.ndarray:
-    """mimo_capacity of the singular values of channels h (..., rx, tx),
-    shape (...), without an SVD: log2 det(I + G/nv) for the Hermitian Gram G
-    on the smaller side, summed as log2 of the LDL^H pivots of I + G/nv.
+    """Shannon capacity sum_i log2(1 + sigma_i^2 / nv) of channels h (...,
+    rx, tx) with unit-power symbols, shape (...), without an SVD: log2
+    det(I + G/nv) for the Hermitian Gram G on the smaller side, summed as
+    log2 of the LDL^H pivots of I + G/nv.
     Like _sweep, the elimination runs in plain ufuncs over the batch with no
     pivot search, the matrix being positive definite, and no LAPACK call
     (np.linalg.slogdet of the same Grams was slower and took more memory).

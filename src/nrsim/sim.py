@@ -1,7 +1,8 @@
-"""SNR sweep engine: stream each point's channel block by block, select CSI
-per slot, apply each report's precoder after a feedback delay, score each
-reported rank's slots in one pass through the link abstraction, and
-aggregate RI/CQI/overhead statistics per SNR point.
+"""SNR sweep engine: draw each point's channel into one window of a
+selection block plus the feedback delay, select CSI per slot, apply each
+report's precoder after a feedback delay, score each reported rank's slots
+in one pass through the link abstraction, and aggregate RI/CQI/overhead
+statistics per SNR point.
 
 SNR is referenced to unit average channel power with unit-power symbols, so
 noise_var = 10^(-snr_db/10). Points have independent derived seeds.
@@ -27,7 +28,7 @@ from operator import attrgetter
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; pool workers inherit it loaded)
 
-from .channel import ChannelConfig, _response_blocks
+from .channel import ChannelConfig, _trajectory
 from .channel import _block_slots as _channel_block_slots
 from .channel import generate_channel  # not called here: bench/spans.py traces it as sim.generate_channel
 from .codebook import (
@@ -209,29 +210,6 @@ def _outcome(ri, cqi, realized_db, table: CqiTable):
     return np.where(ok, ri * table.efficiency(cqi), 0.0), int(np.count_nonzero(scheduled & ~ok))
 
 
-def _windows(blocks, num_slots: int, block: int, delay: int):
-    """Cut a channel stream, (first slot, h block) in slot order up to
-    num_slots, into windows of block + delay slots that start every block
-    slots, the last one ending at num_slots: yields (first slot, window).
-    A window is a view of one buffer; the next window keeps its last delay
-    slots at its front and overwrites the rest."""
-    buf, start, filled = None, 0, 0
-    for _, h in blocks:
-        if buf is None:
-            buf = np.empty((min(block + delay, num_slots), *h.shape[1:]), dtype=h.dtype)
-        while len(h):
-            size = min(len(buf), num_slots - start)
-            take = min(len(h), size - filled)
-            buf[filled:filled + take] = h[:take]
-            h = h[take:]
-            filled += take
-            if filled == size:
-                yield start, buf[:size]
-                if start + size < num_slots:
-                    buf[:delay] = buf[block:]
-                    start, filled = start + block, delay
-
-
 def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     table, ch_cfg = cfg.scenario.cqi_table, cfg.scenario.channel
     snr_db = cfg.snr_points_db[point_idx]
@@ -240,27 +218,35 @@ def _run_point(cfg: SweepConfig, point_idx: int) -> SnrPointResult:
     delay = cfg.feedback_delay_slots
     scored = cfg.num_slots - delay
     select, block, bits = _codebooks(cfg)
-    # Each window holds a block of scored slots and the feedback_delay slots
-    # after them. Select the block, then realize each rank it schedules (CQI > 0)
-    # in one pass on the channel the report is applied to, feedback_delay later,
-    # with the precoders taken from the selection's w. The SVD bound selects
-    # nothing: each scored slot pays the capacity of its delayed channel.
+    # The window holds a block of scored slots and the feedback_delay slots
+    # after them; each block's window keeps the previous one's last delay
+    # slots at its front and fills the rest from the channel. Select the
+    # block, then realize each rank it schedules (CQI > 0) in one pass on the
+    # channel the report is applied to, feedback_delay later, with the
+    # precoders taken from the selection's w. The SVD bound selects nothing:
+    # each scored slot pays the capacity of its delayed channel.
     ri, cqi = np.zeros(scored, dtype=int), np.zeros(scored, dtype=int)
     realized = np.full(scored, np.nan)  # effective SINR (dB) of each scheduled slot, or capacity
-    blocks = _response_blocks(ch_cfg, cfg.num_slots, _derive_point_seed(cfg.seed, point_idx))
-    for start, h in _windows(blocks, cfg.num_slots, block, delay):
+    fill = _trajectory(ch_cfg, _derive_point_seed(cfg.seed, point_idx))
+    window = np.empty((min(block, scored) + delay, ch_cfg.num_subbands, ch_cfg.num_rx_ports,
+                       ch_cfg.num_tx_ports), dtype=complex)
+    fill(window[:delay])
+    for start in range(0, scored, block):
+        n = min(block, scored - start)  # scored slots start to start + n
+        h = window[:n + delay]
+        fill(h[delay:])
         _check_finite(h)
-        n = len(h) - delay  # scored slots start to start + n
         s = slice(start, start + n)
         if select is None:
             realized[s] = _logdet_capacity(h[delay:], noise_var).mean(axis=-1)
-            continue
-        _, ri[s], cqi[s], w, _ = select(h[:n], noise_var, table)
-        for rank in set(ri[s][cqi[s] > 0].tolist()):  # np.unique would import numpy.ma
-            idx = np.flatnonzero((ri[s] == rank) & (cqi[s] > 0))
-            with np.errstate(divide="ignore"):
-                realized[start + idx] = 10.0 * np.log10(
-                    _precoded_sinr(h[idx + delay], w[idx, ..., :rank], noise_var))
+        else:
+            _, ri[s], cqi[s], w, _ = select(h[:n], noise_var, table)
+            for rank in set(ri[s][cqi[s] > 0].tolist()):  # np.unique would import numpy.ma
+                idx = np.flatnonzero((ri[s] == rank) & (cqi[s] > 0))
+                with np.errstate(divide="ignore"):
+                    realized[start + idx] = 10.0 * np.log10(
+                        _precoded_sinr(h[idx + delay], w[idx, ..., :rank], noise_var))
+        window[:delay] = h[n:]
     if select is None:
         ri[:] = min(ch_cfg.num_rx_ports, ch_cfg.num_tx_ports)
         tp, failed = realized, 0

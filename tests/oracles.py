@@ -1,8 +1,8 @@
 """Reference implementations the tests hold nrsim to.
 
-Each oracle is written from its definition with plain numpy (np.linalg.solve
-for the MMSE filters, a scan over the CQI thresholds, loops over every
-codebook entry) and calls none of nrsim's rating code, so that a test
+Each oracle is written from its definition with plain numpy (a sum over
+singular values for the capacity, np.linalg.solve for the MMSE filters, a
+scan over the CQI thresholds, loops over every codebook entry) and calls none of nrsim's rating code, so that a test
 comparing the two compares independent computations
 (tests/test_oracles.py checks that this module stays that way). The Type I
 precoders come from the codebook under test: the full materialization
@@ -15,6 +15,18 @@ import numpy as np
 
 from nrsim import dft_beam
 from nrsim.codebook import _BEAM_PATTERNS, _PHI2, _PHI4, _i13_variants
+
+
+def mimo_capacity(sigma, noise_var):
+    """Shannon capacity of the diagonalized channel with unit-power symbols:
+    sum_i log2(1 + sigma_i^2 / noise_var) over the last axis of sigma, as
+    log1p / ln 2, which keeps its relative precision far below 0 dB. One
+    sigma vector gives a float; a batch (..., n) gives an array of its
+    leading shape. Of np.linalg.svd's singular values, it is the reference
+    for the svd mode's capacity."""
+    s = np.atleast_1d(np.asarray(sigma, dtype=float))
+    capacity = np.sum(np.log1p(s * s / noise_var), axis=-1) / math.log(2.0)
+    return float(capacity) if s.ndim == 1 else capacity
 
 
 def mmse_sinr_explicit(g, noise_var):

@@ -36,8 +36,7 @@ from nrsim import (
     type2_overhead_bits,
     write_sweep_csv,
 )
-from nrsim import mimo_capacity
-from oracles import brute_force_type1
+from oracles import brute_force_type1, mimo_capacity
 
 SNR_GRID = tuple(float(s) for s in range(-10, 45, 5))
 NUM_SLOTS = 1000

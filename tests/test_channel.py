@@ -1,5 +1,6 @@
 """Power-delay profiles and the correlated channel generator."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import j0
 from scipy.stats import gamma
 
-from nrsim import ChannelConfig, ChannelRealization, cdl_a_pdp, generate_channel, load_pdp_file
-from nrsim.channel import _block_slots, _j0, _response_blocks, _tap_blocks
+from nrsim import ChannelConfig, cdl_a_pdp, generate_channel, load_pdp_file
+from nrsim.channel import _block_slots, _j0, _trajectory
 from nrsim.cli import _J0_FIRST_ZERO
 
 
@@ -163,15 +164,11 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelConfig(**kwargs)
 
-    def test_realization_validation(self):
-        with pytest.raises(ValueError):
-            ChannelRealization(h=np.zeros((2, 4, 4), dtype=complex))
-
 
 class TestGenerateChannel:
     def test_shape(self):
         cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4)
-        assert generate_channel(cfg, 5, 3).h.shape == (5, 13, 4, 8)
+        assert generate_channel(cfg, 5, 3).shape == (5, 13, 4, 8)
 
     def test_zero_slots_rejected(self):
         cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4)
@@ -182,42 +179,45 @@ class TestGenerateChannel:
         (2.5, 1, "num_slots"), (True, 1, "num_slots"), (2, 1.5, "seed"), (2, True, "seed")])
     def test_non_integer_count_or_seed_rejected(self, num_slots, seed, name):
         """A float or a bool (which numpy would read as 1) is refused by name,
-        before any draw: the block generator refuses it at the call."""
+        before any draw: _trajectory refuses the seed at the call."""
         cfg = ChannelConfig(num_tx_ports=4, num_rx_ports=2)
         value = num_slots if name == "num_slots" else seed
-        for generate in (generate_channel, _response_blocks):
-            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
-                generate(cfg, num_slots, seed)
+        match = rf"^{name} must be an integer, got {value!r}$"
+        with pytest.raises(ValueError, match=match):
+            generate_channel(cfg, num_slots, seed)
+        if name == "seed":
+            with pytest.raises(ValueError, match=match):
+                _trajectory(cfg, seed)
 
     def test_numpy_integer_count_and_seed_accepted(self):
         cfg = ChannelConfig(num_tx_ports=4, num_rx_ports=2)
-        want = generate_channel(cfg, 3, 5).h
-        assert np.array_equal(generate_channel(cfg, np.int64(3), np.uint32(5)).h, want)
+        want = generate_channel(cfg, 3, 5)
+        assert np.array_equal(generate_channel(cfg, np.int64(3), np.uint32(5)), want)
 
     def test_deterministic_per_seed(self):
         cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4)
         a = generate_channel(cfg, 4, 7)
         b = generate_channel(cfg, 4, 7)
-        assert np.array_equal(a.h, b.h)
+        assert np.array_equal(a, b)
         other = generate_channel(cfg, 4, 8)
-        assert not np.array_equal(a.h, other.h)
+        assert not np.array_equal(a, other)
 
     def test_longer_run_extends_shorter(self):
         cfg = ChannelConfig(num_tx_ports=4, num_rx_ports=2)
         short = generate_channel(cfg, 3, 11)
         long = generate_channel(cfg, 6, 11)
-        assert np.array_equal(long.h[:3], short.h)
+        assert np.array_equal(long[:3], short)
 
     def test_zero_doppler_freezes_fading(self):
         cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, doppler_hz=0.0)
-        real = generate_channel(cfg, 6, 5)
+        h = generate_channel(cfg, 6, 5)
         for s in range(1, 6):
-            assert np.array_equal(real.h[s], real.h[0])
+            assert np.array_equal(h[s], h[0])
 
     def test_single_tap_is_frequency_flat(self):
         cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, pdp=((0.0, 1.0),))
-        real = generate_channel(cfg, 3, 2)
-        spread = real.h - real.h[:, :1]
+        h = generate_channel(cfg, 3, 2)
+        spread = h - h[:, :1]
         assert np.max(np.abs(spread)) <= 1e-12
 
     def test_single_delayed_tap_phase_ramp(self):
@@ -227,9 +227,9 @@ class TestGenerateChannel:
             num_tx_ports=2, num_rx_ports=2, pdp=((1.0, 1.0),),
             delay_spread_ns=100.0, subband_spacing_hz=720e3,
         )
-        real = generate_channel(cfg, 2, 2)
+        h = generate_channel(cfg, 2, 2)
         expect = np.exp(-2j * np.pi * 720e3 * 100e-9)
-        ratios = real.h[:, 1:] / real.h[:, :-1]
+        ratios = h[:, 1:] / h[:, :-1]
         assert np.max(np.abs(ratios - expect)) < 1e-12
 
     def test_unit_average_power(self):
@@ -237,31 +237,41 @@ class TestGenerateChannel:
         samples = []
         cfg = ChannelConfig(num_tx_ports=50, num_rx_ports=40, num_subbands=8)
         for seed in range(4):
-            samples.append(np.abs(generate_channel(cfg, 1, seed).h) ** 2)
+            samples.append(np.abs(generate_channel(cfg, 1, seed)) ** 2)
         assert np.mean(samples) == pytest.approx(1.0, abs=0.03)
 
     def test_per_tap_power_follows_profile(self):
-        rng = np.random.default_rng(123)
-        powers = np.asarray([0.7, 0.3])
-        _, taps = next(_tap_blocks(rng, powers, rho=0.9, num_slots=1, num_rx=100, num_tx=100))
-        measured = np.mean(np.abs(taps[0]) ** 2, axis=(1, 2))  # taps[0] is (taps, rx, tx)
-        assert measured == pytest.approx(powers, rel=0.05)
+        """Each tap has its profile power, read from the response: with taps
+        at delays 0 and tau and 2 subbands spacing 1/(2 tau) apart, the
+        phases are 1 and +-j, so A0 = (H0 + H1)/2 and A1 = (H0 - H1)/(2j)."""
+        cfg = ChannelConfig(num_tx_ports=100, num_rx_ports=100, num_subbands=2,
+                            subband_spacing_hz=5e6, delay_spread_ns=100.0,
+                            pdp=((0.0, 0.7), (1.0, 0.3)))
+        h = generate_channel(cfg, 1, 123)[0]
+        taps = np.stack([(h[0] + h[1]) / 2.0, (h[0] - h[1]) / 2j])
+        measured = np.mean(np.abs(taps) ** 2, axis=(1, 2))
+        assert measured == pytest.approx([0.7, 0.3], rel=0.05)
 
     @pytest.mark.parametrize("kwargs", _BLOCK_BOUNDARY_CONFIGS)
     def test_tap_blocks_match_per_slot_recursion(self, kwargs):
-        """The tap blocks, concatenated, equal the per-slot recursion bit
-        for bit: the draws, their scaling and the AR(1) steps do not depend
-        on where a block starts."""
+        """fill draws the taps _block_slots slots at a time and keeps only
+        the last slot's taps between calls, so how a trajectory is split into
+        fill calls cannot change a bit: calls of 0 and 1 slots, calls that
+        end and start on either side of a tap block's boundary, and one whole
+        call (generate_channel) all give the per-slot recursion's channel."""
         cfg = ChannelConfig(**kwargs)
-        powers = np.asarray([p for _, p in cfg.pdp])
-        rho = _j0(2.0 * np.pi * cfg.doppler_hz * cfg.slot_duration_s)
+        b = _block_slots(len(cfg.pdp), cfg.num_rx_ports, cfg.num_tx_ports)
         for num_slots in _boundary_slot_counts(cfg):
             for seed in (0, 17):
-                blocks = [taps.copy() for _, taps in _tap_blocks(
-                    np.random.default_rng(seed), powers / powers.sum(), rho, num_slots,
-                    cfg.num_rx_ports, cfg.num_tx_ports)]
-                expect = _per_slot_taps(cfg, num_slots, seed)[1]
-                assert np.array_equal(np.concatenate(blocks), expect), (num_slots, seed)
+                want = _per_slot_channel(cfg, num_slots, seed)
+                assert np.array_equal(generate_channel(cfg, num_slots, seed), want)
+                fill, h, start = _trajectory(cfg, seed), np.empty_like(want), 0
+                for length in itertools.cycle((0, 1, b - 1, 2, b + 1, 0, 3 * b)):
+                    if start == num_slots:
+                        break
+                    fill(h[start:start + length])
+                    start = min(num_slots, start + length)
+                assert np.array_equal(h, want), (num_slots, seed)
 
     @pytest.mark.parametrize("kwargs", _BLOCK_BOUNDARY_CONFIGS)
     def test_blocks_match_per_slot_recursion(self, kwargs):
@@ -271,22 +281,28 @@ class TestGenerateChannel:
         cfg = ChannelConfig(**kwargs)
         for num_slots in _boundary_slot_counts(cfg):
             for seed in (0, 17):
-                h = generate_channel(cfg, num_slots, seed).h
+                h = generate_channel(cfg, num_slots, seed)
                 assert h.flags.c_contiguous
                 assert np.array_equal(h, _per_slot_channel(cfg, num_slots, seed)), (num_slots, seed)
 
     @pytest.mark.parametrize("kwargs", _BLOCK_BOUNDARY_CONFIGS)
     def test_response_blocks_make_up_the_trajectory(self, kwargs):
-        """The block generator yields _block_slots slots at a time (the last
-        block shorter), in slot order, and its blocks, concatenated, equal
+        """fill writes the next slots into out and reads nothing from it:
+        blocks of _block_slots slots (the last one shorter), filled one after
+        another into one reused buffer that starts as nan, make up
         generate_channel's h bit for bit."""
         cfg = ChannelConfig(**kwargs)
         b = _block_slots(len(cfg.pdp), cfg.num_rx_ports, cfg.num_tx_ports)
         for num_slots in _boundary_slot_counts(cfg):
-            blocks = [(start, h.copy()) for start, h in _response_blocks(cfg, num_slots, 17)]
-            assert [start for start, _ in blocks] == list(range(0, num_slots, b)), num_slots
-            h = np.concatenate([block for _, block in blocks])
-            assert np.array_equal(h, generate_channel(cfg, num_slots, 17).h), num_slots
+            fill, blocks = _trajectory(cfg, 17), []
+            buf = np.full((b, cfg.num_subbands, cfg.num_rx_ports, cfg.num_tx_ports), np.nan,
+                          dtype=complex)
+            for start in range(0, num_slots, b):
+                n = min(b, num_slots - start)
+                fill(buf[:n])
+                blocks.append(buf[:n].copy())
+            h = np.concatenate(blocks)
+            assert np.array_equal(h, generate_channel(cfg, num_slots, 17)), num_slots
 
     @pytest.mark.parametrize("kwargs", _BLOCK_BOUNDARY_CONFIGS)
     def test_response_matches_textbook_sum(self, kwargs):
@@ -307,30 +323,49 @@ class TestGenerateChannel:
         n = 2 * len(cfg.pdp)
         gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
         bound = 2.0 * math.sqrt(2.0) * gamma * np.sum(np.abs(taps), axis=1)[:, None]
-        h = generate_channel(cfg, 131, 5).h
+        h = generate_channel(cfg, 131, 5)
         assert np.all(np.abs(h - textbook) <= bound)
 
     @pytest.mark.parametrize("num_slots", [1000, 4000])
     def test_working_memory_independent_of_slots(self, num_slots):
-        """Beyond the returned h, generation needs about a block's worth of
-        memory (0.6 MB here: the tap block, its normals and its frequency
-        response), where the whole tap trajectory took 11.8 MB at 1000 slots
-        and 47 MB at 4000."""
+        """Beyond the returned h, generation needs about a tap block's worth
+        of memory (0.3 MB here: the tap block and its normals; the response
+        goes straight into h), where the whole tap trajectory took 11.8 MB at
+        1000 slots and 47 MB at 4000."""
         cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, num_subbands=52)
         tracemalloc.start()
         try:
-            h = generate_channel(cfg, num_slots, 3).h
+            h = generate_channel(cfg, num_slots, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - h.nbytes < 1e6
+
+    def test_trajectory_keeps_one_slot_of_taps_between_calls(self):
+        """Between fill calls the trajectory holds the last slot's taps, its
+        phase matrix and under 4 kB more (the power columns, the generator's
+        state), not a block: after a fill of three tap blocks and a slot, and
+        after one more slot. Keeping the whole tap block buffer as well (12
+        slots here) held 141 kB more, and a response block 293 kB."""
+        cfg = ChannelConfig(num_tx_ports=8, num_rx_ports=4, num_subbands=52)
+        b = _block_slots(len(cfg.pdp), 4, 8)
+        h = np.empty((3 * b + 2, 52, 4, 8), dtype=complex)
+        bound = 16 * len(cfg.pdp) * (4 * 8 + 52) + 4096  # one slot of taps, the phases
+        tracemalloc.start()
+        try:
+            fill = _trajectory(cfg, 3)
+            for part in (h[:3 * b + 1], h[3 * b + 1:]):
+                fill(part)
+                assert tracemalloc.get_traced_memory()[0] <= bound
+        finally:
+            tracemalloc.stop()
 
     def test_slot_correlation_matches_jakes(self):
         cfg = ChannelConfig(
             num_tx_ports=1, num_rx_ports=1, doppler_hz=100.0, slot_duration_s=1e-3,
             pdp=((0.0, 1.0),), num_subbands=1,
         )
-        h = generate_channel(cfg, 100_000, 17).h[:, 0, 0, 0]
+        h = generate_channel(cfg, 100_000, 17)[:, 0, 0, 0]
         measured = np.mean(h[1:] * h[:-1].conj()).real / np.mean(np.abs(h) ** 2)
         expect = _bessel_j0_series(2.0 * np.pi * 100.0 * 1e-3)
         assert measured == pytest.approx(expect, abs=0.02)
@@ -372,7 +407,7 @@ def test_power_never_depends_on_doppler_marginally(doppler, seed):
     """
     num_slots, n = 8, 32 * 32
     cfg = ChannelConfig(num_tx_ports=32, num_rx_ports=32, doppler_hz=doppler, num_subbands=1)
-    power = np.mean(np.abs(generate_channel(cfg, num_slots, seed).h) ** 2, axis=(1, 2, 3))
+    power = np.mean(np.abs(generate_channel(cfg, num_slots, seed)) ** 2, axis=(1, 2, 3))
     tail = 1e-9 / (2 * num_slots)
     lo, hi = gamma.ppf(tail, n, scale=1.0 / n), gamma.isf(tail, n, scale=1.0 / n)
     assert np.all((power >= lo) & (power <= hi)), (power, lo, hi)

@@ -31,7 +31,6 @@ from nrsim import (
     expected_overhead,
     generate_channel,
     load_pdp_file,
-    mimo_capacity,
     oversampling_factors,
     realize_type2_precoder,
     run_sweep,
@@ -44,6 +43,7 @@ from nrsim import (
 )
 from nrsim.csi import _logdet_capacity, _precoded_sinr
 from nrsim.sim import _run_point
+from oracles import mimo_capacity
 
 
 def _failing_point(cfg, point_idx):
@@ -261,7 +261,7 @@ class TestRunSweep:
         log-det pass over every delayed slot of the whole trajectory."""
         for delay in (d for d in (0, 1, 7) if slots - d >= 2):
             cfg = _mini_config(mode=CodebookMode.SVD_IDEAL, snr=(5.0,), slots=slots, delay=delay)
-            h = generate_channel(cfg.scenario.channel, slots, sim._derive_point_seed(cfg.seed, 0)).h
+            h = generate_channel(cfg.scenario.channel, slots, sim._derive_point_seed(cfg.seed, 0))
             capacity = _logdet_capacity(h[delay:], 10.0 ** -0.5).mean(axis=-1)
             got = sim._run_point(cfg, 0)
             assert got.mean_throughput == float(capacity.mean()), delay
@@ -272,10 +272,11 @@ class TestRunSweep:
     def test_svd_point_working_memory_independent_of_slots(self, slots):
         """An SVD point at 52 subbands and 8x4 ports peaks at the same memory,
         its channel counted, at a tenth of the slots and at all of them:
-        within 1 MB, and under 2 MB (about 1.1 MB: a window of channel
-        slots, the generator's tap and response blocks, and the per-slot
-        capacities, 32 kB at 4000 slots). The whole channel array took 26.6
-        MB at 1000 slots and 106 MB at 4000."""
+        within 1 MB, and under 2 MB (about 0.7 MB: a window of channel
+        slots, the generator's temporary tap block, and the per-slot
+        capacities, 32 kB at 4000 slots; with the generator's retained tap
+        and response blocks it was 1.1 MB). The whole channel array took
+        26.6 MB at 1000 slots and 106 MB at 4000."""
         antenna = AntennaConfig(4, 1)
         channel = ChannelConfig(num_tx_ports=8, num_rx_ports=4, num_subbands=52)
         peaks = []
@@ -593,7 +594,7 @@ class TestScoringOracle:
             selector = build_type2_structure(antenna, cfg.scenario.type2, ov)
         seen_ranks, seen_failed, seen_cqi0 = set(), 0, 0
         for i, pt in enumerate(points):
-            h = generate_channel(ch, cfg.num_slots, sim._derive_point_seed(cfg.seed, i)).h
+            h = generate_channel(ch, cfg.num_slots, sim._derive_point_seed(cfg.seed, i))
             noise_var = 10.0 ** (-pt.snr_db / 10.0)
             tps, ris, cqis, failed = [], Counter(), Counter(), 0
             for s in range(cfg.num_slots - cfg.feedback_delay_slots):
@@ -700,24 +701,33 @@ class TestSelectionBlocks:
 
     @pytest.mark.parametrize("stream_block", [1, 3, 7, 50])
     @pytest.mark.parametrize("block, delay", [(1, 0), (1, 7), (6, 1), (6, 7), (50, 3)])
-    def test_windows_cut_the_channel_stream(self, stream_block, block, delay):
-        """_windows re-cuts a stream of blocks of one reused buffer into
-        windows of block + delay slots starting every block slots until one
-        reaches the last slot, for stream blocks shorter and longer than a
-        window and delays longer than a block."""
-        num_slots = 23
-        slots = np.arange(num_slots)
+    def test_windows_cut_the_channel_stream(self, stream_block, block, delay, monkeypatch):
+        """_run_point fills one window of block + delay slots from a channel
+        that draws its taps stream_block slots at a time: the windows it
+        checks are the trajectory's slots from start to start + block +
+        delay, starting every block slots until one reaches the last slot,
+        and selection sees each window's scored slots. Channel blocks are
+        shorter and longer than a window, and delays longer than a block."""
+        cfg = _mini_config(snr=(10.0,), slots=23, delay=delay)
+        ch = cfg.scenario.channel
+        monkeypatch.setattr(nrsim_channel, "_BLOCK_BYTES",
+                            stream_block * 16 * len(ch.pdp) * ch.num_rx_ports * ch.num_tx_ports)
+        windows, selected = [], []
 
-        def stream():
-            buf = np.empty(stream_block, dtype=int)
-            for start in range(0, num_slots, stream_block):
-                n = min(stream_block, num_slots - start)
-                buf[:n] = slots[start:start + n]
-                yield start, buf[:n]
+        def select(h, noise_var, table):
+            selected.append(h.copy())
+            unscheduled = np.zeros(len(h), dtype=int)
+            return None, unscheduled + 1, unscheduled, None, None
 
-        got = [(start, w.tolist()) for start, w in sim._windows(stream(), num_slots, block, delay)]
-        assert got == [(start, slots[start:start + block + delay].tolist())
-                       for start in range(0, num_slots - delay, block)]
+        monkeypatch.setattr(sim, "_codebooks", lambda cfg: (select, block, lambda r: 0))
+        monkeypatch.setattr(sim, "_check_finite", lambda h: windows.append(h.copy()))
+        sim._run_point(cfg, 0)
+        h = generate_channel(ch, cfg.num_slots, sim._derive_point_seed(cfg.seed, 0))
+        starts = range(0, cfg.num_slots - delay, block)
+        assert len(windows) == len(selected) == len(starts)
+        for start, window, scored in zip(starts, windows, selected):
+            assert np.array_equal(window, h[start:start + block + delay]), start
+            assert np.array_equal(scored, window[:len(window) - delay]), start
 
     @pytest.mark.parametrize("n1, n2, mode, subbands", [(4, 2, CodebookMode.TYPE1, 4),
                                                         (4, 1, CodebookMode.TYPE2, 13)])
