@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import _check_ints, _is_int
+from .codebook import _check_count, _check_ints
 
 __all__ = [
     "ChannelConfig",
@@ -158,10 +158,7 @@ class ChannelConfig:
     pdp: tuple[tuple[float, float], ...] = field(default_factory=lambda: tuple(cdl_a_pdp()))
 
     def __post_init__(self) -> None:
-        _check_ints(self, "num_tx_ports", "num_rx_ports", "num_subbands")
-        if self.num_tx_ports < 1 or self.num_rx_ports < 1:
-            raise ValueError(f"num_tx_ports and num_rx_ports must be positive, "
-                             f"got ({self.num_tx_ports}, {self.num_rx_ports})")
+        _check_ints(self, num_tx_ports=1, num_rx_ports=1, num_subbands=1)
         for name in ("doppler_hz", "delay_spread_ns", "subband_spacing_hz", "slot_duration_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -169,8 +166,6 @@ class ChannelConfig:
             raise ValueError(f"doppler_hz must be >= 0, got {self.doppler_hz}")
         if self.delay_spread_ns <= 0:
             raise ValueError(f"delay_spread_ns must be positive, got {self.delay_spread_ns}")
-        if self.num_subbands < 1:
-            raise ValueError(f"num_subbands must be >= 1, got {self.num_subbands}")
         if self.subband_spacing_hz <= 0 or self.slot_duration_s <= 0:
             raise ValueError("subband_spacing_hz and slot_duration_s must be positive")
         if not math.isfinite(2.0 * math.pi * self.doppler_hz * self.slot_duration_s):
@@ -210,13 +205,6 @@ def _complex_normal(rng: np.random.Generator, out: np.ndarray) -> None:
     g = rng.standard_normal((out.shape[0], 2, *out.shape[1:]))
     out.real, out.imag = g[:, 0], g[:, 1]
     out *= 1.0 / np.sqrt(2.0)
-
-
-def _check_count(name: str, value, low: int) -> None:
-    if not _is_int(value):  # a bool or a float would pass the range test
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _trajectory(cfg: ChannelConfig, seed: int):

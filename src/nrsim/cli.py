@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelConfig, _j0, generate_channel, load_pdp_file
-from .codebook import (AntennaConfig, Type2Config, build_type1_codebook, build_type2_structure,
-                       oversampling_factors)
+from .codebook import (AntennaConfig, Type2Config, _check_count, build_type1_codebook,
+                       build_type2_structure, oversampling_factors)
 from .csi import CqiTable
 from .overhead import type1_overhead_bits, type2_overhead_bits
 from .sim import (
@@ -294,19 +294,16 @@ def _cmd_codebook_dump(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     path = out / f"codebook_type1_rank{rank}.csv"
     ports = antenna.num_ports
-    header = ["entry", "i11", "i12", "i13", "i2"]
-    for port in range(ports):
-        for layer in range(rank):
-            header += [f"w{port}_{layer}_re", f"w{port}_{layer}_im"]
+    header = ["entry", "i11", "i12", "i13", "i2"] + [
+        f"w{port}_{layer}_{part}" for port in range(ports) for layer in range(rank)
+        for part in ("re", "im")]
     entries = np.arange(len(cb))
     pmis = np.stack(np.unravel_index(entries, cb.index_shape), axis=-1).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for idx, pmi, w in zip(entries.tolist(), pmis, cb.precoders(entries)):
-            row = [str(idx), *map(str, pmi)]
-            for port in range(ports):
-                for layer in range(rank):
-                    row += [repr(float(w[port, layer].real)), repr(float(w[port, layer].imag))]
+            # C order of the float view: port, then layer, then re/im.
+            row = [str(idx), *map(str, pmi), *map(repr, w.view(np.float64).ravel().tolist())]
             fh.write(",".join(row) + "\n")
     _write_manifest(out, "codebook dump", cfg, 0, [path])
     print(f"wrote {path} ({len(cb)} entries, {ports} ports, rank {rank})")
@@ -314,9 +311,7 @@ def _cmd_codebook_dump(args: argparse.Namespace) -> int:
 
 
 def _cmd_channel_probe(args: argparse.Namespace) -> int:
-    cfg, slots = _resolve(args), args.slots
-    if slots < 2:
-        raise ValueError(f"slots must be >= 2 for the probe, got {slots}")
+    cfg, slots = _resolve(args), _check_count("slots", args.slots, 2)
     seed = cfg["sweep.seed"]
     channel = _channel(cfg, _antenna(cfg))
     slot_s = channel.slot_duration_s
@@ -372,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", help="output directory (default nrsim_out)")
 
     overhead = sub.add_parser("overhead", help="print PMI report bit-widths")
-    overhead.add_argument("--config", help="INI config file")
+    overhead.add_argument("--config", help="INI config file or a manifest.json from a previous run")
     overhead.add_argument("--codebook", choices=["type1", "type2"], default="type1",
                           help="report family (default type1)")
     overhead.add_argument("--rank", type=int, default=1, help="rank (type1: 1-4, type2: 1-2)")
@@ -386,14 +381,15 @@ def _build_parser() -> argparse.ArgumentParser:
     codebook = sub.add_parser("codebook", help="codebook tools")
     codebook_sub = codebook.add_subparsers(dest="action", required=True)
     dump = codebook_sub.add_parser("dump", help="write Type I entries to CSV")
-    dump.add_argument("--config", help="INI config file")
+    dump.add_argument("--config",
+                      help="INI config file or a manifest.json from a previous run")
     dump.add_argument("--rank", type=int, default=1, help="rank (1-4)")
     dump.add_argument("--out", help="output directory (default nrsim_out)")
 
     channel = sub.add_parser("channel", help="channel tools")
     channel_sub = channel.add_subparsers(dest="action", required=True)
     probe = channel_sub.add_parser("probe", help="statistics self-test")
-    probe.add_argument("--config", help="INI config file")
+    probe.add_argument("--config", help="INI config file or a manifest.json from a previous run")
     probe.add_argument("--slots", type=int, default=2000, help="slots per check (default 2000)")
     probe.add_argument("--rx", dest="channel.rx", type=int, help="receive antenna count")
     probe.add_argument("--seed", dest="sweep.seed", type=int, help="probe seed")

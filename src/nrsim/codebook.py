@@ -71,9 +71,7 @@ class AntennaConfig:
     n2: int
 
     def __post_init__(self) -> None:
-        _check_ints(self, "n1", "n2")
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError(f"n1/n2 must be positive, got ({self.n1}, {self.n2})")
+        _check_ints(self, n1=1, n2=1)
 
     @property
     def num_ports(self) -> int:
@@ -86,8 +84,7 @@ class Oversampling:
     o2: int
 
     def __post_init__(self) -> None:
-        if self.o1 < 1 or self.o2 < 1:
-            raise ValueError(f"oversampling factors must be positive, got ({self.o1}, {self.o2})")
+        _check_ints(self, o1=1, o2=1)
 
 
 def oversampling_factors(cfg: AntennaConfig) -> Oversampling:
@@ -104,10 +101,8 @@ def dft_beam(l: int, m: int, cfg: AntennaConfig, ov: Oversampling) -> np.ndarray
     Beams whose indices differ by a nonzero multiple of (o1, o2) are mutually
     orthogonal (the "orthogonal subgrid").
     """
-    if not 0 <= l < cfg.n1 * ov.o1:
-        raise ValueError(f"beam index l={l} out of range [0, {cfg.n1 * ov.o1})")
-    if not 0 <= m < cfg.n2 * ov.o2:
-        raise ValueError(f"beam index m={m} out of range [0, {cfg.n2 * ov.o2})")
+    l = _check_count("l", l, 0, cfg.n1 * ov.o1 - 1)
+    m = _check_count("m", m, 0, cfg.n2 * ov.o2 - 1)
     u1 = np.exp(2j * np.pi * np.arange(cfg.n1) * l / (cfg.n1 * ov.o1))
     u2 = np.exp(2j * np.pi * np.arange(cfg.n2) * m / (cfg.n2 * ov.o2))
     return np.kron(u1, u2)
@@ -122,20 +117,25 @@ def _dft_grid(cfg: AntennaConfig, ov: Oversampling) -> np.ndarray:
     return (u1[:, None, :, None] * u2[None, :, None, :]).reshape(n_l, n_m, -1)
 
 
-def _is_int(value) -> bool:
-    """An integer index: a Python or numpy integer, not a bool (which numpy
-    would read as 1) and not a float."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_count(name: str, value, low: int, high: int | None = None) -> int:
+    """value as an int, the one rule for every count and index: refused, by
+    name, unless it is a Python or numpy integer (not a bool, which numpy
+    would read as 1, nor a float: 4.0 == 4 holds, so the type is tested
+    before the range) of at least low, and at most high if given."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in {low}..{high}, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
-def _check_ints(obj, *names: str) -> None:
-    """Refuse, by field name, a field of the frozen dataclass obj that is a
-    bool or not an integer; store a numpy integer as int."""
-    for name in names:  # 4.0 == 4 holds, so test the type before any range
-        value = getattr(obj, name)
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
+def _check_ints(obj, **lows: int) -> None:
+    """_check_count each named field of the frozen dataclass obj against its
+    low, in order, and store it as an int."""
+    for name, low in lows.items():
+        object.__setattr__(obj, name, _check_count(name, getattr(obj, name), low))
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ class Codebook:
     lexicographically in (i11, i12, i13, i2) and converts to and from them
     through that shape (index_of_pmi and its inverse pmi_of). precoders(e)
     builds the (entries, ports, rank) matrices of any entries, each divided
-    by its own np.linalg.norm; precoders(np.arange(len(cb))) is every entry.
+    by its Frobenius norm; precoders(np.arange(len(cb))) is every entry.
     """
 
     def __init__(self, cfg: AntennaConfig, grid: np.ndarray, col_offsets: np.ndarray,
@@ -209,32 +209,28 @@ class Codebook:
         beams = self.grid[(i11[:, None] + offsets[..., 0]) % n_l,
                           (i12[:, None] + offsets[..., 1]) % n_m]  # (entries, column, n1*n2)
         cols = np.concatenate([beams, self.cophase[i13, i2][..., None] * beams], axis=-1)
-        # Each entry is divided by its own np.linalg.norm: a batched norm rounds
-        # some entries differently in the last bit.
+        # Each entry's squared norm is re.re + im.im over its flattened entries,
+        # one strided BLAS dot per row as in np.linalg.norm, whose bits it
+        # keeps (norm(axis=(1, 2)) and einsum round some entries differently).
         stack = np.ascontiguousarray(np.swapaxes(cols, -1, -2))
-        return stack / np.array([np.linalg.norm(w) for w in stack])[:, None, None]
+        flat = stack.reshape(len(stack), 1, math.prod(stack.shape[1:]))
+        re, im = flat.real, flat.imag
+        return stack / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))
 
     def index_of_pmi(self, pmi: TypeIPmi) -> int:
         """Entry index for a reported PMI; entries are wideband, so every
         subband must carry the same co-phase index i2."""
-        for field, values in (("i11", (pmi.i11,)), ("i12", (pmi.i12,)), ("i13", (pmi.i13,)),
-                              ("i2_per_subband", pmi.i2_per_subband)):
-            if not all(map(_is_int, values)):
-                raise ValueError(f"{field} must be integer, got {getattr(pmi, field)!r}")
-        if len(set(pmi.i2_per_subband)) != 1:
+        *sizes, n_i2 = self.index_shape
+        coords = [_check_count(field, value, 0, size - 1) for field, value, size
+                  in zip(("i11", "i12", "i13"), (pmi.i11, pmi.i12, pmi.i13), sizes)]
+        i2 = {_check_count("i2_per_subband", value, 0, n_i2 - 1) for value in pmi.i2_per_subband}
+        if len(i2) != 1:
             raise ValueError(f"PMI {pmi} must carry one wideband i2 value")
-        coords = (pmi.i11, pmi.i12, pmi.i13, pmi.i2_per_subband[0])
-        try:
-            return int(np.ravel_multi_index(coords, self.index_shape))
-        except ValueError:
-            raise ValueError(f"PMI {pmi} is outside this codebook's index ranges") from None
+        return int(np.ravel_multi_index((*coords, *i2), self.index_shape))
 
     def pmi_of(self, e: int) -> TypeIPmi:
         """Wideband PMI of entry e; the inverse of index_of_pmi."""
-        if not _is_int(e):
-            raise ValueError(f"entry must be integer, got {e!r}")
-        if not 0 <= e < len(self):
-            raise ValueError(f"entry {e} out of range [0, {len(self)})")
+        e = _check_count("entry", e, 0, len(self) - 1)
         i11, i12, i13, i2 = (int(i) for i in np.unravel_index(e, self.index_shape))
         return TypeIPmi(i11, i12, i13, (i2,))
 
@@ -301,7 +297,6 @@ def _i13_variants(rank: int, cfg: AntennaConfig, ov: Oversampling):
     return variants[:4]
 
 
-@functools.cache
 def build_type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Codebook:
     """Enumerate the Type I codebook for one rank.
 
@@ -309,10 +304,14 @@ def build_type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Cod
     co-phases. Ranks 2-4: beam pairs (v, v') on the orthogonal subgrid chosen
     by i13, columns carrying +/-phi polarization co-phasing, two co-phases.
     Built once per process: equal arguments return the same codebook, whose
-    tables are read-only.
+    tables are read-only. The rank is checked before the cache is looked up,
+    where True and 2.0 would find the codebooks of 1 and 2.
     """
-    if rank not in (1, 2, 3, 4):
-        raise ValueError(f"rank must be in 1..4, got {rank}")
+    return _type1_codebook(cfg, _check_count("rank", rank, 1, 4), ov)
+
+
+@functools.cache
+def _type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Codebook:
     if rank > cfg.num_ports:
         raise ValueError(f"rank {rank} exceeds {cfg.num_ports} ports")
 
@@ -332,6 +331,11 @@ def build_type1_codebook(cfg: AntennaConfig, rank: int, ov: Oversampling) -> Cod
     return Codebook(cfg, _dft_grid(cfg, ov), col_offsets, cophase)
 
 
+# The cache's controls, as on any functools.cache function.
+build_type1_codebook.cache_info = _type1_codebook.cache_info
+build_type1_codebook.cache_clear = _type1_codebook.cache_clear
+
+
 # Type II reports carry at most two layers (TS 38.214 Sec. 5.2.2.2.3).
 TYPE2_MAX_RANK = 2
 
@@ -344,7 +348,7 @@ class Type2Config:
     n_psk: int = 8
 
     def __post_init__(self) -> None:
-        _check_ints(self, "num_beams", "n_psk")
+        _check_ints(self, num_beams=1, n_psk=1)
         if self.num_beams not in (2, 3, 4):
             raise ValueError(f"num_beams must be in {{2,3,4}}, got {self.num_beams}")
         if self.n_psk not in (4, 8):
@@ -412,18 +416,11 @@ def realize_type2_precoder(space: Type2CodebookSpace, pmi: TypeIIPmi) -> np.ndar
     subband_amplitude (rank, subbands, 2B), with every index an integer in
     range.
     """
-    rank = pmi.rank
-    if not 1 <= rank <= TYPE2_MAX_RANK:
-        raise ValueError(f"rank {rank} is outside the Type II range [1, {TYPE2_MAX_RANK}]")
-    for field, values in (("i11", pmi.i11), ("i12", (pmi.i12,))):
-        if not all(map(_is_int, values)):
-            raise ValueError(f"{field} must be integer, got {getattr(pmi, field)!r}")
-    o1, o2 = space.beams.shape[:2]
-    q1, q2 = pmi.i11
-    if not (0 <= q1 < o1 and 0 <= q2 < o2):
-        raise ValueError(f"rotation i11={pmi.i11} out of range [0, {o1}) x [0, {o2})")
-    if not 0 <= pmi.i12 < len(space.combos):
-        raise ValueError(f"i12={pmi.i12} out of range [0, {len(space.combos)})")
+    rank = _check_count("rank", pmi.rank, 1, TYPE2_MAX_RANK)
+    if not isinstance(pmi.i11, tuple) or len(pmi.i11) != 2:
+        raise ValueError(f"i11 must be a (q1, q2) pair, got {pmi.i11!r}")
+    q1, q2 = (_check_count("i11", q, 0, o - 1) for q, o in zip(pmi.i11, space.beams.shape))
+    i12 = _check_count("i12", pmi.i12, 0, len(space.combos) - 1)
     indices = []
     for field in ("wideband_amplitudes", "subband_cophase", "subband_amplitude"):
         try:
@@ -445,5 +442,5 @@ def realize_type2_precoder(space: Type2CodebookSpace, pmi: TypeIIPmi) -> np.ndar
             raise ValueError(f"{field} indices must be integers, got {idx.tolist()}")
         if np.any((idx < 0) | (idx >= size)):
             raise ValueError(f"{field} indices must be in [0, {size}), got {idx.tolist()}")
-    beams = space.beams[q1, q2, space.combos[pmi.i12]]
+    beams = space.beams[q1, q2, space.combos[i12]]
     return _type2_columns(space, beams, wb_idx, sb_idx, ph_idx) / math.sqrt(rank)

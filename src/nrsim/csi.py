@@ -25,7 +25,8 @@ from .codebook import (
     Type2CodebookSpace,
     TypeIIPmi,
     TypeIPmi,
-    _is_int,
+    _check_count,
+    _check_ints,
     _type2_columns,
     realize_type2_precoder,  # not called here: bench/spans.py traces it as csi.realize_type2_precoder
 )
@@ -124,12 +125,9 @@ class CsiReport:
     predicted_throughput: float
 
     def __post_init__(self) -> None:
-        if self.ri < 1:
-            raise ValueError(f"ri must be >= 1, got {self.ri}")
+        _check_ints(self, ri=1, cqi=0)
         if isinstance(self.pmi, TypeIIPmi) and self.pmi.rank != self.ri:
             raise ValueError(f"ri={self.ri} inconsistent with a rank-{self.pmi.rank} PMI")
-        if self.cqi < 0:
-            raise ValueError(f"cqi must be >= 0, got {self.cqi}")
 
 
 def _check_noise_var(noise_var: float) -> None:
@@ -281,8 +279,7 @@ def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
     a = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     if z.shape != a.shape:
         raise ValueError(f"coefficient/amplitude shape mismatch: {z.shape} vs {a.shape}")
-    if not _is_int(n_psk) or n_psk < 1:
-        raise ValueError(f"n_psk must be an integer >= 1, got {n_psk!r}")
+    _check_count("n_psk", n_psk, 1)
     if np.any(a < 0):
         raise ValueError("amplitudes must be nonnegative")
     if z.shape[-1] == 0:

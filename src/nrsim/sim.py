@@ -112,13 +112,7 @@ class SweepConfig:
         if any(b < a for a, b in zip(points, points[1:])):
             raise ValueError("snr_points_db must be sorted ascending")
         object.__setattr__(self, "snr_points_db", points)
-        _check_ints(self, "num_slots", "feedback_delay_slots", "seed")
-        if self.num_slots < 1:
-            raise ValueError(f"num_slots must be >= 1, got {self.num_slots}")
-        if self.feedback_delay_slots < 0:
-            raise ValueError(f"feedback_delay_slots must be >= 0, got {self.feedback_delay_slots}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_ints(self, num_slots=1, feedback_delay_slots=0, seed=0)
         if self.num_slots <= self.feedback_delay_slots:
             raise ValueError(
                 f"num_slots={self.num_slots} leaves no scored slots at "

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -215,10 +216,10 @@ class TestType1Codebook:
                            ("i13", TypeIPmi(0, 0, 0.0, (0,))),
                            ("i2_per_subband", TypeIPmi(0, 0, 0, (1, True))),
                            ("i2_per_subband", TypeIPmi(0, 0, 0, (np.float64(1.0),)))):
-            with pytest.raises(ValueError, match=f"^{field} must be integer"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
                 cb.index_of_pmi(pmi)
         for e in (True, False, 3.0, np.float64(3.0), np.bool_(True)):
-            with pytest.raises(ValueError, match="^entry must be integer"):
+            with pytest.raises(ValueError, match="^entry must be an integer"):
                 cb.pmi_of(e)
         pmi = TypeIPmi(np.int64(1), np.int32(0), np.uint8(0), (np.int16(3), np.int16(3)))
         assert cb.index_of_pmi(pmi) == 7
@@ -287,6 +288,18 @@ class TestType1Codebook:
     def test_invalid_rank(self, rank):
         cfg, ov = _panel(4, 1)
         with pytest.raises(ValueError):
+            build_type1_codebook(cfg, rank, ov)
+
+    @pytest.mark.parametrize("rank", [True, 2.0, np.float64(1.0)])
+    def test_rank_refused_on_a_cache_hit(self, rank):
+        """A bool or float rank equal to an already built rank is refused by
+        name, not handed that rank's cached codebook (True == 1 and 2.0 == 2
+        are the same cache key)."""
+        cfg, ov = _panel(4, 1)
+        for built in (1, 2):
+            build_type1_codebook(cfg, built, ov)
+        message = f"rank must be an integer, got {rank!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_type1_codebook(cfg, rank, ov)
 
 
@@ -501,7 +514,8 @@ class TestType2Realization:
         cfg, ov = _panel(4, 1)
         space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
         pmi = replace(_single_beam_pmi(0, num_subbands=3), **changes)
-        with pytest.raises(ValueError, match=f"^{field} (indices )?must be integer"):
+        with pytest.raises(ValueError,
+                           match=f"^{field} (indices must be integers|must be an integer)"):
             realize_type2_precoder(space, pmi)
 
     def test_numpy_integer_indices_accepted(self):
@@ -512,10 +526,21 @@ class TestType2Realization:
                                                   i12=np.int32(0)))
         assert np.array_equal(w, realize_type2_precoder(space, pmi))
 
+    @pytest.mark.parametrize("i11", [(0, 0, 0), (0,), 0], ids=["triple", "single", "scalar"])
+    def test_i11_must_be_a_pair(self, i11):
+        """An i11 that is not a (q1, q2) pair is refused by name, not failed
+        in tuple unpacking or read as a pair plus a spare index."""
+        cfg, ov = _panel(4, 1)
+        space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
+        pmi = replace(_single_beam_pmi(0), i11=i11)
+        message = f"i11 must be a (q1, q2) pair, got {i11!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            realize_type2_precoder(space, pmi)
+
     def test_rank_above_limit(self):
         cfg, ov = _panel(4, 1)
         space = build_type2_structure(cfg, Type2Config(num_beams=4), ov)
-        with pytest.raises(ValueError, match="rank 3"):
+        with pytest.raises(ValueError, match=r"^rank must be in 1\.\.2, got 3$"):
             realize_type2_precoder(space, _single_beam_pmi(0, rank=3))
 
     def test_all_zero_layer_rejected(self):

@@ -3,6 +3,7 @@
 import csv
 import math
 import multiprocessing
+import re
 import tracemalloc
 import types
 import warnings
@@ -22,16 +23,21 @@ from nrsim import (
     Codebook,
     CodebookMode,
     CqiTable,
+    CsiReport,
+    Oversampling,
     Scenario,
     SweepConfig,
     Type2Config,
+    TypeIPmi,
     build_type1_codebook,
     build_type2_structure,
     compare_modes,
+    dft_beam,
     expected_overhead,
     generate_channel,
     load_pdp_file,
     oversampling_factors,
+    quantize_phases,
     realize_type2_precoder,
     run_sweep,
     select_csi,
@@ -75,10 +81,23 @@ _type1_codebook = lambda: build_type1_codebook(_PANEL, 1, oversampling_factors(_
 _type2_space = lambda: build_type2_structure(_PANEL, Type2Config(num_beams=2),
                                              oversampling_factors(_PANEL))
 
-# Each count input, by "owner.field", as a function of its value.
+_BEAM_PANEL = AntennaConfig(2, 2)  # beam indices l and m both in 0..7
+_report = lambda ri=1, cqi=1: CsiReport(ri=ri, pmi=TypeIPmi(0, 0, 0, (0,)), cqi=cqi,
+                                        predicted_throughput=1.0)
+
+# Each count or index input, by "owner.field", as a function of its value.
 _COUNTS = {
     "AntennaConfig.n1": lambda v: AntennaConfig(v, 1),
     "AntennaConfig.n2": lambda v: AntennaConfig(2, v),
+    "Oversampling.o1": lambda v: Oversampling(v, 1),
+    "Oversampling.o2": lambda v: Oversampling(4, v),
+    "build_type1_codebook.rank": lambda v: build_type1_codebook(
+        _PANEL, v, oversampling_factors(_PANEL)),
+    "dft_beam.l": lambda v: dft_beam(v, 0, _BEAM_PANEL, oversampling_factors(_BEAM_PANEL)).tolist(),
+    "dft_beam.m": lambda v: dft_beam(0, v, _BEAM_PANEL, oversampling_factors(_BEAM_PANEL)).tolist(),
+    "CsiReport.ri": lambda v: _report(ri=v),
+    "CsiReport.cqi": lambda v: _report(cqi=v),
+    "quantize_phases.n_psk": lambda v: quantize_phases([1j], [1.0], v).tolist(),
     "ChannelConfig.num_tx_ports": lambda v: ChannelConfig(num_tx_ports=v, num_rx_ports=2),
     "ChannelConfig.num_rx_ports": lambda v: ChannelConfig(num_tx_ports=4, num_rx_ports=v),
     "ChannelConfig.num_subbands": lambda v: ChannelConfig(num_tx_ports=4, num_rx_ports=2,
@@ -96,9 +115,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [2.5, True])
     @pytest.mark.parametrize("name", sorted(_COUNTS))
     def test_count_must_be_integer(self, name, value):
-        """A bool or a non-integer count is refused by name where it enters,
-        not accepted (AntennaConfig(2.0, 1) had 4.0 ports, a 2.5-subband
-        Type I report 8.5 bits) or failed late in a sweep's pool worker."""
+        """A bool or a non-integer count or index is refused by name where it
+        enters, not accepted (AntennaConfig(2.0, 1) had 4.0 ports, a
+        2.5-subband Type I report 8.5 bits, build_type1_codebook(cfg, True,
+        ov) the rank-1 codebook) or failed late in a sweep's pool worker."""
         field = name.split(".")[1]
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             _COUNTS[name](value)
@@ -106,6 +126,37 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name", sorted(_COUNTS))
     def test_count_accepts_numpy_integer(self, name):
         assert _COUNTS[name](np.int64(2)) == _COUNTS[name](2)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("AntennaConfig.n1", 0, "n1 must be >= 1, got 0"),
+        ("AntennaConfig.n2", -1, "n2 must be >= 1, got -1"),
+        ("Oversampling.o1", 0, "o1 must be >= 1, got 0"),
+        ("Oversampling.o2", 0, "o2 must be >= 1, got 0"),
+        ("ChannelConfig.num_tx_ports", 0, "num_tx_ports must be >= 1, got 0"),
+        ("ChannelConfig.num_rx_ports", 0, "num_rx_ports must be >= 1, got 0"),
+        ("ChannelConfig.num_subbands", 0, "num_subbands must be >= 1, got 0"),
+        ("SweepConfig.num_slots", 0, "num_slots must be >= 1, got 0"),
+        ("SweepConfig.feedback_delay_slots", -1, "feedback_delay_slots must be >= 0, got -1"),
+        ("SweepConfig.seed", -1, "seed must be >= 0, got -1"),
+        ("CsiReport.ri", 0, "ri must be >= 1, got 0"),
+        ("CsiReport.cqi", -1, "cqi must be >= 0, got -1"),
+        ("quantize_phases.n_psk", 0, "n_psk must be >= 1, got 0"),
+        ("type1_overhead_bits.num_subbands", 0, "num_subbands must be >= 1, got 0"),
+        ("type2_overhead_bits.num_subbands", 0, "num_subbands must be >= 1, got 0"),
+        ("type2_overhead_bits.layers", 0, "layers must be in 1..2, got 0"),
+        ("type2_overhead_bits.layers", 3, "layers must be in 1..2, got 3"),
+        ("build_type1_codebook.rank", 0, "rank must be in 1..4, got 0"),
+        ("build_type1_codebook.rank", 5, "rank must be in 1..4, got 5"),
+        ("dft_beam.l", -1, "l must be in 0..7, got -1"),
+        ("dft_beam.l", 8, "l must be in 0..7, got 8"),
+        ("dft_beam.m", -1, "m must be in 0..7, got -1"),
+        ("dft_beam.m", 8, "m must be in 0..7, got 8"),
+    ])
+    def test_count_out_of_range(self, name, value, message):
+        """An integer outside its range is refused in one of two forms,
+        ">= low" or "in low..high", naming the input and its value."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _COUNTS[name](value)
 
     def test_scenario_port_mismatch(self):
         with pytest.raises(ValueError, match="ports"):
