@@ -13,13 +13,6 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-try:
-    import matplotlib
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-except ImportError:
-    sys.exit("matplotlib is required for plotting: pip install matplotlib")
-
 STYLES = {"type1": "o-", "type2": "s-", "svd": "k--"}
 
 
@@ -31,6 +24,12 @@ def main(argv=None):
     p.add_argument("--mbps", action="store_true",
                    help="plot Mbit/s over the whole band instead of bit/s/Hz")
     args = p.parse_args(argv)
+    try:
+        import matplotlib
+        matplotlib.use("Agg")
+        import matplotlib.pyplot as plt
+    except ImportError:
+        sys.exit("matplotlib is required for plotting: pip install matplotlib")
 
     curves = defaultdict(list)
     with args.csv_path.open(newline="") as f:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import _check_count, _check_ints
+from .codebook import _check_count, _check_ints, _check_real
 
 __all__ = [
     "ChannelConfig",
@@ -115,10 +115,8 @@ def load_pdp_file(path) -> list[tuple[float, float]]:
             delay, power_db = float(parts[0]), float(parts[1])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric entry in {raw!r}") from None
-        if not (math.isfinite(delay) and math.isfinite(power_db)):
-            raise ValueError(f"{path}:{lineno}: delay_ns and power_db must be finite, got {raw!r}")
-        delays.append(delay)
-        powers_db.append(power_db)
+        delays.append(_check_real(f"{path}:{lineno}: delay_ns", delay))
+        powers_db.append(_check_real(f"{path}:{lineno}: power_db", power_db))
     if not delays:
         raise ValueError(f"{path}: no profile entries found")
     try:
@@ -159,15 +157,9 @@ class ChannelConfig:
 
     def __post_init__(self) -> None:
         _check_ints(self, num_tx_ports=1, num_rx_ports=1, num_subbands=1)
-        for name in ("doppler_hz", "delay_spread_ns", "subband_spacing_hz", "slot_duration_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.doppler_hz < 0:
-            raise ValueError(f"doppler_hz must be >= 0, got {self.doppler_hz}")
-        if self.delay_spread_ns <= 0:
-            raise ValueError(f"delay_spread_ns must be positive, got {self.delay_spread_ns}")
-        if self.subband_spacing_hz <= 0 or self.slot_duration_s <= 0:
-            raise ValueError("subband_spacing_hz and slot_duration_s must be positive")
+        object.__setattr__(self, "doppler_hz", _check_real("doppler_hz", self.doppler_hz, 0))
+        for name in ("delay_spread_ns", "subband_spacing_hz", "slot_duration_s"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), positive=True))
         if not math.isfinite(2.0 * math.pi * self.doppler_hz * self.slot_duration_s):
             raise ValueError(
                 f"the Jakes argument 2*pi*doppler_hz*slot_duration_s must be finite, got "
@@ -175,14 +167,15 @@ class ChannelConfig:
             )
         if len(self.pdp) == 0:
             raise ValueError("pdp must contain at least one tap")
-        object.__setattr__(self, "pdp", tuple((float(d), float(p)) for d, p in self.pdp))
-        if not np.all(np.isfinite(self.pdp)):
-            raise ValueError(f"pdp delays and powers must be finite, got {self.pdp}")
+        object.__setattr__(self, "pdp", tuple(map(tuple, _check_real("pdp", self.pdp, 0).tolist())))
         powers = np.asarray([p for _, p in self.pdp])
-        if np.any(powers < 0) or np.any(np.asarray([d for d, _ in self.pdp]) < 0):
-            raise ValueError("pdp delays and powers must be nonnegative")
         if abs(float(powers.sum()) - 1.0) > 1e-9:
             raise ValueError(f"pdp powers must sum to 1, got {float(powers.sum())!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(_phase_arg(self)).all():
+                raise ValueError("the subband phase argument 2*pi*f_k*tau_t must be finite, got "
+                                 f"subband_spacing_hz={self.subband_spacing_hz!r}, "
+                                 f"delay_spread_ns={self.delay_spread_ns!r}")
 
 
 # Bytes of tap matrices per block of the trajectory. A block and its normals
@@ -207,14 +200,20 @@ def _complex_normal(rng: np.random.Generator, out: np.ndarray) -> None:
     out *= 1.0 / np.sqrt(2.0)
 
 
+def _phase_arg(cfg: ChannelConfig) -> np.ndarray:
+    """2*pi*f_k*tau_t, (subbands, taps): f_k subband centers about the carrier, tau_t tap delays."""
+    delays_s = np.asarray([d for d, _ in cfg.pdp]) * cfg.delay_spread_ns * 1e-9
+    freqs = (np.arange(cfg.num_subbands) - (cfg.num_subbands - 1) / 2.0) * cfg.subband_spacing_hz
+    return 2.0 * np.pi * np.outer(freqs, delays_s)
+
+
 def _trajectory(cfg: ChannelConfig, seed: int):
     """Draw a correlated channel trajectory from seed, in slot order: returns
     fill, and fill(out) writes the trajectory's next len(out) slots into the
     C-contiguous (slots, subbands, rx, tx) array out. The seed is checked at
     the call, before the first draw.
 
-    H(k) = sum_t A_t * exp(-j*2*pi*f_k*tau_t) with subband centers f_k placed
-    symmetrically around the carrier and tau_t = normalized_delay * spread.
+    H(k) = sum_t A_t * exp(-j*2*pi*f_k*tau_t), the argument from _phase_arg.
     The AR(1)-evolved taps A_t, every slot marginally CN(0, p_t) per entry,
     are drawn _block_slots slots at a time into a temporary block; between
     calls only the last slot's taps are kept. Each slot's H is one BLAS
@@ -223,13 +222,10 @@ def _trajectory(cfg: ChannelConfig, seed: int):
     """
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    delays_s = np.asarray([d for d, _ in cfg.pdp]) * cfg.delay_spread_ns * 1e-9
     powers = np.asarray([p for _, p in cfg.pdp])
     powers = powers / powers.sum()
     rho = _j0(2.0 * np.pi * cfg.doppler_hz * cfg.slot_duration_s)
-    k = np.arange(cfg.num_subbands)
-    freqs = (k - (cfg.num_subbands - 1) / 2.0) * cfg.subband_spacing_hz
-    phase = np.exp(-2j * np.pi * np.outer(freqs, delays_s))  # (subbands, taps)
+    phase = np.exp(-1j * _phase_arg(cfg))  # (subbands, taps)
     num_taps, num_rx, num_tx = len(powers), cfg.num_rx_ports, cfg.num_tx_ports
     step = _block_slots(num_taps, num_rx, num_tx)
     scale = np.sqrt(powers)[:, None, None]

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelConfig, _j0, generate_channel, load_pdp_file
-from .codebook import (AntennaConfig, Type2Config, _check_count, build_type1_codebook,
+from .codebook import (AntennaConfig, Type2Config, _check_count, _check_real, build_type1_codebook,
                        build_type2_structure, oversampling_factors)
 from .csi import CqiTable
 from .overhead import type1_overhead_bits, type2_overhead_bits
@@ -142,13 +142,11 @@ def _parse_snr(cfg: _Settings) -> tuple[float, ...]:
         values = [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"{name} must be 'min:step:max' or a single value, got {spec!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{name} must be finite, got {spec!r}")
+    values = [_check_real(name, v) for v in values]
     if len(values) == 1:
         return (values[0],)
     lo, step, hi = values
-    if step <= 0:
-        raise ValueError(f"{name} step must be positive, got {step}")
+    _check_real(f"{name} step", step, positive=True)
     if hi < lo:
         raise ValueError(f"{name} has max {hi} below min {lo}")
     if (hi - lo) / step >= _MAX_SNR_POINTS:

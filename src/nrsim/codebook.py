@@ -131,6 +131,28 @@ def _check_count(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+def _check_real(name: str, value, low=None, high=None, *, positive: bool = False):
+    """value as a float, or an array-like as a float array: the one rule for
+    every real input, refused by name unless each entry is a Python or numpy
+    int or float (not a bool, which numpy reads as 1), finite, positive if
+    asked, and in low..high. An array's message names its first bad entry."""
+    fast = isinstance(value, np.ndarray) and value.dtype.kind in "iuf"
+    x = np.asarray(value, dtype=None if fast else object)
+    def refuse(bad, rule: str, show=float) -> None:
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            at = f"[{', '.join(map(str, np.unravel_index(i, x.shape)))}]" if x.ndim else ""
+            raise ValueError(f"{name}{at} must {rule}, got {show(x.flat[i])}")
+    refuse([isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
+            for v in ([] if fast else x.flat)], "be a real number", repr)
+    x = x.astype(float, copy=False)
+    refuse(~np.isfinite(x), "be finite")
+    refuse(positive and x <= 0, "be positive")
+    refuse(high is not None and (x < low) | (x > high), f"be in {low}..{high}")
+    refuse(high is None and low is not None and x < low, f"be >= {low}")
+    return float(x) if x.ndim == 0 else x
+
+
 def _check_ints(obj, **lows: int) -> None:
     """_check_count each named field of the frozen dataclass obj against its
     low, in order, and store it as an int."""

@@ -27,6 +27,7 @@ from .codebook import (
     TypeIPmi,
     _check_count,
     _check_ints,
+    _check_real,
     _type2_columns,
     realize_type2_precoder,  # not called here: bench/spans.py traces it as csi.realize_type2_precoder
 )
@@ -57,15 +58,10 @@ class CqiTable:
     sinr_threshold_db: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        se = np.asarray(self.spectral_efficiency, dtype=float)
-        thr = np.asarray(self.sinr_threshold_db, dtype=float)
-        if se.size == 0 or se.size != thr.size:
+        se = _check_real("spectral_efficiency", self.spectral_efficiency, positive=True)
+        thr = _check_real("sinr_threshold_db", self.sinr_threshold_db)
+        if np.size(se) == 0 or np.size(se) != np.size(thr):
             raise ValueError("table must have matching, nonempty efficiency and threshold columns")
-        if not np.all(np.isfinite(se) & (se > 0)):
-            raise ValueError(
-                f"spectral_efficiency must be finite and positive, got {self.spectral_efficiency}")
-        if not np.all(np.isfinite(thr)):
-            raise ValueError(f"sinr_threshold_db must be finite, got {self.sinr_threshold_db}")
         if np.any(np.diff(se) <= 0):
             raise ValueError("spectral efficiencies must be strictly increasing")
         if np.any(np.diff(thr) <= 0):
@@ -128,11 +124,6 @@ class CsiReport:
         _check_ints(self, ri=1, cqi=0)
         if isinstance(self.pmi, TypeIIPmi) and self.pmi.rank != self.ri:
             raise ValueError(f"ri={self.ri} inconsistent with a rank-{self.pmi.rank} PMI")
-
-
-def _check_noise_var(noise_var: float) -> None:
-    if not 0.0 < noise_var < math.inf:  # also refuses nan
-        raise ValueError(f"noise_var must be finite and positive, got {noise_var}")
 
 
 def _check_finite(h: np.ndarray) -> None:
@@ -276,12 +267,10 @@ def quantize_phases(target_coeffs, amplitudes, n_psk: int) -> np.ndarray:
     per coefficient). Ties keep the first candidate rotation.
     """
     z = np.atleast_1d(np.asarray(target_coeffs, dtype=complex))
-    a = np.atleast_1d(np.asarray(amplitudes, dtype=float))
+    a = np.atleast_1d(_check_real("amplitudes", amplitudes, 0))
     if z.shape != a.shape:
         raise ValueError(f"coefficient/amplitude shape mismatch: {z.shape} vs {a.shape}")
     _check_count("n_psk", n_psk, 1)
-    if np.any(a < 0):
-        raise ValueError("amplitudes must be nonnegative")
     if z.shape[-1] == 0:
         return np.zeros(z.shape, dtype=int)
     weight = a * np.abs(z)
@@ -565,7 +554,7 @@ def select_csi(h, noise_var: float, codebooks, table: CqiTable) -> CsiReport:
     if h.ndim != 3 or h.size == 0:
         raise ValueError(f"slot view must be (subbands, rx, tx), got shape {h.shape}")
     _check_finite(h)
-    _check_noise_var(noise_var)
+    noise_var = _check_real("noise_var", noise_var, positive=True)
     if isinstance(codebooks, Type2CodebookSpace):
         _, ri, cqi, _, indices = _select_type2(h[None], noise_var, codebooks, table)
         i11, i12, *layers = (a[0] for a in indices)

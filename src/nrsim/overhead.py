@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import (TYPE2_MAX_RANK, TYPE2_SB_AMPLITUDES, TYPE2_WB_AMPLITUDES, Codebook,
-                       Type2CodebookSpace, _check_count)
+                       Type2CodebookSpace, _check_count, _check_real)
 
 __all__ = [
     "OverheadBreakdown",
@@ -70,12 +70,12 @@ def type2_overhead_bits(space: Type2CodebookSpace, layers: int,
 
 def expected_overhead(rank_probs, per_rank_bits) -> float:
     """Expected report size E[Q] = sum_i p_i * Q_i for a rank distribution."""
-    p = np.asarray(rank_probs, dtype=float)
-    q = np.asarray(per_rank_bits, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError(f"shape mismatch: probabilities {p.shape} vs bit counts {q.shape}")
+    p = _check_real("rank_probs", rank_probs, 0)
+    q = _check_real("per_rank_bits", per_rank_bits, 0)
+    if np.shape(p) != np.shape(q) or np.ndim(p) != 1:
+        raise ValueError(f"shape mismatch: probabilities {np.shape(p)} vs bit counts {np.shape(q)}")
     if p.size == 0:
         raise ValueError("rank distribution is empty")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("rank probabilities must be nonnegative and sum to 1")
+    if abs(float(p.sum()) - 1.0) > 1e-9:
+        raise ValueError("rank probabilities must sum to 1")
     return float(p @ q)

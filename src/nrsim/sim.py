@@ -35,6 +35,7 @@ from .codebook import (
     AntennaConfig,
     Type2Config,
     _check_ints,
+    _check_real,
     build_type1_codebook,
     build_type2_structure,
     oversampling_factors,
@@ -67,7 +68,7 @@ _THRESHOLD_SLACK_DB = 1e-9
 
 # Beyond this many dB from 0 the noise power nears the ends of the float
 # range, and a point would report inf or a spurious top CQI.
-_SNR_LIMIT_DB = 1000.0
+_SNR_LIMIT_DB = 1000
 
 
 class CodebookMode(enum.Enum):
@@ -103,21 +104,20 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        points = tuple(float(s) for s in self.snr_points_db)
-        if len(points) == 0:
-            raise ValueError("snr_points_db must be nonempty")
-        if not all(abs(s) <= _SNR_LIMIT_DB for s in points):  # also refuses nan
-            raise ValueError(
-                f"snr_points_db must be finite and within +/-{_SNR_LIMIT_DB:g} dB, got {points}")
+        points = _check_real("snr_points_db", self.snr_points_db, -_SNR_LIMIT_DB, _SNR_LIMIT_DB)
+        if np.ndim(points) != 1 or len(points) == 0:
+            raise ValueError(f"snr_points_db must be a nonempty sequence, got {np.shape(points)}")
         if any(b < a for a, b in zip(points, points[1:])):
             raise ValueError("snr_points_db must be sorted ascending")
-        object.__setattr__(self, "snr_points_db", points)
+        object.__setattr__(self, "snr_points_db", tuple(points.tolist()))
         _check_ints(self, num_slots=1, feedback_delay_slots=0, seed=0)
         if self.num_slots <= self.feedback_delay_slots:
             raise ValueError(
                 f"num_slots={self.num_slots} leaves no scored slots at "
                 f"feedback_delay_slots={self.feedback_delay_slots}"
             )
+        if not isinstance(self.codebook_mode, CodebookMode):
+            raise ValueError(f"codebook_mode must be a CodebookMode, got {self.codebook_mode!r}")
         if self.codebook_mode is CodebookMode.TYPE2:
             if self.scenario.type2 is None:
                 raise ValueError("Type II mode needs a Type2Config in the scenario")

@@ -411,8 +411,8 @@ def test_type2_beams_beyond_panel_refused_before_manifest(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, env, message", [
     (["--seed=-1"], {}, "seed must be >= 0, got -1"),
-    (["--snr=-3000"], {}, "snr_points_db must be finite and within +/-1000 dB"),
-    (["--snr=3000"], {}, "snr_points_db must be finite and within +/-1000 dB"),
+    (["--snr=-3000"], {}, "snr_points_db[0] must be in -1000..1000, got -3000.0"),
+    (["--snr=3000"], {}, "snr_points_db[0] must be in -1000..1000, got 3000.0"),
     (["--snr=-10:1e-7:40"], {}, "sweep.snr has more than 10000 points"),
     ([], {"NRSIM_THREADS": "abc"}, "NRSIM_THREADS must be an integer, got 'abc'"),
     ([], {"NRSIM_THREADS": "0"}, "NRSIM_THREADS must be >= 1, got '0'"),
@@ -441,6 +441,20 @@ def test_jakes_overflow_names_file_and_keys(tmp_path, capsys):
     assert err.startswith(
         f"config error: {config}: channel.doppler_hz, channel.slot_duration_s: ")
     assert "must be finite" in err
+
+
+def test_phase_argument_overflow_names_file_and_keys(tmp_path, capsys):
+    """A subband spacing whose phase argument overflows exits 2 at
+    construction, naming the file and its key, not in a pool worker."""
+    config = tmp_path / "run.ini"
+    config.write_text("[channel]\nsubband_spacing_hz = 1e308\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--codebook", "svd", "--slots", "3",
+                 "--snr", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {config}: channel.subband_spacing_hz: the subband phase argument "
+        "2*pi*f_k*tau_t must be finite, got subband_spacing_hz=1e+308, delay_spread_ns=100.0\n")
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -11,7 +11,7 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("script", ["sweep_digests.py", "bench_pairs.py"])
+@pytest.mark.parametrize("script", ["sweep_digests.py", "bench_pairs.py", "plot_sweep.py"])
 def test_help_exits_0(script):
     run = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
                          capture_output=True, text=True, timeout=60)

@@ -47,6 +47,7 @@ from nrsim import (
     write_ri_hist_csv,
     write_sweep_csv,
 )
+from nrsim.cli import _parse_snr, _Settings
 from nrsim.csi import _logdet_capacity, _precoded_sinr
 from nrsim.sim import _run_point
 from oracles import mimo_capacity
@@ -111,6 +112,59 @@ _COUNTS = {
 }
 
 
+def _profile(line: str):
+    """load_pdp_file of a two-line profile whose second line is line."""
+    with open("profile.txt", "w", encoding="utf-8") as fh:
+        fh.write(f"0 0\n{line}\n")
+    return load_pdp_file("profile.txt")
+
+
+# Each real input, by "owner.field": a function of its value, the name its
+# refusals give (an array input holds the value at index 1), and the values
+# it refuses with the rule each breaks. The CLI and file inputs parse text,
+# which yields floats, so only their non-finite and bound cases apply.
+_NOT_REAL = [(True, "be a real number"), ("5", "be a real number"),
+             (1 + 0j, "be a real number")]
+_NOT_FINITE = [(math.nan, "be finite"), (math.inf, "be finite"), (-math.inf, "be finite")]
+_POSITIVE = [(0.0, "be positive"), (-1.0, "be positive")]
+_NONNEGATIVE = [(-1.0, "be >= 0"), (-1e-300, "be >= 0")]
+_REALS = {
+    "ChannelConfig.doppler_hz": (lambda v: ChannelConfig(4, 2, doppler_hz=v), "doppler_hz",
+                                 _NOT_REAL + _NOT_FINITE + _NONNEGATIVE),
+    **{f"ChannelConfig.{name}": (lambda v, name=name: ChannelConfig(4, 2, **{name: v}), name,
+                                 _NOT_REAL + _NOT_FINITE + _POSITIVE)
+       for name in ("delay_spread_ns", "subband_spacing_hz", "slot_duration_s")},
+    "ChannelConfig.pdp.delay": (lambda v: ChannelConfig(4, 2, pdp=((0.0, 0.5), (v, 0.5))),
+                                "pdp[1, 0]", _NOT_REAL + _NOT_FINITE + _NONNEGATIVE),
+    "ChannelConfig.pdp.power": (lambda v: ChannelConfig(4, 2, pdp=((0.0, 0.5), (1.0, v))),
+                                "pdp[1, 1]", _NOT_REAL + _NOT_FINITE + _NONNEGATIVE),
+    "SweepConfig.snr_points_db": (lambda v: _mini_config(snr=(0.0, v)), "snr_points_db[1]",
+                                  _NOT_REAL + _NOT_FINITE + [(-1000.5, "be in -1000..1000"),
+                                                             (3000.0, "be in -1000..1000")]),
+    "CqiTable.spectral_efficiency": (lambda v: CqiTable((0.1, v), (-5.0, -3.0)),
+                                     "spectral_efficiency[1]", _NOT_REAL + _NOT_FINITE + _POSITIVE),
+    "CqiTable.sinr_threshold_db": (lambda v: CqiTable((0.1, 0.2), (-5.0, v)),
+                                   "sinr_threshold_db[1]", _NOT_REAL + _NOT_FINITE),
+    "select_csi.noise_var": (lambda v: select_csi(np.ones((1, 2, 4)), v, {1: _type1_codebook()},
+                                                  CqiTable.default()),
+                             "noise_var", _NOT_REAL + _NOT_FINITE + _POSITIVE),
+    "quantize_phases.amplitudes": (lambda v: quantize_phases([1 + 1j, 1j], [1.0, v], 4),
+                                   "amplitudes[1]", _NOT_REAL + _NOT_FINITE + _NONNEGATIVE),
+    "expected_overhead.rank_probs": (lambda v: expected_overhead([0.5, v], [1, 2]),
+                                     "rank_probs[1]", _NOT_REAL + _NOT_FINITE + _NONNEGATIVE),
+    "expected_overhead.per_rank_bits": (lambda v: expected_overhead([0.5, 0.5], [1, v]),
+                                        "per_rank_bits[1]", _NOT_REAL + _NOT_FINITE + _NONNEGATIVE),
+    "cli.sweep.snr": (lambda v: _parse_snr(_Settings({"sweep.snr": f"{v}:1:10"})), "sweep.snr",
+                      _NOT_FINITE),
+    "cli.sweep.snr.step": (lambda v: _parse_snr(_Settings({"sweep.snr": f"0:{v}:10"})),
+                           "sweep.snr step", _POSITIVE),
+    "load_pdp_file.delay_ns": (lambda v: _profile(f"{v} 0"), "profile.txt:2: delay_ns",
+                               _NOT_FINITE),
+    "load_pdp_file.power_db": (lambda v: _profile(f"100 {v}"), "profile.txt:2: power_db",
+                               _NOT_FINITE),
+}
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("value", [2.5, True])
     @pytest.mark.parametrize("name", sorted(_COUNTS))
@@ -157,6 +211,52 @@ class TestConfigValidation:
         ">= low" or "in low..high", naming the input and its value."""
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _COUNTS[name](value)
+
+    @pytest.mark.parametrize("name, value, message", [
+        pytest.param(name, value, f"{field} must {rule}, got "
+                     + (repr(value) if rule == "be a real number" else str(float(value))),
+                     id=f"{name}={value!r}")
+        for name, (_, field, cases) in _REALS.items() for value, rule in cases
+    ])
+    def test_real_refused(self, name, value, message, tmp_path, monkeypatch):
+        """Every real input is refused by one rule, in one of five forms, naming
+        the input (an array's entry by index) and the value: a bool, a str or
+        a complex is not a real number, nan and inf are not finite, and each
+        bound holds. A bool was read as 1, a str raised a TypeError, and a
+        nan amplitude, probability or bit count was let through."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _REALS[name][0](value)
+
+    @pytest.mark.parametrize("name", sorted(_REALS))
+    def test_real_accepts_numpy_scalars(self, name, tmp_path, monkeypatch):
+        """A numpy float or integer passes the rule as a Python one does."""
+        monkeypatch.chdir(tmp_path)
+        good = {"ChannelConfig.pdp.power": 0.5, "expected_overhead.rank_probs": 0.5,
+                "CqiTable.spectral_efficiency": 0.2, "CqiTable.sinr_threshold_db": -3.0}
+        value = good.get(name, 1.0)
+        for v in (value, np.float64(value), np.float32(value)) + (
+                (np.int64(value),) if float(value).is_integer() else ()):
+            _REALS[name][0](v)
+
+    @pytest.mark.parametrize("field", ["subband_spacing_hz", "delay_spread_ns"])
+    def test_phase_argument_overflow_rejected(self, field):
+        """A finite spacing or spread whose subband phase argument
+        2*pi*f_k*tau_t overflows is refused at construction, naming both
+        fields, not in a pool worker as a non-finite channel."""
+        cfg = {"subband_spacing_hz": 720000.0, "delay_spread_ns": 100.0, field: 1e308}
+        message = ("the subband phase argument 2*pi*f_k*tau_t must be finite, got "
+                   f"subband_spacing_hz={cfg['subband_spacing_hz']!r}, "
+                   f"delay_spread_ns={cfg['delay_spread_ns']!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ChannelConfig(num_tx_ports=8, num_rx_ports=4, **cfg)
+
+    @pytest.mark.parametrize("mode", ["type1", None, 1])
+    def test_codebook_mode_must_be_a_member(self, mode):
+        """A codebook_mode that is not a CodebookMode is refused by name; a
+        string fell through to the Type II branch and crashed the point."""
+        with pytest.raises(ValueError, match=f"^codebook_mode must be a CodebookMode, got {mode!r}$"):
+            _mini_config(mode=mode)
 
     def test_scenario_port_mismatch(self):
         with pytest.raises(ValueError, match="ports"):
@@ -228,7 +328,9 @@ class TestConfigValidation:
     def test_snr_beyond_limit_rejected(self, snr_db):
         """Points past +/-1000 dB, where the noise power or the MMSE
         determinant overflows, raise a ValueError naming the field."""
-        with pytest.raises(ValueError, match="snr_points_db must be finite and within"):
+        index = 1 if snr_db > 0 else 0
+        with pytest.raises(ValueError, match=rf"^snr_points_db\[{index}\] must be in -1000\.\.1000, "
+                                             rf"got {snr_db}$"):
             _mini_config(snr=(0.0, snr_db) if snr_db > 0 else (snr_db, 0.0))
 
     def test_type2_beams_must_fit_panel(self):
